@@ -25,7 +25,7 @@ from .iteration import IterationLadder, cauchy_report, iterate, ladder_vs_solve
 from .experiments import (DependenceConfig, bona_smith_experiment,
                           continuity_assembly, interpolation_ratio,
                           lipschitz_lowernorm_experiment)
-from .reports import ExperimentReport, RatioReport, dump_json, load_json
+from .reports import ExperimentReport, dump_json, load_json
 
 __version__ = "0.1.0"
 
@@ -52,5 +52,5 @@ __all__ = [
     "IterationLadder", "cauchy_report", "iterate", "ladder_vs_solve",
     "DependenceConfig", "bona_smith_experiment", "continuity_assembly",
     "interpolation_ratio", "lipschitz_lowernorm_experiment",
-    "ExperimentReport", "RatioReport", "dump_json", "load_json",
+    "ExperimentReport", "dump_json", "load_json",
 ]

@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError
-from .fields import Grid, GridField, apply_multiplier, wavenumber_norm
+from .fields import (PHYSICAL, Grid, GridField, apply_multiplier, as_physical,
+                     as_spectral, wavenumber_norm)
 
 _PROFILES = ("exp", "cos")
 
@@ -122,10 +123,12 @@ def p_le(bank: LPFilterBank, f: GridField, m: int) -> GridField:
 
 
 def decompose(bank: LPFilterBank, f: GridField) -> DyadicDecomposition:
-    """Split f into its low part and all dyadic blocks."""
-    low = apply_multiplier(f, bank.phi_0)
-    blocks = tuple(apply_multiplier(f, bank.psi[j]) for j in range(bank.j_max + 1))
-    return DyadicDecomposition(low, blocks)
+    """Split f into its low part and all dyadic blocks (one forward transform)."""
+    F = as_spectral(f)
+    pieces = [apply_multiplier(F, m) for m in (bank.phi_0, *bank.psi)]
+    if f.rep == PHYSICAL:
+        pieces = [as_physical(p) for p in pieces]
+    return DyadicDecomposition(pieces[0], tuple(pieces[1:]))
 
 
 def recompose(dec: DyadicDecomposition) -> GridField:

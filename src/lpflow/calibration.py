@@ -7,13 +7,15 @@ assert ratios stay within twice the stored value.  Regenerate with
 
     python3 -m lpflow.calibration
 
-which rewrites ``src/lpflow/data/calibration.json`` deterministically.
+which rewrites ``src/lpflow/data/calibration.json`` deterministically, or
+check fresh measurements against the stored table, writing nothing, with
+
+    python3 -m lpflow.calibration --check
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 from functools import lru_cache
 
 from .bank import default_bank
@@ -165,9 +167,29 @@ def bracket(name: str) -> tuple[float, float]:
     return 0.5 * float(e["min"]), 2.0 * float(e["max"])
 
 
-def main() -> None:
+def check() -> int:
+    """Re-measure every entry against its 2x bound; 1 if any exceeds it, else 0."""
+    status = 0
+    for name, fn in sorted(_SWEEPS.items()):
+        measured = float(fn()["max"])
+        bound = regression_bound(name)
+        print(f"  {name}: measured={measured!r} stored={stored(name)['max']!r} "
+              f"headroom={1.0 - measured / bound:.1%}")
+        if not measured <= bound:
+            print(f"  {name}: OVER its bound {bound!r}")
+            status = 1
+    return status
+
+
+def main(argv=None) -> int:
+    import argparse
     import pathlib
 
+    parser = argparse.ArgumentParser(prog="python3 -m lpflow.calibration")
+    parser.add_argument("--check", action="store_true",
+                        help="compare fresh measurements with the stored maxima; write nothing")
+    if parser.parse_args(argv).check:
+        return check()
     payload = compute_all()
     out = pathlib.Path(__file__).parent / "data" / "calibration.json"
     out.parent.mkdir(exist_ok=True)
@@ -175,7 +197,8 @@ def main() -> None:
     print(f"wrote {out}")
     for name, entry in payload["entries"].items():
         print(f"  {name}: max={entry['max']:.6g}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -45,12 +45,6 @@ def divfree_sample(grid: Grid, seed: int, decay: float = DEFAULT_DECAY,
     return vector_as_physical(random_divergence_free(grid, spec))
 
 
-def divfree_samples(grid: Grid, count: int, seed0: int,
-                    decay: float = DEFAULT_DECAY,
-                    band: tuple[int, int] | None = None) -> list[VectorField]:
-    return [divfree_sample(grid, seed0 + i, decay, band) for i in range(count)]
-
-
 def transport_pair(grid: Grid, seed: int, decay: float = DEFAULT_DECAY,
                    band: tuple[int, int] | None = None):
     """A (divergence-free u, scalar g) pair for commutator/transport sweeps."""

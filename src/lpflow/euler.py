@@ -230,7 +230,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
     """March the projected dynamics from u0; record every ``record_stride`` steps.
 
     Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds the
-    guard, carrying the offending time.
+    guard or stops being finite, carrying the offending time.
     """
     _check_divfree(u0, "solve")
     g = u0.grid
@@ -246,11 +246,11 @@ def solve(u0: VectorField, cfg: SolverConfig,
     for step in range(cfg.steps):
         t = step * dt
         vel = rhs.velocity(state)
-        vmax = max(np.abs(v).max() for v in vel)
-        if vmax * dt / g.spacing > cfg.cfl_guard:
-            raise StabilityError(
-                f"CFL guard {cfg.cfl_guard} exceeded at t={t:.6g} "
-                f"(max|u| dt/dx = {vmax * dt / g.spacing:.3g})", time=t)
+        cfl = np.max([np.abs(v).max() for v in vel]) * dt / g.spacing
+        if not cfl <= cfg.cfl_guard:  # np.max keeps a NaN from any component; NaN fails <=
+            what = ("non-finite velocity" if not np.isfinite(cfl)
+                    else f"CFL guard {cfg.cfl_guard} exceeded")
+            raise StabilityError(f"{what} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
         k1 = rhs(state, vel)
         k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
         k3 = rhs([s + 0.5 * dt * k for s, k in zip(state, k2)])

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bank import default_bank, max_block_index, p_le
 from .errors import DegenerateInputError
 from .euler import SolverConfig, Trajectory, solve

@@ -13,7 +13,6 @@ scheme's full fourth order without storing integrator stages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +92,9 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
     members_raw: list[list[list[np.ndarray]]] = [[zero] * (steps + 1)]
 
     u0_spec = _leray_spectra(_spectra(u0), g.n, g.d)
+    if not all(np.isfinite(s).all() for s in u0_spec):
+        # member 1 is advected by the zero member 0, so no step guard sees its data
+        raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
     for m in range(1, M + 1):
         mult = low_pass_multiplier(bank, m)
         w = [s * mult for s in u0_spec]
@@ -108,11 +110,11 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
                 d1 = lin(v1, rhs.velocity(before[i + 1]))
                 vm = _hermite_midpoint(v0, v1, d0, d1, dt)
             vel0, velm, vel1 = (rhs.velocity(v0), rhs.velocity(vm), rhs.velocity(v1))
-            vmax = max(np.abs(v).max() for v in vel0) if m > 1 else 0.0
-            if vmax * dt / g.spacing > cfg.cfl_guard:
-                raise StabilityError(
-                    f"CFL guard exceeded in ladder member {m} at t={i * dt:.6g}",
-                    time=i * dt)
+            vmax = np.max([np.abs(v).max() for v in vel0]) if m > 1 else 0.0
+            if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and np.max keeps it
+                what = "non-finite velocity" if not np.isfinite(vmax) else "CFL guard exceeded"
+                raise StabilityError(f"{what} in ladder member {m} at t={i * dt:.6g}",
+                                     time=i * dt)
             k1 = lin(w, vel0)
             k2 = lin([s + 0.5 * dt * k for s, k in zip(w, k1)], velm)
             k3 = lin([s + 0.5 * dt * k for s, k in zip(w, k2)], velm)

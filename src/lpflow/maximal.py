@@ -207,7 +207,6 @@ class RadialProfile:
         x = g.axis_coordinates()
         images = np.arange(-4, 5) * 2.0 * np.pi
         axis_offsets = x[:, None] + images[None, :]
-        mesh = np.meshgrid(*([axis_offsets] * g.d), indexing="ij", sparse=False)
         # accumulate sum over image cells axis-by-axis to bound memory
         kernel = np.zeros(g.shape)
         for idx in np.ndindex(*([images.size] * g.d)):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .bank import LPFilterBank, decompose, radial_cutoff
 from .errors import DegenerateInputError, ResolutionError
-from .fields import (PHYSICAL, Grid, GridField, VectorField, apply_multiplier,
-                     as_physical, as_spectral, wavenumber_norm)
+from .fields import (GridField, VectorField, apply_multiplier, as_physical,
+                     as_spectral, wavenumber_norm)
 
 _FLAVORS = ("tl", "besov")
 
@@ -221,27 +221,8 @@ def verify_lifting(bank: LPFilterBank, f: GridField, s: float, p: float, q: floa
 # L^1 kernel bound for the projected second-order symbol
 
 
-def _kernel_term_l1(symbol: np.ndarray) -> float:
-    # || F^{-1} g ||_{L^1} by box quadrature; with symbol samples on the dual
-    # lattice of a periodic box the quadrature weights collapse so that the
-    # L^1 norm is just the l1 norm of the inverse DFT.
-    return float(np.abs(np.fft.ifftn(symbol)).sum())
-
-
-def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
-                    refinement: int = 7, d: int = 2, tail_tol: float = 1e-6,
-                    max_terms: int = 60) -> list[tuple[int, float]]:
-    """Per-scale L^1 kernel norms 2^j || F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}.
-
-    ``m`` is the symbol of the low-pass-projected operator
-    (-Laplace)^{-1} d_l d_k, ``psi`` the unit annulus bump.  Terms are listed
-    for j = 0, -1, -2, ... until the geometric tail drops below ``tail_tol``.
-    The transform is evaluated on an auxiliary box of side 2^refinement with a
-    dual lattice fine enough to resolve the annulus.
-    """
-    for name, ax in (("l", l), ("k", k), ("i", i)):
-        if not 0 <= ax < d:
-            raise ValueError(f"axis {name}={ax} out of range for dimension {d}")
+def _kernel_lattice(refinement: int, d: int, profile: str):
+    """Dual-lattice meshes of the auxiliary box and the annulus bump on them."""
     box = 2.0**refinement
     dxi = 2.0 * np.pi / box
     if dxi > 0.5:
@@ -257,27 +238,58 @@ def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
     mesh = np.meshgrid(*([xi_1d] * d), indexing="ij")
     rho = np.sqrt(sum(m * m for m in mesh))
     psi = radial_cutoff(rho / 2.0, profile) - radial_cutoff(rho, profile)
-    inv_rho2 = np.zeros_like(rho)
-    nz = rho > 0
-    inv_rho2[nz] = 1.0 / (rho[nz] ** 2)
+    return mesh, psi
+
+
+def _kernel_scale_l1(mesh, psi: np.ndarray, profile: str, l: int, k: int, i: int,
+                     j: int) -> float:
+    """|| F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}, evaluated explicitly at scale j."""
+    scaled = [2.0**j * m for m in mesh]
+    srho2 = sum(m * m for m in scaled)
+    ssym = np.zeros_like(psi)
+    ann = srho2 > 0
+    ssym[ann] = (radial_cutoff(np.sqrt(srho2[ann]), profile)
+                 * scaled[l][ann] * scaled[k][ann] / srho2[ann])
+    # Box quadrature: with symbol samples on the dual lattice of a periodic box
+    # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
+    return float(np.abs(np.fft.ifftn(ssym * psi * mesh[i])).sum())
+
+
+def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
+                    refinement: int = 7, d: int = 2, tail_tol: float = 1e-6,
+                    max_terms: int = 60) -> list[tuple[int, float]]:
+    """Per-scale L^1 kernel norms 2^j || F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}.
+
+    ``m`` is the symbol of the low-pass-projected operator
+    (-Laplace)^{-1} d_l d_k, ``psi`` the unit annulus bump.  Terms are listed
+    for j = 0, -1, -2, ... until the geometric tail drops below ``tail_tol``.
+    The transform is evaluated on an auxiliary box of side 2^refinement with a
+    dual lattice fine enough to resolve the annulus.
+
+    Only j = 0, -1 and -2 are transformed.  psi vanishes off the open annulus
+    1/2 < |xi| < 2, and for j <= -2 the low-pass factor phi(2^j xi) is exactly
+    1 there (its argument stays below 1/2, where both profiles return 1.0).
+    What is left, (2^j xi_l)(2^j xi_k) / |2^j xi|^2, is 0-homogeneous, and
+    scaling by a power of two is exact in binary floating point, so the
+    sampled symbol, and hence the l1 sum, is bit-for-bit the same at every
+    j <= -2.  Each tail term is 2^j times the j = -2 sum, exactly as the
+    explicit per-scale evaluation (:func:`_kernel_scale_l1`) would give it.
+    """
+    for name, ax in (("l", l), ("k", k), ("i", i)):
+        if not 0 <= ax < d:
+            raise ValueError(f"axis {name}={ax} out of range for dimension {d}")
+    mesh, psi = _kernel_lattice(refinement, d, profile)
 
     terms = []
-    j = 0
-    while j > -max_terms:
-        scaled = [2.0**j * m for m in mesh]
-        srho2 = sum(m * m for m in scaled)
-        ssym = np.zeros_like(rho)
-        ann = srho2 > 0
-        ssym[ann] = (radial_cutoff(np.sqrt(srho2[ann]), profile)
-                     * scaled[l][ann] * scaled[k][ann] / srho2[ann])
-        symbol = ssym * psi * mesh[i]
-        term = 2.0**j * _kernel_term_l1(symbol)
+    for j in range(0, -max_terms, -1):
+        if j >= -2:  # below j = -2 the sum is frozen at its j = -2 value
+            l1 = _kernel_scale_l1(mesh, psi, profile, l, k, i, j)
+        term = 2.0**j * l1
         terms.append((j, term))
         # The prefactor halves per scale while the symbol freezes, so the
         # remaining tail is about the size of the last term.
         if term < tail_tol:
             break
-        j -= 1
     return terms
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import LPFilterBank, delta_j, p_le
+from .bank import LPFilterBank, decompose, delta_j
 from .corpus import scalar_sample, transport_pair
 from .errors import DegenerateInputError
-from .fields import (PHYSICAL, GridField, VectorField, as_physical,
+from .fields import (PHYSICAL, GridField, VectorField, as_physical, as_spectral,
                      dealias_field, derivative, max_spectral_divergence)
 from .norms import NormSpec, _lp_of_array, field_norm, grad_sup_norm, sup_norm
 from .reports import ExperimentReport
@@ -30,14 +30,6 @@ def _require_divfree(u: VectorField, who: str) -> None:
         return
     if max_spectral_divergence(u) > 1e-6:
         raise ValueError(f"{who} requires a divergence-free vector field")
-
-
-def _all_blocks(bank: LPFilterBank, f: GridField) -> list[np.ndarray]:
-    """Physical-space pieces [low, block 0, ..., block j_max]; they sum to f."""
-    out = [as_physical(p_le(bank, f, 0)).values]
-    for j in range(bank.j_max + 1):
-        out.append(as_physical(delta_j(bank, f, j)).values)
-    return out
 
 
 @dataclass(frozen=True)
@@ -63,8 +55,8 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
         raise ValueError("factors live on different grids")
     fd = as_physical(dealias_field(f))
     gd = as_physical(dealias_field(g))
-    fb = _all_blocks(bank, fd)
-    gb = _all_blocks(bank, gd)
+    fb, gb = ([p.values for p in (dec.low, *dec.blocks)]
+              for dec in (decompose(bank, fd), decompose(bank, gd)))
     nb = len(fb)  # list index i holds block i-1 (index 0 is the low piece)
     fcum = np.cumsum(np.stack(fb), axis=0)  # fcum[i] = sum of list indices <= i
 
@@ -90,24 +82,35 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
 
 def _advect(u_comps: list[np.ndarray], g: GridField) -> np.ndarray:
     """Physical samples of sum_l u_l * d_l g (factors already dealiased)."""
-    acc = None
-    for l, ul in enumerate(u_comps):
-        dg = as_physical(derivative(g, l)).values
-        acc = ul * dg if acc is None else acc + ul * dg
-    return acc
+    return sum(ul * as_physical(derivative(g, l)).values for l, ul in enumerate(u_comps))
 
 
-def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
-    """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
+def _commutator_blocks(bank: LPFilterBank, f: VectorField, g: GridField,
+                       js) -> tuple[GridField, ...]:
+    """Blocks f.grad(block_j g) - block_j(f.grad g), j in ``js``, dealiased products.
+
+    Everything that does not depend on j is formed once: the dealiased
+    factors, the spectrum of g, and the inner advection f.grad g with its
+    spectrum.
+    """
     _require_divfree(f, "commutator")
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
     fd = [as_physical(dealias_field(c)).values for c in f.components]
-    gd = as_physical(dealias_field(g))
-    term1 = _advect(fd, delta_j(bank, gd, j))
-    inner = GridField(g.grid, _advect(fd, gd), PHYSICAL, f.is_real and g.is_real)
-    term2 = as_physical(delta_j(bank, inner, j)).values
-    return GridField(g.grid, term1 - term2, PHYSICAL, f.is_real and g.is_real)
+    gs = dealias_field(as_spectral(g))
+    real = f.is_real and g.is_real
+    inner = as_spectral(GridField(g.grid, _advect(fd, gs), PHYSICAL, real))
+    out = []
+    for j in js:
+        term1 = _advect(fd, delta_j(bank, gs, j))
+        term2 = as_physical(delta_j(bank, inner, j)).values
+        out.append(GridField(g.grid, term1 - term2, PHYSICAL, real))
+    return tuple(out)
+
+
+def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
+    """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
+    return _commutator_blocks(bank, f, g, (j,))[0]
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,7 @@ class CommutatorSequence:
 
 
 def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> CommutatorSequence:
-    return CommutatorSequence(tuple(commutator(bank, f, g, j)
-                                    for j in range(bank.j_max + 1)))
+    return CommutatorSequence(_commutator_blocks(bank, f, g, range(bank.j_max + 1)))
 
 
 def _sequence_tl_norm(seq: CommutatorSequence, spec: NormSpec) -> float:

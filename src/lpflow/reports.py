@@ -50,43 +50,6 @@ def write_csv(path, header, rows) -> None:
 
 
 @dataclass(frozen=True)
-class RatioReport:
-    """Per-sample inequality ratios for one estimate at one parameter point."""
-
-    estimate_id: str
-    spec: dict
-    n_samples: int
-    seed: int
-    ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        if len(self.ratios) != self.n_samples:
-            raise ValueError("n_samples does not match the ratio list")
-
-    @property
-    def max(self) -> float:
-        return max(self.ratios)
-
-    @property
-    def median(self) -> float:
-        srt = sorted(self.ratios)
-        m = len(srt) // 2
-        return srt[m] if len(srt) % 2 else 0.5 * (srt[m - 1] + srt[m])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate_id": self.estimate_id,
-            "spec": dict(self.spec),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "ratios": list(self.ratios),
-            "max": self.max,
-            "median": self.median,
-        }
-
-
-@dataclass(frozen=True)
 class ExperimentReport:
     """One experiment's row-per-cell outcome.
 

@@ -6,6 +6,7 @@ import pytest
 from lpflow import (GridField, SpectrumSpec, decompose, default_bank, delta_j,
                     p_le, random_band_limited, recompose)
 from lpflow.bank import low_pass_multiplier, max_block_index
+from lpflow.fields import apply_multiplier
 from lpflow.corpus import scalar_sample
 
 
@@ -35,6 +36,19 @@ def test_recompose_inverts_decompose(grid64, bank64):
     rel = np.abs(r.values - f.values).max() / np.abs(f.values).max()
     print("recompose rel error", rel)
     assert rel <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_decompose_matches_per_block_multipliers(dim, grid64, bank64, grid16_3d, bank16_3d):
+    # one forward transform shared by every block gives the same bits as
+    # transforming the physical field once per block
+    grid, bank = (grid64, bank64) if dim == 2 else (grid16_3d, bank16_3d)
+    f = scalar_sample(grid, 5)
+    dec = decompose(bank, f)
+    for piece, mult in zip((dec.low, *dec.blocks), (bank.phi_0, *bank.psi)):
+        ref = apply_multiplier(f, mult)
+        assert piece.rep == ref.rep == "physical"
+        assert np.array_equal(piece.values, ref.values)
 
 
 def test_telescoping(grid64, bank64):

@@ -1,0 +1,26 @@
+"""Calibration check mode: fresh measurements against the stored maxima."""
+
+import importlib.resources
+
+from lpflow import calibration
+
+ENTRY = "lifting_s1_order1"
+
+
+def test_check_reports_headroom_and_writes_nothing(monkeypatch, capsys):
+    table = importlib.resources.files("lpflow").joinpath("data/calibration.json")
+    before = table.read_bytes()
+    monkeypatch.setattr(calibration, "_SWEEPS", {ENTRY: calibration._sweep_lifting})
+    assert calibration.main(["--check"]) == 0
+    out = capsys.readouterr().out
+    stored = calibration.stored(ENTRY)["max"]
+    assert f"{ENTRY}: measured=" in out and f"stored={stored!r}" in out
+    assert "headroom=50.0%" in out
+    assert table.read_bytes() == before
+
+
+def test_check_fails_over_bound(monkeypatch, capsys):
+    over = 2.5 * calibration.stored(ENTRY)["max"]
+    monkeypatch.setattr(calibration, "_SWEEPS", {ENTRY: lambda: {"max": over}})
+    assert calibration.main(["--check"]) == 1
+    assert f"{ENTRY}: OVER its bound" in capsys.readouterr().out

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from lpflow import (Grid, NormSpec, SolverConfig, StabilityError, Trajectory,
-                    energy, euler_rhs, flow_map, jacobian_determinant,
-                    pressure_gradient, solve, taylor_green, vorticity)
+from lpflow import (Grid, GridField, NormSpec, SolverConfig, StabilityError,
+                    Trajectory, VectorField, energy, euler_rhs, flow_map,
+                    jacobian_determinant, pressure_gradient, solve, taylor_green,
+                    vorticity)
 from lpflow.corpus import divfree_sample
 from lpflow.euler import (default_seed_grid, steady_trajectory, stream_values,
                           taylor_green_stream)
@@ -106,6 +107,17 @@ def test_cfl_guard_raises(grid64):
     tg = taylor_green(grid64)
     with pytest.raises(StabilityError) as exc:
         solve(tg, SolverConfig(dt=1.0, T=3.0, cfl_guard=0.1))
+    assert exc.value.time == 0.0
+
+
+def test_non_finite_data_raises(grid64):
+    # NaN fails every comparison, so a guard written as "cfl > limit" lets it through.
+    comps = [c.values.real.copy() for c in vector_as_physical(taylor_green(grid64)).components]
+    comps[1][3, 5] = np.nan
+    u0 = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps),
+                     div_free=True)
+    with pytest.raises(StabilityError, match="non-finite velocity") as exc:
+        solve(u0, SolverConfig(dt=1e-3, T=2e-3))
     assert exc.value.time == 0.0
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lpflow import (DegenerateInputError, GridField, NormSpec, SolverConfig,
-                    VectorField, cauchy_report, iterate, ladder_vs_solve, solve)
+                    StabilityError, VectorField, cauchy_report, iterate,
+                    ladder_vs_solve, solve)
 from lpflow.corpus import divfree_sample
 from lpflow.fields import vector_as_physical
 from lpflow.iteration import member_norm_history
@@ -32,6 +33,20 @@ def test_arguments_validated(grid64, bank64):
     with pytest.raises(ValueError):
         iterate(bank64, u0, 2, SolverConfig(dt=2e-3, T=0.1, record_stride=5),
                 NormSpec(3, 1, 1))
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_non_finite_data_raises(grid64, bank64, M):
+    # With M = 1 no member is advected by the data, so only a check on the
+    # data itself can see the NaN.
+    comps = [c.values.real.copy() for c in vector_as_physical(_data(grid64)).components]
+    comps[0][7, 2] = np.nan
+    u0 = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps),
+                     div_free=True)
+    with pytest.raises(StabilityError, match="non-finite velocity") as exc:
+        iterate(bank64, u0, M, SolverConfig(dt=2e-3, T=4e-3, record_stride=1),
+                NormSpec(3, 1, 1))
+    assert exc.value.time == 0.0
 
 
 def test_first_member_is_frozen_low_pass(grid64, bank64):

@@ -10,7 +10,8 @@ from lpflow import (GridField, NormSpec, besov_norm, kernel_l1_bound, lp_norm,
                     verify_lifting)
 from lpflow.corpus import scalar_sample
 from lpflow.fields import vector_as_physical
-from lpflow.norms import field_norm, kernel_l1_terms, sup_norm
+from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm,
+                          kernel_l1_terms, sup_norm)
 
 # regression values computed on the 64^2 grid with the exp-profile bank
 F311_SAMPLE5 = 15728.850184666224
@@ -153,6 +154,20 @@ def test_kernel_terms_decay_and_total():
     total = kernel_l1_bound(refinement=7)
     assert abs(total - KERNEL_TOTAL_REF7) / KERNEL_TOTAL_REF7 < 1e-9
     assert abs(total - sum(t for _, t in terms)) < 1e-12
+
+
+@pytest.mark.parametrize("profile, d, refinement, axes", [
+    ("exp", 2, 7, (0, 0, 0)), ("cos", 2, 7, (1, 0, 1)),
+    ("exp", 3, 4, (2, 1, 0)), ("cos", 3, 4, (0, 2, 2))])
+def test_kernel_tail_equals_explicit_terms(profile, d, refinement, axes):
+    """Below j = -2 the series reuses the j = -2 sum; evaluating each scale
+    explicitly must give the same terms bit for bit."""
+    l, k, i = axes
+    terms = dict(kernel_l1_terms(profile, l, k, i, refinement, d, tail_tol=1e-12))
+    assert min(terms) <= -25
+    mesh, psi = _kernel_lattice(refinement, d, profile)
+    for j in range(-2, -26, -1):
+        assert terms[j] == 2.0**j * _kernel_scale_l1(mesh, psi, profile, l, k, i, j)
 
 
 def test_kernel_refinement_stability():
