@@ -18,6 +18,8 @@ from __future__ import annotations
 import importlib.resources
 from functools import lru_cache
 
+import numpy as np
+
 from .bank import default_bank
 from .corpus import divfree_sample, scalar_sample, scalar_samples
 from .norms import NormSpec, verify_lifting
@@ -31,8 +33,8 @@ def _sweep_moser():
 
     bank = default_bank(_GRID_N, _GRID_D)
     ratios = moser_sweep(bank, NormSpec(3, 1, 1, homogeneous=True), count=50, seed0=100)
-    return {"max": max(ratios), "min": min(ratios), "count": 50, "seed0": 100,
-            "s": 3, "p": 1, "q": 1}
+    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
+            "count": 50, "seed0": 100, "s": 3, "p": 1, "q": 1}
 
 
 def _sweep_transport(form: str):
@@ -41,8 +43,8 @@ def _sweep_transport(form: str):
     bank = default_bank(_GRID_N, _GRID_D)
     ratios = transport_sweep(bank, NormSpec(0, 1, 2, homogeneous=True), form,
                              count=20, seed0=300)
-    return {"max": max(ratios), "min": min(ratios), "count": 20, "seed0": 300,
-            "s": 0, "p": 1, "q": 2, "form": form}
+    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
+            "count": 20, "seed0": 300, "s": 0, "p": 1, "q": 2, "form": form}
 
 
 def _sweep_commutator(form: str, s: float, p: float, q: float, seed0: int):
@@ -51,8 +53,8 @@ def _sweep_commutator(form: str, s: float, p: float, q: float, seed0: int):
     bank = default_bank(_GRID_N, _GRID_D)
     ratios = commutator_sweep(bank, NormSpec(s, p, q, homogeneous=True), form,
                               count=30, seed0=seed0)
-    return {"max": max(ratios), "min": min(ratios), "count": 30, "seed0": seed0,
-            "s": s, "p": p, "q": q, "form": form}
+    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
+            "count": 30, "seed0": seed0, "s": s, "p": p, "q": q, "form": form}
 
 
 def _sweep_keyesti():
@@ -60,7 +62,6 @@ def _sweep_keyesti():
 
     bank = default_bank(_GRID_N, _GRID_D)
     grid = bank.grid
-    worst = 0.0
     per_gap = {}
     for gap in range(5):  # j - k
         j = 4
@@ -68,10 +69,9 @@ def _sweep_keyesti():
         vals = [verify_pointwise_bound(bank, scalar_sample(grid, 500 + i, band=(1, 16)),
                                        j=j, k=k, theta=1.0, r=0.5)
                 for i in range(20)]
-        per_gap[str(gap)] = max(vals)
-        worst = max(worst, per_gap[str(gap)])
-    return {"max": worst, "per_gap": per_gap, "count": 20, "seed0": 500,
-            "j": 4, "theta": 1.0, "r": 0.5}
+        per_gap[str(gap)] = float(np.max(vals))
+    return {"max": float(np.max(list(per_gap.values()))), "per_gap": per_gap,
+            "count": 20, "seed0": 500, "j": 4, "theta": 1.0, "r": 0.5}
 
 
 def _sweep_fefferman_stein():
@@ -81,14 +81,14 @@ def _sweep_fefferman_stein():
 
     bank = default_bank(_GRID_N, _GRID_D)
     grid = bank.grid
-    worst = 0.0
+    ratios = []
     for i in range(20):
         f = scalar_sample(grid, 600 + i)
         dec = decompose(bank, f)
         family = [as_physical(b) for b in dec.blocks[:8]]
-        worst = max(worst, verify_fefferman_stein(family, p=2.0, q=2.0))
-        worst = max(worst, verify_fefferman_stein([f], p=2.0, q=2.0))
-    return {"max": worst, "count": 20, "seed0": 600, "p": 2, "q": 2,
+        ratios.append(verify_fefferman_stein(family, p=2.0, q=2.0))
+        ratios.append(verify_fefferman_stein([f], p=2.0, q=2.0))
+    return {"max": float(np.max(ratios)), "count": 20, "seed0": 600, "p": 2, "q": 2,
             "family": "first 8 dyadic blocks, plus the field itself"}
 
 
@@ -97,8 +97,8 @@ def _sweep_lifting():
     grid = bank.grid
     ratios = [verify_lifting(bank, f, s=1.0, p=2.0, q=2.0, k=1.0)
               for f in scalar_samples(grid, 30, 700)]
-    return {"max": max(ratios), "min": min(ratios), "count": 30, "seed0": 700,
-            "s": 1, "p": 2, "q": 2, "order": 1}
+    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
+            "count": 30, "seed0": 700, "s": 1, "p": 2, "q": 2, "order": 1}
 
 
 def _sweep_boundedness():
@@ -115,8 +115,6 @@ def _sweep_boundedness():
 
 
 def _max_abs(u) -> float:
-    import numpy as np
-
     return max(float(np.abs(c.values).max()) for c in u.components)
 
 

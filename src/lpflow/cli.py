@@ -155,9 +155,9 @@ def _verify_moser(args, bank, spec) -> tuple[dict, bool]:
 
     ratios = moser_sweep(bank, spec, args.count, args.seed or 100)
     bound = _bound_or_none("product_endpoint_s3_p1_q1", spec, (3.0, 1.0, 1.0))
-    ok = (max(ratios) <= bound) if bound else all(math.isfinite(r) for r in ratios)
-    return {"suite": "moser", "ratios": ratios, "max": max(ratios),
-            "bound": bound}, ok
+    worst = float(np.max(ratios))
+    ok = (worst <= bound) if bound else all(math.isfinite(r) for r in ratios)
+    return {"suite": "moser", "ratios": ratios, "max": worst, "bound": bound}, ok
 
 
 def _verify_commutator(args, bank, spec) -> tuple[dict, bool]:
@@ -170,9 +170,10 @@ def _verify_commutator(args, bank, spec) -> tuple[dict, bool]:
     bound = _bound_or_none(key, spec, (3.0, 1.0, 1.0))
     if bound is None and form == "esti1":
         bound = _bound_or_none("commutator_esti1_s2p5_p2_q2", spec, (2.5, 2.0, 2.0))
-    ok = (max(ratios) <= bound) if bound else all(math.isfinite(r) for r in ratios)
+    worst = float(np.max(ratios))
+    ok = (worst <= bound) if bound else all(math.isfinite(r) for r in ratios)
     return {"suite": "commutator", "form": form, "ratios": ratios,
-            "max": max(ratios), "bound": bound}, ok
+            "max": worst, "bound": bound}, ok
 
 
 def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
@@ -189,7 +190,7 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
         if sup_norm(f) > b * (1 + 1e-12):
             violations += 1
     report = {"suite": "embedding", "source": list(source), "target": list(target),
-              "ratios": ratios, "max": max(ratios), "sup_chain_violations": violations}
+              "ratios": ratios, "max": float(np.max(ratios)), "sup_chain_violations": violations}
     return report, violations == 0 and all(math.isfinite(r) for r in ratios)
 
 
@@ -224,20 +225,22 @@ def _verify_maximal(args, bank, spec) -> tuple[dict, bool]:
                                      j=4, k=2, theta=1.0, r=0.5)
               for i in range(args.count)]
     bound = calibration.regression_bound("pointwise_block_maximal")
-    ok = bad == 0 and max(ratios) <= bound
+    worst = float(np.max(ratios))
+    ok = bad == 0 and worst <= bound
     return {"suite": "maximal", "sublinearity_violations": bad,
-            "pointwise_ratios": ratios, "max": max(ratios), "bound": bound}, ok
+            "pointwise_ratios": ratios, "max": worst, "bound": bound}, ok
 
 
 def _verify_fs(args, bank, spec) -> tuple[dict, bool]:
     from .maximal import verify_fefferman_stein
 
     grid = bank.grid
-    worst = 0.0
+    ratios = []
     for i in range(args.count):
         f = scalar_sample(grid, (args.seed or 600) + i)
         fam = [as_physical(b) for b in decompose(bank, f).blocks[:8]]
-        worst = max(worst, verify_fefferman_stein(fam, 2.0, 2.0))
+        ratios.append(verify_fefferman_stein(fam, 2.0, 2.0))
+    worst = float(np.max(ratios))
     bound = calibration.regression_bound("vector_maximal_p2_q2")
     return {"suite": "fefferman-stein", "max": worst, "bound": bound}, worst <= bound
 

@@ -167,7 +167,7 @@ def _check_divfree(u: VectorField, who: str) -> None:
 
     if u.div_free:
         return
-    if max_spectral_divergence(u) > 1e-6:
+    if not max_spectral_divergence(u) <= 1e-6:  # a NaN divergence fails <= too
         raise ValueError(f"{who} requires a divergence-free velocity field")
 
 
@@ -287,21 +287,45 @@ class FlowMapResult:
         return self.positions[i] - self.seeds
 
 
+def _phase_table(x: np.ndarray, n: int) -> np.ndarray:
+    """e^{ikx} for k in FFT order, shape (n, P), by powers of z = e^{ix}.
+
+    Row k = j is z^j, one complex multiply from row j-1; rows k = -j are the
+    conjugates of rows j (Grid keeps n even).  Roundoff grows linearly in |k|,
+    under |k| eps (about 0.4 |k| eps measured), whatever the size of the
+    unwrapped x; exp(1j * k * x) instead loses up to |k x| eps when it
+    rounds the product k * x.
+    """
+    h = n // 2
+    table = np.empty((n, x.size), complex)
+    table[0] = 1.0
+    table[1] = np.exp(1j * x)
+    for j in range(2, h + 1):
+        np.multiply(table[j - 1], table[1], out=table[j])
+    np.conjugate(table[h], out=table[h])                    # k = -n/2
+    np.conjugate(table[h - 1:0:-1], out=table[h + 1:])      # k = -(n/2 - 1) ... -1
+    return table
+
+
 def _eval_velocity(spectra, xs, grid: Grid) -> np.ndarray:
-    """Trigonometric interpolation of u at arbitrary points xs (d, P)."""
+    """Trigonometric interpolation of u at arbitrary points xs (d, P).
+
+    The dense sum runs over per-axis phase tables from :func:`_phase_table`:
+    one complex exponential per particle and axis, the other n - 1 phases by
+    a power recurrence whose roundoff stays under (n/2) eps per phase.
+    """
     n, d = grid.n, grid.d
-    k1 = np.fft.fftfreq(n, d=1.0 / n)
-    phases = [np.exp(1j * np.outer(xs[a], k1)) for a in range(d)]  # (P, n) each
+    phases = [_phase_table(xs[a], n) for a in range(d)]  # (n, P) each
     out = np.empty((d, xs.shape[1]))
     for l in range(d):
         U = spectra[l]
         if d == 2:
-            tmp = U @ phases[1].T                     # (n, P)
-            vals = np.einsum("pk,kp->p", phases[0], tmp)
+            tmp = U @ phases[1]                       # (n, P)
+            vals = np.einsum("kp,kp->p", phases[0], tmp)
         else:
-            tmp = np.tensordot(U, phases[2].T, axes=([2], [0]))   # (n, n, P)
-            tmp = np.einsum("pk,kqp->qp", phases[0], tmp)          # (n, P) over k1
-            vals = np.einsum("pk,kp->p", phases[1], tmp)
+            tmp = np.tensordot(U, phases[2], axes=([2], [0]))     # (n, n, P)
+            tmp = np.einsum("kp,kqp->qp", phases[0], tmp)          # (n, P) over k1
+            vals = np.einsum("kp,kp->p", phases[1], tmp)
         out[l] = vals.real
     return out
 

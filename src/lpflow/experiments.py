@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .bank import default_bank, max_block_index, p_le
 from .errors import DegenerateInputError
 from .euler import SolverConfig, Trajectory, solve
@@ -56,7 +58,7 @@ class DependenceConfig:
 def _sup_diff_norm(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
     if len(ta.times) != len(tb.times):
         raise ValueError("trajectories recorded on different time lattices")
-    return max(field_norm(bank, a - b, spec) for a, b in zip(ta.states, tb.states))
+    return float(np.max([field_norm(bank, a - b, spec) for a, b in zip(ta.states, tb.states)]))
 
 
 def _report_base(cfg: DependenceConfig, grid: Grid) -> dict:

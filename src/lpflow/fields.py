@@ -95,6 +95,16 @@ def wavenumber_norm(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _inverse_k2(n: int, d: int) -> np.ndarray:
+    """1/|k|^2 on the lattice, 0 at k = 0 (the Leray multiplier)."""
+    k2 = sum(m * m for m in wavenumber_mesh(n, d))
+    inv_k2 = np.zeros_like(k2)
+    nonzero = k2 > 0
+    inv_k2[nonzero] = 1.0 / k2[nonzero]
+    return _freeze(inv_k2)
+
+
+@lru_cache(maxsize=None)
 def dealias_mask(n: int, d: int) -> np.ndarray:
     """Boolean mask keeping |k_axis| <= n//3 on every axis (2/3 rule)."""
     cut = n // 3
@@ -326,10 +336,7 @@ def _leray_spectra(spectra: list[np.ndarray], n: int, d: int) -> list[np.ndarray
     The k = 0 mode is left unchanged.
     """
     mesh = wavenumber_mesh(n, d)
-    k2 = sum(m * m for m in mesh)
-    inv_k2 = np.zeros_like(k2)
-    nonzero = k2 > 0
-    inv_k2[nonzero] = 1.0 / k2[nonzero]
+    inv_k2 = _inverse_k2(n, d)
     kdotu = sum(mesh[a] * spectra[a] for a in range(d))
     return [spectra[a] - mesh[a] * kdotu * inv_k2 for a in range(d)]
 

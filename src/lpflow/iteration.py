@@ -7,8 +7,11 @@ Member m solves the LINEAR advection problem
 with member 0 identically zero, so member 1 is frozen at its initial data.
 The advecting field is taken from the previous member's stored trajectory;
 its RK4 midpoint values come from cubic Hermite dense output whose endpoint
-slopes are recomputed from the pair (member m-2, member m-1), which keeps the
-scheme's full fourth order without storing integrator stages.
+slopes come from the pair (member m-2, member m-1), which keeps the scheme's
+full fourth order without storing integrator stages.  The slope and the
+velocity at the end of one step are carried forward as those at the start of
+the next, not recomputed.  The linear right-hand side is the solver's own
+kernel with the advecting velocity passed in.
 """
 
 from __future__ import annotations
@@ -42,25 +45,6 @@ class IterationLadder:
         return tuple(out)
 
 
-class _LinearRHS:
-    """-P(v . grad w) for a fixed advecting velocity v (raw spectral arrays)."""
-
-    def __init__(self, rhs: _RHS):
-        self.rhs = rhs
-
-    def __call__(self, w_spectra, v_phys):
-        r = self.rhs
-        d = r.grid.d
-        out = []
-        for l in range(d):
-            acc = np.zeros(r.grid.shape)
-            for m in range(d):
-                dw = np.fft.ifftn(1j * r.mesh[m] * (w_spectra[l] * r.mask)).real * r.nd
-                acc += v_phys[m] * dw
-            out.append(np.fft.fftn(acc) / r.nd)
-        return [-p for p in _leray_spectra(out, r.grid.n, r.grid.d)]
-
-
 def _hermite_midpoint(y0, y1, d0, d1, dt):
     """Cubic dense-output value at the interval midpoint."""
     return [0.5 * (a + b) + 0.125 * dt * (da - db)
@@ -84,7 +68,6 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise ValueError("the ladder needs record_stride=1 (members advect each other)")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
-    lin = _LinearRHS(rhs)
     dt, steps = cfg.dt, cfg.steps
     times = tuple(i * dt for i in range(steps + 1))
 
@@ -101,24 +84,28 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         prev = members_raw[m - 1]
         before = members_raw[m - 2] if m >= 2 else None
         history = [[s.copy() for s in w]]
+        vel0 = rhs.velocity(prev[0])
+        if before is not None:
+            d0 = rhs(prev[0], rhs.velocity(before[0]))
         for i in range(steps):
             v0, v1 = prev[i], prev[i + 1]
             if before is None:
                 vm = v0  # member 0 is identically zero anyway
             else:
-                d0 = lin(v0, rhs.velocity(before[i]))
-                d1 = lin(v1, rhs.velocity(before[i + 1]))
+                d1 = rhs(v1, rhs.velocity(before[i + 1]))
                 vm = _hermite_midpoint(v0, v1, d0, d1, dt)
-            vel0, velm, vel1 = (rhs.velocity(v0), rhs.velocity(vm), rhs.velocity(v1))
+                d0 = d1
+            velm, vel1 = rhs.velocity(vm), rhs.velocity(v1)
             vmax = np.max([np.abs(v).max() for v in vel0]) if m > 1 else 0.0
             if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and np.max keeps it
                 what = "non-finite velocity" if not np.isfinite(vmax) else "CFL guard exceeded"
                 raise StabilityError(f"{what} in ladder member {m} at t={i * dt:.6g}",
                                      time=i * dt)
-            k1 = lin(w, vel0)
-            k2 = lin([s + 0.5 * dt * k for s, k in zip(w, k1)], velm)
-            k3 = lin([s + 0.5 * dt * k for s, k in zip(w, k2)], velm)
-            k4 = lin([s + dt * k for s, k in zip(w, k3)], vel1)
+            k1 = rhs(w, vel0)
+            k2 = rhs([s + 0.5 * dt * k for s, k in zip(w, k1)], velm)
+            k3 = rhs([s + 0.5 * dt * k for s, k in zip(w, k2)], velm)
+            k4 = rhs([s + dt * k for s, k in zip(w, k3)], vel1)
+            vel0 = vel1
             w = [s + dt / 6.0 * (a + 2 * b + 2 * c + e)
                  for s, a, b, c, e in zip(w, k1, k2, k3, k4)]
             w = _leray_spectra(w, g.n, g.d)
@@ -134,12 +121,12 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         members.append(Trajectory(times, states))
     decay = []
     for m in range(1, M + 1):
-        worst = 0.0
+        norms = []
         for i in range(steps + 1):
             diff = _wrap_spectral(g, [a - b for a, b in
                                       zip(members_raw[m][i], members_raw[m - 1][i])])
-            worst = max(worst, field_norm(bank, diff, down))
-        decay.append(worst)
+            norms.append(field_norm(bank, diff, down))
+        decay.append(float(np.max(norms)))  # np.max keeps a NaN that builtin max drops
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
 
 
@@ -177,7 +164,5 @@ def ladder_vs_solve(bank: LPFilterBank, ladder: IterationLadder,
     top = ladder.members[-1]
     if len(top.times) != len(reference.times):
         raise ValueError("ladder and reference trajectories use different cadences")
-    worst = 0.0
-    for a, b in zip(top.states, reference.states):
-        worst = max(worst, field_norm(bank, a - b, down))
-    return worst
+    return float(np.max([field_norm(bank, a - b, down)
+                         for a, b in zip(top.states, reference.states)]))

@@ -231,11 +231,8 @@ def verify_radial_majorant(profile: RadialProfile, f: GridField,
         raise DegenerateInputError("zero field in radial majorant bound")
     c_major = profile.majorant_l1(g.d)
     mf = hl_maximal(absf, cfg).values.real
-    worst = 0.0
-    for eps in eps_list:
-        conv = np.abs(profile.convolve(absf, eps))
-        worst = max(worst, float((conv / (c_major * mf)).max()))
-    return worst
+    return float(np.max([(np.abs(profile.convolve(absf, eps)) / (c_major * mf)).max()
+                         for eps in eps_list]))
 
 
 def verify_fefferman_stein(fields, p: float, q: float,

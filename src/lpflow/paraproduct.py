@@ -28,7 +28,7 @@ _OFFSET = 3  # blocks closer than this are "comparable frequency"
 def _require_divfree(u: VectorField, who: str) -> None:
     if u.div_free:
         return
-    if max_spectral_divergence(u) > 1e-6:
+    if not max_spectral_divergence(u) <= 1e-6:  # a NaN divergence fails <= too
         raise ValueError(f"{who} requires a divergence-free vector field")
 
 

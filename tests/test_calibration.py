@@ -1,6 +1,7 @@
 """Calibration check mode: fresh measurements against the stored maxima."""
 
 import importlib.resources
+import math
 
 from lpflow import calibration
 
@@ -24,3 +25,15 @@ def test_check_fails_over_bound(monkeypatch, capsys):
     monkeypatch.setattr(calibration, "_SWEEPS", {ENTRY: lambda: {"max": over}})
     assert calibration.main(["--check"]) == 1
     assert f"{ENTRY}: OVER its bound" in capsys.readouterr().out
+
+
+def test_check_fails_on_a_nan_ratio(monkeypatch, capsys):
+    # builtin max(0.5, nan) is 0.5: a running maximum would pass the NaN as in bounds
+    import lpflow.maximal
+
+    ratios = iter([0.5, math.nan] + [0.1] * 38)
+    monkeypatch.setattr(lpflow.maximal, "verify_fefferman_stein", lambda *a, **k: next(ratios))
+    monkeypatch.setattr(calibration, "_SWEEPS",
+                        {"vector_maximal_p2_q2": calibration._sweep_fefferman_stein})
+    assert calibration.main(["--check"]) == 1
+    assert "vector_maximal_p2_q2: measured=nan" in capsys.readouterr().out

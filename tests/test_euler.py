@@ -11,8 +11,8 @@ from lpflow import (Grid, GridField, NormSpec, SolverConfig, StabilityError,
                     jacobian_determinant, pressure_gradient, solve, taylor_green,
                     vorticity)
 from lpflow.corpus import divfree_sample
-from lpflow.euler import (default_seed_grid, steady_trajectory, stream_values,
-                          taylor_green_stream)
+from lpflow.euler import (_eval_velocity, default_seed_grid, steady_trajectory,
+                          stream_values, taylor_green_stream)
 from lpflow.fields import vector_as_physical
 
 TG_ENERGY = 4.442882938158366
@@ -121,6 +121,18 @@ def test_non_finite_data_raises(grid64):
     assert exc.value.time == 0.0
 
 
+def test_non_solenoidal_nan_data_rejected():
+    # A NaN divergence fails every comparison, so "divergence > tol" lets it through.
+    grid = Grid(16, 2)
+    x = grid.meshes()
+    ux = np.sin(x[0])                      # div u = cos x: not solenoidal
+    ux[4, 9] = np.nan
+    u0 = VectorField((GridField(grid, ux, "physical", True),
+                      GridField(grid, np.zeros(grid.shape), "physical", True)))
+    with pytest.raises(ValueError, match="divergence-free"):
+        solve(u0, SolverConfig(dt=1e-3, T=2e-3))
+
+
 def test_trajectory_validation(grid64):
     tg = taylor_green(grid64)
     traj = solve(tg, SolverConfig(dt=1e-2, T=0.04, record_stride=1))
@@ -146,6 +158,40 @@ def test_flow_map_on_steady_vortex(grid64):
     assert abs(drift - STREAM_DRIFT) / STREAM_DRIFT < 1e-3
     # particles actually moved
     assert float(np.abs(fm.displacement(-1)).max()) > 0.1
+
+
+def _dense_velocity(spectra, xs, grid):
+    """Oracle: the trigonometric sum with one complex exponential per (particle, mode)."""
+    n, d = grid.n, grid.d
+    k1 = np.fft.fftfreq(n, d=1.0 / n)
+    phases = [np.exp(1j * np.outer(xs[a], k1)) for a in range(d)]  # (P, n) each
+    out = np.empty((d, xs.shape[1]))
+    for l in range(d):
+        U = spectra[l]
+        if d == 2:
+            vals = np.einsum("pk,kp->p", phases[0], U @ phases[1].T)
+        else:
+            tmp = np.tensordot(U, phases[2].T, axes=([2], [0]))
+            tmp = np.einsum("pk,kqp->qp", phases[0], tmp)
+            vals = np.einsum("pk,kp->p", phases[1], tmp)
+        out[l] = vals.real
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
+def test_velocity_evaluator_matches_dense_sum(n, d):
+    # Complex white noise excites every mode.  Without Hermitian symmetry the
+    # real part also depends on the sign of the k = -n/2 phases.
+    grid = Grid(n, d)
+    rng = np.random.default_rng(3)
+    samples = (rng.uniform(-1.0, 1.0, (d,) + grid.shape)
+               + 1j * rng.uniform(-1.0, 1.0, (d,) + grid.shape))
+    spectra = [np.fft.fftn(s) / n**d for s in samples]
+    xs = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (d, 2000))   # unwrapped particles
+    assert (xs < 0).any() and (xs > 2.0 * math.pi).any()
+    err = np.abs(_eval_velocity(spectra, xs, grid) - _dense_velocity(spectra, xs, grid)).max()
+    print("evaluator vs dense sum", err / np.abs(samples).max())
+    assert err <= 1e-13 * np.abs(samples).max()
 
 
 def test_flow_map_validation(grid64):

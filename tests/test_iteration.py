@@ -1,19 +1,24 @@
 """Successive linear-transport approximations and their decay diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lpflow import (DegenerateInputError, GridField, NormSpec, SolverConfig,
-                    StabilityError, VectorField, cauchy_report, iterate,
+                    StabilityError, Trajectory, VectorField, cauchy_report, iterate,
                     ladder_vs_solve, solve)
 from lpflow.corpus import divfree_sample
-from lpflow.fields import vector_as_physical
+from lpflow.fields import vector_as_physical, vector_as_spectral
 from lpflow.iteration import member_norm_history
 
 # band-(1,4) data, amp 0.5, seed 11, dt 2e-3, T = 0.1, norms at (3,1,1)
 DELTA_M6 = (10.70470515519962, 21.423948005273143, 17.49480022263453,
             0.3653815264864083, 0.006587448801960327, 6.150821476092596e-05)
 SHELL_DELTA_2ON = 4.900618180151782e-13
+# same data, M = 4, three steps of 2e-3: the ladder's arithmetic, bit for bit
+DELTA_M4_3STEPS = (10.70470515519962, 21.376961691291026, 17.302490890619204,
+                   0.02185721419313653)
 LADDER_GAP_M12 = 3.6833468118436585e-13
 
 
@@ -76,6 +81,12 @@ def test_decay_table_frozen(grid64, bank64):
     assert all(r <= 0.75 for r in ratios[2:])
 
 
+def test_short_ladder_bit_for_bit(grid64, bank64):
+    lad = iterate(bank64, _data(grid64), 4, SolverConfig(dt=2e-3, T=6e-3, record_stride=1),
+                  NormSpec(3, 1, 1))
+    assert lad.decay_table == DELTA_M4_3STEPS
+
+
 def test_band_limited_data_saturates(grid64, bank64):
     x = grid64.meshes()
     sh = VectorField((GridField(grid64, np.sin(x[1]), "physical", True),
@@ -123,3 +134,17 @@ def test_ladder_converges_to_solver(grid64, bank64):
     other = solve(u0, SolverConfig(dt=1e-3, T=0.1, record_stride=1))
     with pytest.raises(ValueError):
         ladder_vs_solve(bank64, lad, other)     # cadence mismatch
+
+
+def test_ladder_vs_nan_reference_is_not_finite(grid64, bank64):
+    # builtin max(0.0, nan) is 0.0, so a running maximum would hide the NaN
+    cfg = SolverConfig(dt=2e-3, T=6e-3, record_stride=1)
+    u0 = _data(grid64)
+    lad = iterate(bank64, u0, 2, cfg, NormSpec(3, 1, 1))
+    ref = solve(u0, cfg)
+    comps = [c.values.real.copy() for c in vector_as_physical(ref.states[1]).components]
+    comps[1][5, 8] = np.nan
+    bad = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps))
+    states = (ref.states[0], vector_as_spectral(bad)) + ref.states[2:]
+    gap = ladder_vs_solve(bank64, lad, Trajectory(ref.times, states))
+    assert not math.isfinite(gap)

@@ -132,6 +132,12 @@ def test_requires_divergence_free(grid64, bank64):
                        GridField(grid64, np.sin(x[1]), "physical", True)))
     with pytest.raises(ValueError):
         verify_moser_transport(bank64, bad, g, NormSpec(0, 1, 2, homogeneous=True))
+    # the divergence of a NaN field is NaN, which no "> tol" test catches
+    ux = np.sin(x[0])
+    ux[3, 3] = np.nan
+    nan_field = VectorField((GridField(grid64, ux, "physical", True), bad.components[1]))
+    with pytest.raises(ValueError, match="divergence-free"):
+        commutator(bank64, nan_field, g, 2)
 
 
 def test_moser_ratio_frozen(grid64, bank64):
