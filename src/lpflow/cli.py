@@ -113,7 +113,7 @@ def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
     if kind == "shell":
         x = grid.meshes()
         comps = [np.sin(x[1]), np.sin(x[0])] + [np.zeros(grid.shape)] * (grid.d - 2)
-        return VectorField(tuple(GridField(grid, c, "physical", True) for c in comps),
+        return VectorField(tuple(GridField(grid, c, "physical") for c in comps),
                            div_free=True)
     if kind == "random":
         seed = int(init.get("seed", args.seed))
@@ -197,7 +197,7 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
 def _verify_lifting(args, bank, spec) -> tuple[dict, bool]:
     grid = bank.grid
     x = grid.meshes()
-    pure = GridField(grid, 2.0 * np.cos(4 * x[0]), "physical", True)
+    pure = GridField(grid, 2.0 * np.cos(4 * x[0]), "physical")
     r_pure = verify_lifting(bank, pure, s=1.0, p=2.0, q=2.0, k=1.0)
     ratios = [verify_lifting(bank, f, s=1.0, p=2.0, q=2.0, k=1.0)
               for f in scalar_samples(grid, args.count, args.seed or 700)]
@@ -217,7 +217,7 @@ def _verify_maximal(args, bank, spec) -> tuple[dict, bool]:
         f = scalar_sample(grid, (args.seed or 500) + i)
         g2 = scalar_sample(grid, (args.seed or 500) + i + 10000)
         mf, mg = hl_maximal(f, cfgm).values.real, hl_maximal(g2, cfgm).values.real
-        fg = GridField(grid, f.values + g2.values, "physical", True)
+        fg = GridField(grid, f.values + g2.values, "physical")
         if (hl_maximal(fg, cfgm).values.real > mf + mg + 1e-12).any():
             bad += 1
     ratios = [verify_pointwise_bound(bank, scalar_sample(grid, (args.seed or 500) + i,

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StabilityError
-from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField,
-                     _leray_spectra, dealias_mask, vector_as_physical,
-                     vector_as_spectral, wavenumber_mesh)
+from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
+                     _leray_spectra, _require_divfree, _to_coefficients, _to_samples,
+                     as_physical, dealias_mask, vector_as_physical, vector_as_spectral,
+                     wavenumber_mesh)
 from .norms import NormSpec
 
 # ---------------------------------------------------------------------------
@@ -88,11 +89,13 @@ class Trajectory:
 
 
 def _spectra(u: VectorField) -> list[np.ndarray]:
-    return [np.array(c.values) for c in vector_as_spectral(u).components]
+    """The (read-only) coefficient arrays of u; nothing writes into a spectrum."""
+    return [c.values for c in vector_as_spectral(u).components]
 
 
 def _wrap_spectral(grid: Grid, spectra, div_free: bool = True) -> VectorField:
-    comps = tuple(GridField(grid, s, SPECTRAL, True) for s in spectra)
+    """Adopt freshly computed coefficient arrays as a field (frozen, not copied)."""
+    comps = tuple(GridField(grid, _freeze(s), SPECTRAL) for s in spectra)
     return VectorField(comps, div_free=div_free)
 
 
@@ -101,13 +104,12 @@ class _RHS:
 
     def __init__(self, grid: Grid, dealias: bool = True):
         self.grid = grid
-        self.nd = grid.n**grid.d
         self.mesh = wavenumber_mesh(grid.n, grid.d)
         self.mask = dealias_mask(grid.n, grid.d) if dealias else np.ones(grid.shape, bool)
 
     def velocity(self, spectra) -> list[np.ndarray]:
         """Dealiased physical velocity samples."""
-        return [np.fft.ifftn(s * self.mask).real * self.nd for s in spectra]
+        return [_to_samples(s * self.mask).real for s in spectra]
 
     def advection(self, spectra, vel=None) -> list[np.ndarray]:
         """Spectral coefficients of (u . grad u), dealiased factors."""
@@ -117,9 +119,9 @@ class _RHS:
         for l in range(d):
             acc = np.zeros(self.grid.shape)
             for m in range(d):
-                dlu = np.fft.ifftn(1j * self.mesh[m] * (spectra[l] * self.mask)).real * self.nd
+                dlu = _to_samples(1j * self.mesh[m] * (spectra[l] * self.mask)).real
                 acc += vel[m] * dlu
-            out.append(np.fft.fftn(acc) / self.nd)
+            out.append(_to_coefficients(acc))
         return out
 
     def __call__(self, spectra, vel=None) -> list[np.ndarray]:
@@ -135,20 +137,17 @@ class _RHS:
 
 def leray_project(u: VectorField) -> VectorField:
     """Spectral projection onto divergence-free fields (k=0 unchanged)."""
-    spec = vector_as_spectral(u)
-    proj = _leray_spectra([np.array(c.values) for c in spec.components],
-                          u.grid.n, u.grid.d)
-    out = _wrap_spectral(u.grid, proj)
+    out = _wrap_spectral(u.grid, _leray_spectra(_spectra(u), u.grid.n, u.grid.d))
     return out if u.rep == SPECTRAL else vector_as_physical(out)
 
 
 def pressure_gradient(u: VectorField) -> VectorField:
     """grad of the pressure balancing u . grad u (zero-mean pressure)."""
-    _check_divfree(u, "pressure_gradient")
+    _require_divfree(u, "pressure_gradient")
     g = u.grid
     rhs = _RHS(g)
     adv = rhs.advection(_spectra(u))
-    proj = _leray_spectra([a.copy() for a in adv], g.n, g.d)
+    proj = _leray_spectra(adv, g.n, g.d)
     grad_p = [p - a for a, p in zip(adv, proj)]
     out = _wrap_spectral(g, grad_p, div_free=False)
     return out if u.rep == SPECTRAL else vector_as_physical(out)
@@ -156,19 +155,10 @@ def pressure_gradient(u: VectorField) -> VectorField:
 
 def euler_rhs(u: VectorField) -> VectorField:
     """-P(u . grad u); divergence-free by construction."""
-    _check_divfree(u, "euler_rhs")
+    _require_divfree(u, "euler_rhs")
     rhs = _RHS(u.grid)
     out = _wrap_spectral(u.grid, rhs(_spectra(u)))
     return out if u.rep == SPECTRAL else vector_as_physical(out)
-
-
-def _check_divfree(u: VectorField, who: str) -> None:
-    from .fields import max_spectral_divergence
-
-    if u.div_free:
-        return
-    if not max_spectral_divergence(u) <= 1e-6:  # a NaN divergence fails <= too
-        raise ValueError(f"{who} requires a divergence-free velocity field")
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +182,10 @@ def _vorticity_spectra(grid: Grid, spectra) -> list[np.ndarray]:
 def vorticity(u: VectorField) -> GridField | VectorField:
     """Curl of u: scalar in 2D, vector in 3D (representation preserved)."""
     g = u.grid
-    ws = _vorticity_spectra(g, _spectra(u))
+    ws = tuple(GridField(g, _freeze(w), SPECTRAL) for w in _vorticity_spectra(g, _spectra(u)))
     if g.d == 2:
-        out = GridField(g, ws[0], SPECTRAL, True)
-        from .fields import as_physical
-
-        return out if u.rep == SPECTRAL else as_physical(out)
-    out = VectorField(tuple(GridField(g, w, SPECTRAL, True) for w in ws))
+        return ws[0] if u.rep == SPECTRAL else as_physical(ws[0])
+    out = VectorField(ws)
     return out if u.rep == SPECTRAL else vector_as_physical(out)
 
 
@@ -232,14 +219,14 @@ def solve(u0: VectorField, cfg: SolverConfig,
     Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds the
     guard or stops being finite, carrying the offending time.
     """
-    _check_divfree(u0, "solve")
+    _require_divfree(u0, "solve")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
     state = _leray_spectra(_spectra(u0), g.n, g.d)
     dt = cfg.dt
 
     times = [0.0]
-    states = [_wrap_spectral(g, [s.copy() for s in state])]
+    states = [_wrap_spectral(g, state)]
     diagnostics: dict = {}
     _record_norms(g, state, record, diagnostics)
 
@@ -260,7 +247,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
         state = _leray_spectra(state, g.n, g.d)
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
-            states.append(_wrap_spectral(g, [s.copy() for s in state]))
+            states.append(_wrap_spectral(g, state))
             _record_norms(g, state, record, diagnostics)
 
     diagnostics = {k: tuple(v) for k, v in diagnostics.items()}
@@ -365,7 +352,7 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
     seed_shape = seeds.shape[1:]
     xs = seeds.reshape(grid.d, -1).copy()
 
-    spectra_at = [[np.array(c.values) for c in st.components] for st in traj.states]
+    spectra_at = [_spectra(st) for st in traj.states]
     out_times, out_pos = [], []
     if abs(t_req[0]) <= 1e-12:
         out_times.append(0.0)
@@ -432,8 +419,7 @@ def taylor_green(grid: Grid) -> VectorField:
         comps = (np.sin(x[0]) * np.cos(x[1]) * np.cos(x[2]),
                  -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2]),
                  np.zeros(grid.shape))
-    return VectorField(tuple(GridField(grid, c, PHYSICAL, True) for c in comps),
-                       div_free=True)
+    return VectorField(tuple(GridField(grid, c, PHYSICAL) for c in comps), div_free=True)
 
 
 def taylor_green_stream(grid: Grid) -> GridField:
@@ -446,7 +432,7 @@ def taylor_green_stream(grid: Grid) -> GridField:
     if grid.d != 2:
         raise ValueError("the stream-function oracle is 2D")
     x = grid.meshes()
-    return GridField(grid, np.sin(x[0]) * np.sin(x[1]), PHYSICAL, True)
+    return GridField(grid, np.sin(x[0]) * np.sin(x[1]), PHYSICAL)
 
 
 def stream_values(points: np.ndarray) -> np.ndarray:

@@ -9,12 +9,17 @@ forward transform returns Fourier coefficients, i.e. it is normalized so that
 and Parseval holds with the quadrature weight (2*pi/n)^d:
 
     (2*pi/n)^d * sum_x |f(x)|^2 = (2*pi)^d * sum_k |F(k)|^2.
+
+That normalization lives here alone: :func:`_to_coefficients` and
+:func:`_to_samples` are the one transform pair every torus field goes
+through.  Fields carry no reality flag; a real field is one whose samples
+have zero imaginary part.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,8 +36,6 @@ _KIND_SCALAR_PHYS = 0
 _KIND_SCALAR_SPEC = 1
 _KIND_VECTOR_PHYS = 2
 _KIND_VECTOR_SPEC = 3
-
-_HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,16 @@ class Grid:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _to_coefficients(samples: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of torus samples: the FFT divided by n^d."""
+    return np.fft.fftn(samples) / samples.size
+
+
+def _to_samples(coeff: np.ndarray) -> np.ndarray:
+    """Torus samples from Fourier coefficients: the inverse FFT times n^d."""
+    return np.fft.ifftn(coeff) * coeff.size
 
 
 @lru_cache(maxsize=None)
@@ -128,15 +141,18 @@ class GridField:
 
     ``values`` is always complex128 of shape ``grid.shape``; ``rep`` is either
     ``"physical"`` (sample values) or ``"spectral"`` (Fourier coefficients).
-    Instances are immutable: the value buffer is frozen at construction.
+    Instances are immutable: the value buffer is frozen at construction.  A
+    caller's writeable array is copied; an array that is already frozen and
+    owns its data (as the library freezes the ones it has just computed) is
+    adopted as is.  A fourth positional argument is accepted and ignored.
     """
 
     grid: Grid
     values: np.ndarray
     rep: str
-    is_real: bool = True
+    is_real: InitVar[bool] = True  # old call signature only; never stored
 
-    def __post_init__(self):
+    def __post_init__(self, _flag):
         if self.rep not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {self.rep!r}")
         vals = np.asarray(self.values)
@@ -157,23 +173,19 @@ class GridField:
 
     def __add__(self, other: "GridField") -> "GridField":
         self._check_compatible(other)
-        return GridField(self.grid, self.values + other.values, self.rep,
-                         self.is_real and other.is_real)
+        return GridField(self.grid, _freeze(self.values + other.values), self.rep)
 
     def __sub__(self, other: "GridField") -> "GridField":
         self._check_compatible(other)
-        return GridField(self.grid, self.values - other.values, self.rep,
-                         self.is_real and other.is_real)
+        return GridField(self.grid, _freeze(self.values - other.values), self.rep)
 
     def __mul__(self, c) -> "GridField":
-        c = complex(c)
-        return GridField(self.grid, self.values * c, self.rep,
-                         self.is_real and c.imag == 0.0)
+        return GridField(self.grid, _freeze(self.values * complex(c)), self.rep)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GridField":
-        return GridField(self.grid, -self.values, self.rep, self.is_real)
+        return GridField(self.grid, _freeze(-self.values), self.rep)
 
 
 @dataclass(frozen=True)
@@ -206,10 +218,6 @@ class VectorField:
     def rep(self) -> str:
         return self.components[0].rep
 
-    @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.components)
-
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(tuple(a + b for a, b in zip(self.components, other.components)),
                            self.div_free and other.div_free)
@@ -232,16 +240,14 @@ def dft_forward(f: GridField) -> GridField:
     """Physical samples -> Fourier coefficients (divides the FFT by n^d)."""
     if f.rep != PHYSICAL:
         raise RepresentationError("dft_forward expects a physical-representation field")
-    coeff = np.fft.fftn(f.values) / f.grid.n**f.grid.d
-    return GridField(f.grid, coeff, SPECTRAL, f.is_real)
+    return GridField(f.grid, _freeze(_to_coefficients(f.values)), SPECTRAL)
 
 
 def dft_inverse(f: GridField) -> GridField:
     """Fourier coefficients -> physical samples (exact inverse of dft_forward)."""
     if f.rep != SPECTRAL:
         raise RepresentationError("dft_inverse expects a spectral-representation field")
-    vals = np.fft.ifftn(f.values) * f.grid.n**f.grid.d
-    return GridField(f.grid, vals, PHYSICAL, f.is_real)
+    return GridField(f.grid, _freeze(_to_samples(f.values)), PHYSICAL)
 
 
 def as_spectral(f: GridField) -> GridField:
@@ -264,17 +270,10 @@ def vector_as_physical(u: VectorField) -> VectorField:
     return VectorField(tuple(as_physical(c) for c in u.components), u.div_free)
 
 
-def apply_multiplier(f: GridField, multiplier: np.ndarray,
-                     real_symmetric: bool = True) -> GridField:
-    """Apply a spectral multiplier; the output representation matches the input.
-
-    ``real_symmetric`` declares that the multiplier preserves Hermitian
-    symmetry (true for every radial real multiplier), so the reality flag
-    survives.
-    """
+def apply_multiplier(f: GridField, multiplier: np.ndarray) -> GridField:
+    """Apply a spectral multiplier; the output representation matches the input."""
     F = as_spectral(f)
-    out = GridField(f.grid, F.values * multiplier, SPECTRAL,
-                    f.is_real and real_symmetric)
+    out = GridField(f.grid, _freeze(F.values * multiplier), SPECTRAL)
     return out if f.rep == SPECTRAL else dft_inverse(out)
 
 
@@ -293,7 +292,7 @@ def derivative(f: GridField, axis: int) -> GridField:
     keep = _nonnyquist_mask_1d(g.n).reshape(shape)
     mult = 1j * k * keep
     F = as_spectral(f)
-    out = GridField(g, F.values * mult, SPECTRAL, f.is_real)
+    out = GridField(g, _freeze(F.values * mult), SPECTRAL)
     return out if f.rep == SPECTRAL else dft_inverse(out)
 
 
@@ -328,6 +327,14 @@ def max_spectral_divergence(u: VectorField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.abs(div).max() / scale)
+
+
+def _require_divfree(u: VectorField, who: str) -> None:
+    """Raise unless u is flagged divergence-free or measures so (1e-6 relative)."""
+    if u.div_free:
+        return
+    if not max_spectral_divergence(u) <= 1e-6:  # a NaN divergence fails <= too
+        raise ValueError(f"{who} requires a divergence-free vector field")
 
 
 def _leray_spectra(spectra: list[np.ndarray], n: int, d: int) -> list[np.ndarray]:
@@ -398,8 +405,7 @@ def random_band_limited(grid: Grid, spec: SpectrumSpec) -> GridField:
     scale = _band_scale(grid, spec)
     rng = np.random.default_rng(spec.seed)
     coeff = _random_scalar_spectrum(grid, scale, rng)
-    phys = np.fft.ifftn(coeff) * grid.n**grid.d
-    return GridField(grid, phys.real, PHYSICAL, True)
+    return GridField(grid, _to_samples(coeff).real, PHYSICAL)
 
 
 def random_divergence_free(grid: Grid, spec: SpectrumSpec) -> VectorField:
@@ -408,11 +414,8 @@ def random_divergence_free(grid: Grid, spec: SpectrumSpec) -> VectorField:
     rng = np.random.default_rng(spec.seed)
     spectra = [_random_scalar_spectrum(grid, scale, rng) for _ in range(grid.d)]
     projected = _leray_spectra(spectra, grid.n, grid.d)
-    comps = []
-    for s in projected:
-        phys = np.fft.ifftn(s) * grid.n**grid.d
-        comps.append(GridField(grid, phys.real, PHYSICAL, True))
-    return VectorField(tuple(comps), div_free=True)
+    comps = tuple(GridField(grid, _to_samples(s).real, PHYSICAL) for s in projected)
+    return VectorField(comps, div_free=True)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ def write_field(f: GridField | VectorField, path) -> None:
 
 
 def read_field(path) -> GridField | VectorField:
-    """Read an LPF1 container; reality/divergence flags are re-derived."""
+    """Read an LPF1 container; the divergence flag is re-derived."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != _MAGIC:
@@ -473,26 +476,9 @@ def read_field(path) -> GridField | VectorField:
     if len(payload) != expected:
         raise FieldFormatError(
             f"payload has {len(payload)} bytes, expected {expected}")
-    raw = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    raw = np.frombuffer(payload, dtype="<c16").reshape(ncomp, *grid.shape)
     rep = PHYSICAL if kind in (_KIND_SCALAR_PHYS, _KIND_VECTOR_PHYS) else SPECTRAL
-    per = grid.n**d
-    fields = []
-    for c in range(ncomp):
-        vals = raw[c * per:(c + 1) * per].reshape(grid.shape)
-        fields.append(GridField(grid, vals, rep, is_real=False))
-    fields = [
-        GridField(grid, f.values, rep, is_real=_looks_real(f)) for f in fields
-    ]
+    fields = tuple(GridField(grid, vals, rep) for vals in raw)  # each copied once
     if ncomp == 1:
         return fields[0]
-    vec = VectorField(tuple(fields))
-    return VectorField(tuple(fields), div_free=max_spectral_divergence(vec) <= 1e-10)
-
-
-def _looks_real(f: GridField) -> bool:
-    if f.rep == PHYSICAL:
-        scale = np.abs(f.values).max()
-        if scale == 0.0:
-            return True
-        return float(np.abs(f.values.imag).max()) <= _HERMITIAN_RTOL * scale
-    return hermitian_defect(f) <= _HERMITIAN_RTOL
+    return VectorField(fields, div_free=max_spectral_divergence(VectorField(fields)) <= 1e-10)

@@ -23,7 +23,7 @@ import numpy as np
 from .bank import LPFilterBank, low_pass_multiplier
 from .errors import DegenerateInputError, StabilityError
 from .euler import SolverConfig, Trajectory, _RHS, _spectra, _wrap_spectral
-from .fields import VectorField, _leray_spectra
+from .fields import VectorField, _leray_spectra, _require_divfree
 from .norms import NormSpec, field_norm
 from .reports import ExperimentReport
 
@@ -59,9 +59,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
     sup over recorded times of the member-difference norm one derivative
     below ``norm_spec``.
     """
-    from .euler import _check_divfree
-
-    _check_divfree(u0, "iterate")
+    _require_divfree(u0, "iterate")
     if M < 1:
         raise ValueError("need at least one ladder member")
     if cfg.record_stride != 1:
@@ -83,7 +81,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         w = [s * mult for s in u0_spec]
         prev = members_raw[m - 1]
         before = members_raw[m - 2] if m >= 2 else None
-        history = [[s.copy() for s in w]]
+        history = [w]
         vel0 = rhs.velocity(prev[0])
         if before is not None:
             d0 = rhs(prev[0], rhs.velocity(before[0]))
@@ -109,7 +107,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
             w = [s + dt / 6.0 * (a + 2 * b + 2 * c + e)
                  for s, a, b, c, e in zip(w, k1, k2, k3, k4)]
             w = _leray_spectra(w, g.n, g.d)
-            history.append([s.copy() for s in w])
+            history.append(w)
         members_raw.append(history)
 
     # wrap as trajectories and measure the decay table one derivative down

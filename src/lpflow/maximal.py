@@ -16,8 +16,8 @@ from scipy.ndimage import uniform_filter
 
 from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
-from .fields import (PHYSICAL, Grid, GridField, as_physical, as_spectral,
-                     wavenumber_norm)
+from .fields import (PHYSICAL, Grid, GridField, _to_coefficients, _to_samples,
+                     as_physical, as_spectral, wavenumber_norm)
 
 _WINDOWS = ("cube", "ball")
 
@@ -60,7 +60,8 @@ def _ball_average(a: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
     dist = np.minimum(x, 2.0 * np.pi - x)
     mesh = np.meshgrid(*([dist] * grid.d), indexing="ij")
     mask = (sum(m * m for m in mesh) <= radius * radius).astype(float)
-    conv = np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(mask)).real
+    # the cyclic convolution has coefficients n^d * A(k) * M(k)
+    conv = _to_samples(_to_coefficients(a) * _to_coefficients(mask) * a.size).real
     return conv / mask.sum()
 
 
@@ -84,7 +85,7 @@ def hl_maximal(f: GridField, cfg: MaximalConfig | None = None) -> GridField:
         raise RepresentationError("hl_maximal expects a physical-representation field")
     cfg = cfg or default_config(f.grid)
     out = _maximal_array(np.abs(f.values), f.grid, cfg)
-    return GridField(f.grid, out, PHYSICAL, True)
+    return GridField(f.grid, out, PHYSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ class RadialProfile:
         if self.kind == "gaussian":
             kk = wavenumber_norm(g.n, g.d)
             mult = np.exp(-0.5 * (self.param * eps * kk) ** 2)
-            return (np.fft.ifftn(F * mult) * g.n**g.d).real
+            return _to_samples(F * mult).real
         # periodized sampled kernel, normalized to its continuum mass
         self.majorant_l1(g.d)  # raises for nonintegrable profiles
         x = g.axis_coordinates()
@@ -215,8 +216,8 @@ class RadialProfile:
             rad = np.sqrt(sum(m * m for m in mg))
             kernel += (1.0 + rad / eps) ** (-self.param) / eps**g.d
         kernel *= g.cell_volume
-        conv = np.fft.ifftn(np.fft.fftn(np.abs(as_physical(f).values)) * np.fft.fftn(kernel)).real
-        return conv
+        absf = np.abs(as_physical(f).values)
+        return _to_samples(_to_coefficients(absf) * _to_coefficients(kernel) * absf.size).real
 
 
 def verify_radial_majorant(profile: RadialProfile, f: GridField,
@@ -226,7 +227,7 @@ def verify_radial_majorant(profile: RadialProfile, f: GridField,
     if not eps_list or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must contain positive scales")
     g = f.grid
-    absf = GridField(g, np.abs(as_physical(f).values), PHYSICAL, True)
+    absf = GridField(g, np.abs(as_physical(f).values), PHYSICAL)
     if np.abs(absf.values).max() == 0.0:
         raise DegenerateInputError("zero field in radial majorant bound")
     c_major = profile.majorant_l1(g.d)

@@ -252,6 +252,8 @@ def _kernel_scale_l1(mesh, psi: np.ndarray, profile: str, l: int, k: int, i: int
                  * scaled[l][ann] * scaled[k][ann] / srho2[ann])
     # Box quadrature: with symbol samples on the dual lattice of a periodic box
     # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
+    # This is the one FFT outside lpflow.fields: it acts on the auxiliary box,
+    # not on a torus field, so the torus normalization does not apply.
     return float(np.abs(np.fft.ifftn(ssym * psi * mesh[i])).sum())
 
 

@@ -10,26 +10,19 @@ dealiased factors, so the three pieces sum to the dealiased product exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bank import LPFilterBank, decompose, delta_j
 from .corpus import scalar_sample, transport_pair
 from .errors import DegenerateInputError
-from .fields import (PHYSICAL, GridField, VectorField, as_physical, as_spectral,
-                     dealias_field, derivative, max_spectral_divergence)
-from .norms import NormSpec, _lp_of_array, field_norm, grad_sup_norm, sup_norm
+from .fields import (PHYSICAL, GridField, VectorField, _freeze, _require_divfree,
+                     as_physical, as_spectral, dealias_field, derivative)
+from .norms import NormSpec, _lp_of_array, _tl_ladder, field_norm, grad_sup_norm, sup_norm
 from .reports import ExperimentReport
 
 _OFFSET = 3  # blocks closer than this are "comparable frequency"
-
-
-def _require_divfree(u: VectorField, who: str) -> None:
-    if u.div_free:
-        return
-    if not max_spectral_divergence(u) <= 1e-6:  # a NaN divergence fails <= too
-        raise ValueError(f"{who} requires a divergence-free vector field")
 
 
 @dataclass(frozen=True)
@@ -71,8 +64,7 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
     for i in range(nb):
         for k in range(max(0, i - _OFFSET), min(nb, i + _OFFSET + 1)):
             diagonal = diagonal + fb[i] * gb[k]
-    real = f.is_real and g.is_real
-    mk = lambda a: GridField(f.grid, a, PHYSICAL, real)
+    mk = lambda a: GridField(f.grid, _freeze(a), PHYSICAL)
     return BonyPieces(mk(low_high), mk(high_low), mk(diagonal))
 
 
@@ -85,32 +77,35 @@ def _advect(u_comps: list[np.ndarray], g: GridField) -> np.ndarray:
     return sum(ul * as_physical(derivative(g, l)).values for l, ul in enumerate(u_comps))
 
 
-def _commutator_blocks(bank: LPFilterBank, f: VectorField, g: GridField,
-                       js) -> tuple[GridField, ...]:
-    """Blocks f.grad(block_j g) - block_j(f.grad g), j in ``js``, dealiased products.
-
-    Everything that does not depend on j is formed once: the dealiased
-    factors, the spectrum of g, and the inner advection f.grad g with its
-    spectrum.
-    """
-    _require_divfree(f, "commutator")
+def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorField, GridField]:
+    """The 2/3-rule dealiased f (physical samples) and g (spectrum) of a commutator."""
+    _require_divfree(f, who)
     if f.grid != g.grid:
         raise ValueError("fields live on different grids")
-    fd = [as_physical(dealias_field(c)).values for c in f.components]
-    gs = dealias_field(as_spectral(g))
-    real = f.is_real and g.is_real
-    inner = as_spectral(GridField(g.grid, _advect(fd, gs), PHYSICAL, real))
+    fd = VectorField(tuple(as_physical(dealias_field(c)) for c in f.components))
+    return fd, dealias_field(as_spectral(g))
+
+
+def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField,
+                       js) -> tuple[GridField, ...]:
+    """Blocks f.grad(block_j g) - block_j(f.grad g), j in ``js``, from dealiased factors.
+
+    ``fd`` and ``gs`` come from :func:`_dealiased_factors`.  The inner
+    advection f.grad g and its spectrum are formed once for every j.
+    """
+    fv = [c.values for c in fd.components]
+    inner = as_spectral(GridField(gs.grid, _freeze(_advect(fv, gs)), PHYSICAL))
     out = []
     for j in js:
-        term1 = _advect(fd, delta_j(bank, gs, j))
+        term1 = _advect(fv, delta_j(bank, gs, j))
         term2 = as_physical(delta_j(bank, inner, j)).values
-        out.append(GridField(g.grid, term1 - term2, PHYSICAL, real))
+        out.append(GridField(gs.grid, _freeze(term1 - term2), PHYSICAL))
     return tuple(out)
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
     """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
-    return _commutator_blocks(bank, f, g, (j,))[0]
+    return _commutator_blocks(bank, *_dealiased_factors(f, g, "commutator"), (j,))[0]
 
 
 @dataclass(frozen=True)
@@ -125,21 +120,15 @@ class CommutatorSequence:
 
 
 def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> CommutatorSequence:
-    return CommutatorSequence(_commutator_blocks(bank, f, g, range(bank.j_max + 1)))
+    fd, gs = _dealiased_factors(f, g, "commutator")
+    return CommutatorSequence(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)))
 
 
 def _sequence_tl_norm(seq: CommutatorSequence, spec: NormSpec) -> float:
     """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block range."""
-    g = seq.blocks[0].grid
     mags = [np.abs(as_physical(b).values) for b in seq.blocks]
-    if math.isinf(spec.q):
-        env = None
-        for j, m in enumerate(mags):
-            w = 2.0 ** (j * spec.s) * m
-            env = w if env is None else np.maximum(env, w)
-    else:
-        env = sum((2.0 ** (j * spec.s) * m) ** spec.q for j, m in enumerate(mags)) ** (1.0 / spec.q)
-    return _lp_of_array(env, spec.p, g.cell_volume)
+    env = _tl_ladder(None, mags, replace(spec, homogeneous=True))
+    return _lp_of_array(env, spec.p, seq.blocks[0].grid.cell_volume)
 
 
 def _jacobian_tl_norm(bank: LPFilterBank, u: VectorField, spec: NormSpec) -> float:
@@ -163,7 +152,7 @@ def verify_moser(bank: LPFilterBank, f: GridField, g: GridField, spec: NormSpec)
     gd = as_physical(dealias_field(g))
     if np.abs(fd.values).max() == 0.0 or np.abs(gd.values).max() == 0.0:
         raise DegenerateInputError("zero factor in product-estimate ratio")
-    prod = GridField(f.grid, fd.values * gd.values, PHYSICAL, fd.is_real and gd.is_real)
+    prod = GridField(f.grid, _freeze(fd.values * gd.values), PHYSICAL)
     lhs = field_norm(bank, prod, spec)
     rhs = (sup_norm(fd) * field_norm(bank, gd, spec)
            + sup_norm(gd) * field_norm(bank, fd, spec))
@@ -189,8 +178,7 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
     _require_divfree(u, "verify_moser_transport")
     ud = [as_physical(dealias_field(c)) for c in u.components]
     vd = as_physical(dealias_field(v))
-    adv = GridField(v.grid, _advect([c.values for c in ud], vd), PHYSICAL,
-                    u.is_real and v.is_real)
+    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud], vd)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
     grad_v = [derivative(vd, a) for a in range(v.grid.d)]
@@ -224,13 +212,12 @@ def verify_commutator_estimate(bank: LPFilterBank, f: VectorField, g: GridField,
         raise ValueError(f"form esti1 needs s > 0, got s={spec.s}")
     if form == "esti2" and spec.s <= -1:
         raise ValueError(f"form esti2 needs s > -1, got s={spec.s}")
-    _require_divfree(f, "verify_commutator_estimate")
-    seq = commutator_sequence(bank, f, g)
+    fd, gs = _dealiased_factors(f, g, "verify_commutator_estimate")
+    seq = CommutatorSequence(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)))
     lhs = _sequence_tl_norm(seq, spec)
     if lhs == 0.0:
         return 0.0
-    fd = VectorField(tuple(as_physical(dealias_field(c)) for c in f.components))
-    gd = as_physical(dealias_field(g))
+    gd = as_physical(gs)
     gf_sup = grad_sup_norm(fd)
     if form == "esti1":
         rhs = gf_sup * field_norm(bank, gd, spec) + grad_sup_norm(gd) * field_norm(bank, fd, spec)
@@ -253,12 +240,12 @@ def _lacunary_pair(grid, s: float, top: int):
     x = grid.meshes()
     u1 = sum(2.0 ** (-m * s) * np.cos(2**m * x[1] + 0.7 * m) for m in range(1, top + 1))
     u2 = sum(2.0 ** (-m * s) * np.sin(2**m * x[0] + 0.3 * m) for m in range(1, top + 1))
-    comps = [GridField(grid, u1, PHYSICAL, True), GridField(grid, u2, PHYSICAL, True)]
+    comps = [GridField(grid, u1, PHYSICAL), GridField(grid, u2, PHYSICAL)]
     for a in range(2, grid.d):
-        comps.append(GridField(grid, np.zeros(grid.shape), PHYSICAL, True))
+        comps.append(GridField(grid, np.zeros(grid.shape), PHYSICAL))
     u = VectorField(tuple(comps), div_free=True)
     v = sum(2.0 ** (-m * s) * np.cos(2**m * x[0] + 1.1 * m) for m in range(1, top + 1))
-    return u, GridField(grid, v, PHYSICAL, True)
+    return u, GridField(grid, v, PHYSICAL)
 
 
 def _modulated_pair(grid, s: float, top: int):
@@ -266,18 +253,18 @@ def _modulated_pair(grid, s: float, top: int):
     x = grid.meshes()
     env = np.exp(np.cos(x[0]) + 0.5 * np.sin(x[1]))
     carrier = np.cos(2**top * x[0])
-    v = GridField(grid, 2.0 ** (-top * s) * env * carrier, PHYSICAL, True)
+    v = GridField(grid, 2.0 ** (-top * s) * env * carrier, PHYSICAL)
     u1 = 2.0 ** (-top * s) * env * np.cos(2**top * x[1])
-    comps = [GridField(grid, u1, PHYSICAL, True)] + [
-        GridField(grid, np.zeros(grid.shape), PHYSICAL, True) for _ in range(grid.d - 1)]
+    comps = [GridField(grid, u1, PHYSICAL)] + [
+        GridField(grid, np.zeros(grid.shape), PHYSICAL) for _ in range(grid.d - 1)]
     from .fields import vector_as_physical, vector_as_spectral
     from .fields import _leray_spectra  # projection keeps the scan honest
 
     spec = vector_as_spectral(VectorField(tuple(comps)))
-    proj = _leray_spectra([c.values.copy() for c in spec.components], grid.n, grid.d)
+    proj = _leray_spectra([c.values for c in spec.components], grid.n, grid.d)
     u = vector_as_physical(VectorField(tuple(
-        GridField(grid, p, "spectral", True) for p in proj), div_free=True))
-    u = VectorField(tuple(GridField(grid, c.values.real, PHYSICAL, True)
+        GridField(grid, _freeze(p), "spectral") for p in proj), div_free=True))
+    u = VectorField(tuple(GridField(grid, c.values.real, PHYSICAL)
                           for c in u.components), div_free=True)
     return u, v
 

@@ -1,10 +1,13 @@
 """Dyadic filter bank: partition of unity, block algebra, telescoping."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lpflow import (GridField, SpectrumSpec, decompose, default_bank, delta_j,
-                    p_le, random_band_limited, recompose)
+from lpflow import (DegenerateInputError, GridField, SpectrumSpec, decompose,
+                    default_bank, delta_j, p_le, random_band_limited, recompose,
+                    verify_low_freq_bound)
 from lpflow.bank import low_pass_multiplier, max_block_index
 from lpflow.fields import apply_multiplier
 from lpflow.corpus import scalar_sample
@@ -118,3 +121,28 @@ def test_grid_mismatch_rejected(bank64):
     f = scalar_sample(g32, 1)
     with pytest.raises(ValueError):
         decompose(bank64, f)
+
+
+@pytest.mark.parametrize("s, p, q, l", [(1.0, 1.0, 1.0, 0.5), (2.0, 2.0, 2.0, 1.0),
+                                        (0.5, 3.0, math.inf, 2.0), (3.0, 1.0, 2.0, 0.0)])
+def test_low_freq_bound_pure_mode(grid64, bank64, s, p, q, l):
+    """2cos(4x) sits in block 2 alone.  P_{<=m} keeps it whole for m >= 3 and
+    removes it for m <= 2, so the ratio is 2^{(2-m) l}, or 0."""
+    x = grid64.meshes()
+    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical")
+    for m in range(bank64.j_max + 2):
+        ratio = verify_low_freq_bound(bank64, f, s, p, q, m, l)
+        if m >= 3:
+            assert ratio == pytest.approx(2.0 ** ((2 - m) * l), rel=1e-12)
+        else:
+            assert ratio <= 1e-14
+
+
+def test_low_freq_bound_rejects_bad_input(grid64, bank64):
+    x = grid64.meshes()
+    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical")
+    with pytest.raises(ValueError):
+        verify_low_freq_bound(bank64, f, 1.0, 2.0, 2.0, 3, -0.5)
+    zero = GridField(grid64, np.zeros(grid64.shape), "physical")
+    with pytest.raises(DegenerateInputError):
+        verify_low_freq_bound(bank64, zero, 1.0, 2.0, 2.0, 3, 1.0)

@@ -1,15 +1,21 @@
 """Grid/field plumbing: transforms, derivatives, I/O, Leray projection."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lpflow
+import lpflow.fields
 from lpflow import (FieldFormatError, Grid, GridField, RepresentationError,
                     SpectrumSpec, VectorField, as_physical, as_spectral,
                     dealias_field, derivative, dft_forward, dft_inverse,
                     gradient, random_band_limited, random_divergence_free,
                     read_field, write_field)
 from lpflow.euler import leray_project
-from lpflow.fields import (dealias_mask, hermitian_defect,
+from lpflow.fields import (apply_multiplier, dealias_mask, hermitian_defect,
                            max_spectral_divergence, vector_as_physical,
                            wavenumbers_1d)
 
@@ -165,3 +171,63 @@ def test_3d_roundtrip_and_divergence(grid16_3d):
     c = as_physical(u.components[0])
     back = as_physical(as_spectral(c))
     assert np.abs(back.values - c.values).max() < 1e-14
+
+
+def test_field_copies_a_writeable_array(grid64):
+    vals = np.ones(grid64.shape, complex)
+    f = GridField(grid64, vals, "physical")
+    vals[0, 0] = 5.0
+    assert f.values[0, 0] == 1.0
+    assert not f.values.flags.writeable
+
+
+def test_field_adopts_a_frozen_array(grid64):
+    f = dft_forward(random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12)))
+    assert GridField(grid64, f.values, "spectral").values is f.values
+
+
+def test_fields_store_no_reality_flag(grid64):
+    f = GridField(grid64, np.zeros(grid64.shape), "physical", True)  # old signature
+    assert [fl.name for fl in dataclasses.fields(f)] == ["grid", "values", "rep"]
+    assert "is_real" not in vars(f)
+
+
+def test_transform_results_are_read_only(grid64):
+    f = random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12))
+    mult = np.full(grid64.shape, 0.5)
+    for out in (dft_forward(f), apply_multiplier(f, mult), derivative(f, 0),
+                dft_inverse(dft_forward(f))):
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 1.0
+
+
+def _transform_calls(path: Path) -> set[str]:
+    """Functions (``Class.method`` or ``function``) of a module that call an FFT."""
+    names = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
+             "rfftn", "irfftn"}
+    hits = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in names):
+                hits.add(scope or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return hits
+
+
+def test_torus_transforms_live_in_fields():
+    """Every torus FFT goes through the transform pair in lpflow.fields.  The
+    one exception is the kernel quadrature, which transforms an auxiliary box."""
+    outside = {f"{path.stem}.{name}"
+               for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
+               if path.name != "fields.py" for name in _transform_calls(path)}
+    assert outside == {"norms._kernel_scale_l1"}
+    assert _transform_calls(Path(lpflow.fields.__file__)) == {"_to_coefficients",
+                                                              "_to_samples"}

@@ -17,7 +17,8 @@ from lpflow import (DegenerateInputError, GridField, NormSpec, VectorField,
                     verify_moser_transport)
 from lpflow.corpus import scalar_sample, transport_pair
 from lpflow.fields import dealias_field, derivative
-from lpflow.paraproduct import commutator_sweep, moser_sweep, transport_sweep
+from lpflow.paraproduct import (_sequence_tl_norm, commutator_sweep, moser_sweep,
+                                transport_sweep)
 
 MOSER_SEED56 = 0.31188812465414134
 PROD2_SEED300 = 0.14831309394561232
@@ -234,3 +235,21 @@ def test_counterexample_families_all_run(bank64):
         rep = counterexample_scan(bank64, family, 1.0, 1.0, 1.0, [2, 3])
         assert len(rep.ratios) == 2
         assert all(math.isfinite(r) and r > 0 for r in rep.ratios)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+def test_sequence_tl_norm_is_the_homogeneous_ladder(grid64, bank64, q):
+    """The commutator-ladder norm, written out: || (sum_j (2^{js}|c_j|)^q)^{1/q} ||_p,
+    a running max for q = inf, bit for bit, whatever ``homogeneous`` says."""
+    seq = commutator_sequence(bank64, *transport_pair(grid64, 300))
+    mags = [np.abs(b.values) for b in seq.blocks]
+    s, p = 2.5, 2.0
+    if math.isinf(q):
+        env = mags[0] * 1.0
+        for j, m in enumerate(mags[1:], 1):
+            env = np.maximum(env, 2.0 ** (j * s) * m)
+    else:
+        env = sum((2.0 ** (j * s) * m) ** q for j, m in enumerate(mags)) ** (1.0 / q)
+    ref = float((grid64.cell_volume * (env**p).sum()) ** (1.0 / p))
+    for hom in (True, False):
+        assert _sequence_tl_norm(seq, NormSpec(s, p, q, homogeneous=hom)) == ref
