@@ -3,6 +3,9 @@
 Fixed-step RK4 on the projected form du/dt = -P(u . grad u), with 2/3-rule
 dealiasing of the quadratic term, re-projection after every full step, and a
 CFL guard that aborts the run rather than integrate an under-resolved state.
+The velocity is real, so the state is stepped as stacked half spectra
+(d, n, ..., n//2 + 1) through real FFTs; it is expanded to the stored
+full-spectrum format only when recorded.
 Also provides the pressure-gradient recovery, flow-map particle integration
 with trigonometric velocity interpolation, and the standard 2D benchmark
 data.
@@ -16,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StabilityError
-from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
-                     _leray_spectra, _require_divfree, _to_coefficients, _to_samples,
-                     as_physical, dealias_mask, vector_as_physical, vector_as_spectral,
-                     wavenumber_mesh)
+from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _expand_half_spectrum,
+                     _freeze, _from_half_spectrum, _lattice, _leray_spectra, _require_divfree,
+                     _require_real, _to_half_spectrum, as_physical, vector_as_physical,
+                     vector_as_spectral, wavenumber_mesh)
 from .norms import NormSpec
 
 # ---------------------------------------------------------------------------
@@ -99,45 +102,64 @@ def _wrap_spectral(grid: Grid, spectra, div_free: bool = True) -> VectorField:
     return VectorField(comps, div_free=div_free)
 
 
+def _half_spectra(u: VectorField) -> np.ndarray:
+    """Stacked half spectra (d, *half) of u: its full spectra at k_last >= 0."""
+    h = u.grid.n // 2
+    return np.stack([s[..., :h + 1] for s in _spectra(u)])
+
+
+def _wrap_half(grid: Grid, half: np.ndarray, div_free: bool = True) -> VectorField:
+    """Expand stacked half spectra into a field in the stored format."""
+    return _wrap_spectral(grid, [_expand_half_spectrum(s, grid.d) for s in half], div_free)
+
+
 class _RHS:
-    """Euler right-hand side acting on raw spectral coefficient arrays."""
+    """Euler right-hand side acting on stacked half spectra (d, *half)."""
 
     def __init__(self, grid: Grid, dealias: bool = True):
         self.grid = grid
-        self.mesh = wavenumber_mesh(grid.n, grid.d)
-        self.mask = dealias_mask(grid.n, grid.d) if dealias else np.ones(grid.shape, bool)
+        mesh, _, mask = _lattice(grid.n, grid.d, grid.n // 2 + 1)
+        self.mask = mask if dealias else np.ones_like(mask)
+        self.grad = 1j * np.stack(mesh) * self.mask   # i k_m on the retained modes
+        # A mode with a component at n/2 has no sign, so no real field there is
+        # divergence-free; -P(u . grad u) keeps none of them (derivative drops them too).
+        self.negate = np.where(np.all([np.abs(m) < grid.n / 2 for m in mesh], axis=0), -1.0, 0.0)
 
-    def velocity(self, spectra) -> list[np.ndarray]:
-        """Dealiased physical velocity samples."""
-        return [_to_samples(s * self.mask).real for s in spectra]
+    def velocity(self, spectra: np.ndarray) -> np.ndarray:
+        """Dealiased physical velocity samples (d, *shape)."""
+        return _from_half_spectrum(spectra * self.mask, self.grid.d)
 
-    def advection(self, spectra, vel=None) -> list[np.ndarray]:
-        """Spectral coefficients of (u . grad u), dealiased factors."""
+    def advection(self, spectra: np.ndarray, vel=None) -> np.ndarray:
+        """Half spectra of (u . grad u), dealiased factors.
+
+        The gradient of one component at a time is one batched transform: at
+        256^2 and 32^3 that measured faster, and with a smaller resident set,
+        than transforming all d^2 entries at once.
+        """
         d = self.grid.d
         vel = vel if vel is not None else self.velocity(spectra)
-        out = []
+        acc = np.empty_like(vel)
         for l in range(d):
-            acc = np.zeros(self.grid.shape)
-            for m in range(d):
-                dlu = _to_samples(1j * self.mesh[m] * (spectra[l] * self.mask)).real
-                acc += vel[m] * dlu
-            out.append(_to_coefficients(acc))
-        return out
+            grad_l = _from_half_spectrum(self.grad * spectra[l], d)   # [m] = d_m u_l
+            acc[l] = vel[0] * grad_l[0]
+            for m in range(1, d):
+                acc[l] += vel[m] * grad_l[m]
+        return _to_half_spectrum(acc, d)
 
-    def __call__(self, spectra, vel=None) -> list[np.ndarray]:
+    def __call__(self, spectra: np.ndarray, vel=None) -> np.ndarray:
         adv = self.advection(spectra, vel)
-        proj = _leray_spectra(adv, self.grid.n, self.grid.d)
-        scale = max(np.abs(a).max() for a in adv)
+        proj = _leray_spectra(adv)
+        scale = np.abs(adv).max()
         if scale > 0:
-            mean = max(abs(p[(0,) * self.grid.d]) for p in proj)
+            mean = np.abs(proj[(slice(None),) + (0,) * self.grid.d]).max()
             if mean > 1e-12 * scale:
                 raise RuntimeError("advection term acquired a mean component")
-        return [-p for p in proj]
+        return np.multiply(proj, self.negate, out=proj)
 
 
 def leray_project(u: VectorField) -> VectorField:
     """Spectral projection onto divergence-free fields (k=0 unchanged)."""
-    out = _wrap_spectral(u.grid, _leray_spectra(_spectra(u), u.grid.n, u.grid.d))
+    out = _wrap_spectral(u.grid, _leray_spectra(_spectra(u)))
     return out if u.rep == SPECTRAL else vector_as_physical(out)
 
 
@@ -145,19 +167,15 @@ def pressure_gradient(u: VectorField) -> VectorField:
     """grad of the pressure balancing u . grad u (zero-mean pressure)."""
     _require_divfree(u, "pressure_gradient")
     g = u.grid
-    rhs = _RHS(g)
-    adv = rhs.advection(_spectra(u))
-    proj = _leray_spectra(adv, g.n, g.d)
-    grad_p = [p - a for a, p in zip(adv, proj)]
-    out = _wrap_spectral(g, grad_p, div_free=False)
+    adv = _RHS(g).advection(_half_spectra(u))
+    out = _wrap_half(g, _leray_spectra(adv) - adv, div_free=False)
     return out if u.rep == SPECTRAL else vector_as_physical(out)
 
 
 def euler_rhs(u: VectorField) -> VectorField:
     """-P(u . grad u); divergence-free by construction."""
     _require_divfree(u, "euler_rhs")
-    rhs = _RHS(u.grid)
-    out = _wrap_spectral(u.grid, rhs(_spectra(u)))
+    out = _wrap_half(u.grid, _RHS(u.grid)(_half_spectra(u)))
     return out if u.rep == SPECTRAL else vector_as_physical(out)
 
 
@@ -198,7 +216,8 @@ def energy(u: VectorField) -> float:
 # the solver
 
 
-def _record_norms(grid: Grid, spectra, record, diagnostics) -> None:
+def _record_norms(state: VectorField, record, diagnostics) -> None:
+    grid, spectra = state.grid, _spectra(state)
     diagnostics.setdefault("energy", []).append(_parseval_l2(grid, spectra))
     diagnostics.setdefault("enstrophy", []).append(
         _parseval_l2(grid, _vorticity_spectra(grid, spectra)))
@@ -207,7 +226,6 @@ def _record_norms(grid: Grid, spectra, record, diagnostics) -> None:
         from .norms import field_norm
 
         bank = default_bank(grid.n, grid.d)
-        state = _wrap_spectral(grid, spectra)
         for spec in record:
             diagnostics.setdefault(spec.label, []).append(field_norm(bank, state, spec))
 
@@ -216,39 +234,39 @@ def solve(u0: VectorField, cfg: SolverConfig,
           record: tuple[NormSpec, ...] = ()) -> Trajectory:
     """March the projected dynamics from u0; record every ``record_stride`` steps.
 
-    Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds the
-    guard or stops being finite, carrying the offending time.
+    Raises :class:`ValueError` unless u0 is real, and :class:`StabilityError`
+    the moment ``max|u| dt / dx`` exceeds the guard or stops being finite,
+    carrying the offending time.
     """
     _require_divfree(u0, "solve")
+    _require_real(u0, "solve")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
-    state = _leray_spectra(_spectra(u0), g.n, g.d)
+    state = _leray_spectra(_half_spectra(u0))
     dt = cfg.dt
 
     times = [0.0]
-    states = [_wrap_spectral(g, state)]
+    states = [_wrap_half(g, state)]
     diagnostics: dict = {}
-    _record_norms(g, state, record, diagnostics)
+    _record_norms(states[-1], record, diagnostics)
 
     for step in range(cfg.steps):
         t = step * dt
         vel = rhs.velocity(state)
-        cfl = np.max([np.abs(v).max() for v in vel]) * dt / g.spacing
-        if not cfl <= cfg.cfl_guard:  # np.max keeps a NaN from any component; NaN fails <=
+        cfl = np.abs(vel).max() * dt / g.spacing
+        if not cfl <= cfg.cfl_guard:  # max keeps a NaN; NaN fails <=
             what = ("non-finite velocity" if not np.isfinite(cfl)
                     else f"CFL guard {cfg.cfl_guard} exceeded")
             raise StabilityError(f"{what} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
         k1 = rhs(state, vel)
-        k2 = rhs([s + 0.5 * dt * k for s, k in zip(state, k1)])
-        k3 = rhs([s + 0.5 * dt * k for s, k in zip(state, k2)])
-        k4 = rhs([s + dt * k for s, k in zip(state, k3)])
-        state = [s + dt / 6.0 * (a + 2 * b + 2 * c + e)
-                 for s, a, b, c, e in zip(state, k1, k2, k3, k4)]
-        state = _leray_spectra(state, g.n, g.d)
+        k2 = rhs(state + 0.5 * dt * k1)
+        k3 = rhs(state + 0.5 * dt * k2)
+        k4 = rhs(state + dt * k3)
+        state = _leray_spectra(state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
-            states.append(_wrap_spectral(g, state))
-            _record_norms(g, state, record, diagnostics)
+            states.append(_wrap_half(g, state))
+            _record_norms(states[-1], record, diagnostics)
 
     diagnostics = {k: tuple(v) for k, v in diagnostics.items()}
     return Trajectory(tuple(times), tuple(states), diagnostics)

@@ -10,10 +10,16 @@ and Parseval holds with the quadrature weight (2*pi/n)^d:
 
     (2*pi/n)^d * sum_x |f(x)|^2 = (2*pi)^d * sum_k |F(k)|^2.
 
-That normalization lives here alone: :func:`_to_coefficients` and
-:func:`_to_samples` are the one transform pair every torus field goes
-through.  Fields carry no reality flag; a real field is one whose samples
-have zero imaginary part.
+That normalization lives here alone, in two transform pairs.  Stored
+fields go through :func:`_to_coefficients` and :func:`_to_samples` (complex
+FFTs of the full lattice).  Real data that never leaves the library, such as
+the Euler solver's state, goes through :func:`_to_half_spectrum` and
+:func:`_from_half_spectrum`: real FFTs over the last d axes of a
+component-stacked array, keeping the half lattice 0 <= k_last <= n/2 (the
+k_last = n/2 entry is the Nyquist mode, -n/2 in FFT order).
+:func:`_expand_half_spectrum` turns a half spectrum into the full one.
+Fields carry no reality flag; a real field is one whose samples have zero
+imaginary part.
 """
 
 from __future__ import annotations
@@ -88,6 +94,40 @@ def _to_samples(coeff: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(coeff) * coeff.size
 
 
+def _to_half_spectrum(samples: np.ndarray, d: int) -> np.ndarray:
+    """Half-lattice coefficients of real samples over their last d axes."""
+    return np.fft.rfftn(samples, axes=tuple(range(-d, 0)), norm="forward")
+
+
+def _from_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
+    """Real samples over the last d axes from half-lattice coefficients.
+
+    Like any inverse real FFT, this reads only the Hermitian part of the
+    k_last = 0 and k_last = n/2 planes.
+    """
+    n = 2 * (half.shape[-1] - 1)
+    return np.fft.irfftn(half, s=(n,) * d, axes=tuple(range(-d, 0)), norm="forward")
+
+
+def _expand_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
+    """The full-lattice spectrum of the real field a half spectrum stands for.
+
+    Modes with k_last < 0 are the conjugates of their reflections; the
+    k_last = 0 and n/2 planes keep their Hermitian part (what
+    :func:`_from_half_spectrum` reads), so the result is exactly Hermitian.
+    """
+    h = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * h,), complex)
+    flipped = half
+    for ax in range(-d, -1):  # k -> -k on every axis but the last
+        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    full[..., 1:h] = half[..., 1:h]
+    for j in (0, h):
+        full[..., j] = 0.5 * (half[..., j] + np.conj(flipped[..., j]))
+    full[..., h + 1:] = np.conj(flipped[..., h - 1:0:-1])
+    return full
+
+
 @lru_cache(maxsize=None)
 def wavenumbers_1d(n: int) -> np.ndarray:
     """Integer frequencies along one axis in FFT order."""
@@ -128,6 +168,18 @@ def dealias_mask(n: int, d: int) -> np.ndarray:
     return _freeze(mask)
 
 
+def _lattice(n: int, d: int, last: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The cached lattice tables cut to spectra whose last axis has ``last`` entries.
+
+    ``last`` is n for the full lattice and n//2 + 1 for a half spectrum (whose
+    k_last = n/2 entry is the -n/2 of FFT order).  Returns the frequency
+    meshes, 1/|k|^2 and the 2/3-rule mask, as read-only views.
+    """
+    cut = (Ellipsis, slice(0, last))
+    return (tuple(m[cut] for m in wavenumber_mesh(n, d)), _inverse_k2(n, d)[cut],
+            dealias_mask(n, d)[cut])
+
+
 @lru_cache(maxsize=None)
 def _nonnyquist_mask_1d(n: int) -> np.ndarray:
     # The +/- n/2 mode has an ambiguous sign under i*k multipliers; it is
@@ -150,7 +202,7 @@ class GridField:
     grid: Grid
     values: np.ndarray
     rep: str
-    is_real: InitVar[bool] = True  # old call signature only; never stored
+    is_real: InitVar[bool] = True  # old call signature only; never stored or readable
 
     def __post_init__(self, _flag):
         if self.rep not in (PHYSICAL, SPECTRAL):
@@ -186,6 +238,11 @@ class GridField:
 
     def __neg__(self) -> "GridField":
         return GridField(self.grid, _freeze(-self.values), self.rep)
+
+
+# The generated __init__ keeps the default; without the class attribute,
+# reading ``is_real`` raises AttributeError instead of answering True.
+del GridField.is_real
 
 
 @dataclass(frozen=True)
@@ -337,15 +394,32 @@ def _require_divfree(u: VectorField, who: str) -> None:
         raise ValueError(f"{who} requires a divergence-free vector field")
 
 
-def _leray_spectra(spectra: list[np.ndarray], n: int, d: int) -> list[np.ndarray]:
-    """Project stacked spectral components onto divergence-free fields.
+def _require_real(u: VectorField, who: str) -> None:
+    """Raise unless u's samples are real to 1e-12 of their largest magnitude."""
+    samples = [c.values for c in vector_as_physical(u).components]
+    imag = max(float(np.abs(s.imag).max()) for s in samples)
+    scale = max(float(np.abs(s).max()) for s in samples)
+    if imag > 1e-12 * scale:  # NaN data passes on to the caller's finite-value guard
+        raise ValueError(f"{who} requires a real vector field "
+                         f"(max |imag| of the samples is {imag:.3g} of {scale:.3g})")
 
-    The k = 0 mode is left unchanged.
+
+def _leray_spectra(spectra) -> np.ndarray:
+    """Project d spectral components onto divergence-free fields, stacked (d, ...).
+
+    ``spectra`` is a stacked array or a sequence of d arrays, full or half
+    spectra alike: the lattice tables follow the last axis.  The k = 0 mode is
+    left unchanged.
     """
-    mesh = wavenumber_mesh(n, d)
-    inv_k2 = _inverse_k2(n, d)
+    d, n, last = len(spectra), spectra[0].shape[0], spectra[0].shape[-1]
+    mesh, inv_k2, _ = _lattice(n, d, last)
     kdotu = sum(mesh[a] * spectra[a] for a in range(d))
-    return [spectra[a] - mesh[a] * kdotu * inv_k2 for a in range(d)]
+    out = np.empty((d,) + kdotu.shape, complex)
+    for a in range(d):
+        np.multiply(mesh[a], kdotu, out=out[a])
+        out[a] *= inv_k2
+        np.subtract(spectra[a], out[a], out=out[a])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +487,7 @@ def random_divergence_free(grid: Grid, spec: SpectrumSpec) -> VectorField:
     scale = _band_scale(grid, spec)
     rng = np.random.default_rng(spec.seed)
     spectra = [_random_scalar_spectrum(grid, scale, rng) for _ in range(grid.d)]
-    projected = _leray_spectra(spectra, grid.n, grid.d)
+    projected = _leray_spectra(spectra)
     comps = tuple(GridField(grid, _to_samples(s).real, PHYSICAL) for s in projected)
     return VectorField(comps, div_free=True)
 

@@ -4,14 +4,16 @@ Member m solves the LINEAR advection problem
 
     dw/dt = -P(v . grad w),   v = member m-1,   w(0) = (low-pass at scale m) u0,
 
-with member 0 identically zero, so member 1 is frozen at its initial data.
-The advecting field is taken from the previous member's stored trajectory;
-its RK4 midpoint values come from cubic Hermite dense output whose endpoint
-slopes come from the pair (member m-2, member m-1), which keeps the scheme's
-full fourth order without storing integrator stages.  The slope and the
-velocity at the end of one step are carried forward as those at the start of
-the next, not recomputed.  The linear right-hand side is the solver's own
-kernel with the advecting velocity passed in.
+with member 0 identically zero, so member 1 is frozen at its initial data
+and is not stepped.  The advecting field is taken from the previous member's
+history; its RK4 midpoint values come from cubic Hermite dense output whose
+endpoint slopes come from the pair (member m-2, member m-1), which keeps the
+scheme's full fourth order without storing integrator stages.  The slope and
+the velocity at the end of one step are carried forward as those at the start
+of the next, not recomputed.  The linear right-hand side is the solver's own
+half-spectrum kernel with the advecting velocity passed in; only the two
+advecting members are kept as half spectra, and each member is expanded to
+the stored format once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .bank import LPFilterBank, low_pass_multiplier
 from .errors import DegenerateInputError, StabilityError
-from .euler import SolverConfig, Trajectory, _RHS, _spectra, _wrap_spectral
-from .fields import VectorField, _leray_spectra, _require_divfree
+from .euler import SolverConfig, Trajectory, _RHS, _half_spectra, _wrap_half
+from .fields import VectorField, _leray_spectra, _require_divfree, _require_real
 from .norms import NormSpec, field_norm
 from .reports import ExperimentReport
 
@@ -47,8 +49,12 @@ class IterationLadder:
 
 def _hermite_midpoint(y0, y1, d0, d1, dt):
     """Cubic dense-output value at the interval midpoint."""
-    return [0.5 * (a + b) + 0.125 * dt * (da - db)
-            for a, b, da, db in zip(y0, y1, d0, d1)]
+    return 0.5 * (y0 + y1) + 0.125 * dt * (d0 - d1)
+
+
+def _sup_gap(bank: LPFilterBank, a: Trajectory, b: Trajectory, spec: NormSpec) -> float:
+    """sup over recorded times of ||a(t) - b(t)||; np.max keeps a NaN that builtin max drops."""
+    return float(np.max([field_norm(bank, x - y, spec) for x, y in zip(a.states, b.states)]))
 
 
 def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
@@ -64,67 +70,51 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise ValueError("need at least one ladder member")
     if cfg.record_stride != 1:
         raise ValueError("the ladder needs record_stride=1 (members advect each other)")
+    _require_real(u0, "iterate")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
     dt, steps = cfg.dt, cfg.steps
     times = tuple(i * dt for i in range(steps + 1))
+    half = (Ellipsis, slice(0, g.n // 2 + 1))
+    down = NormSpec(norm_spec.s - 1.0, norm_spec.p, norm_spec.q,
+                    norm_spec.homogeneous, norm_spec.flavor)
 
-    zero = [np.zeros(g.shape, complex) for _ in range(g.d)]
-    members_raw: list[list[list[np.ndarray]]] = [[zero] * (steps + 1)]
-
-    u0_spec = _leray_spectra(_spectra(u0), g.n, g.d)
-    if not all(np.isfinite(s).all() for s in u0_spec):
+    u0_spec = _leray_spectra(_half_spectra(u0))
+    if not np.isfinite(u0_spec).all():
         # member 1 is advected by the zero member 0, so no step guard sees its data
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
-    for m in range(1, M + 1):
-        mult = low_pass_multiplier(bank, m)
-        w = [s * mult for s in u0_spec]
-        prev = members_raw[m - 1]
-        before = members_raw[m - 2] if m >= 2 else None
+    zero = np.zeros_like(u0_spec)
+    w1 = u0_spec * low_pass_multiplier(bank, 1)[half]
+    before, prev = [zero] * (steps + 1), [w1] * (steps + 1)   # members 0 and 1, in half form
+    members = [Trajectory(times, (_wrap_half(g, zero),) * (steps + 1)),
+               Trajectory(times, (_wrap_half(g, w1),) * (steps + 1))]
+    decay = [field_norm(bank, members[1].states[0], down)]   # member 1 - member 0, at any time
+    for m in range(2, M + 1):
+        w = u0_spec * low_pass_multiplier(bank, m)[half]
         history = [w]
         vel0 = rhs.velocity(prev[0])
-        if before is not None:
-            d0 = rhs(prev[0], rhs.velocity(before[0]))
+        d0 = rhs(prev[0], rhs.velocity(before[0]))
         for i in range(steps):
             v0, v1 = prev[i], prev[i + 1]
-            if before is None:
-                vm = v0  # member 0 is identically zero anyway
-            else:
-                d1 = rhs(v1, rhs.velocity(before[i + 1]))
-                vm = _hermite_midpoint(v0, v1, d0, d1, dt)
-                d0 = d1
+            d1 = rhs(v1, rhs.velocity(before[i + 1]))
+            vm = _hermite_midpoint(v0, v1, d0, d1, dt)
+            d0 = d1
             velm, vel1 = rhs.velocity(vm), rhs.velocity(v1)
-            vmax = np.max([np.abs(v).max() for v in vel0]) if m > 1 else 0.0
-            if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and np.max keeps it
+            vmax = np.abs(vel0).max()
+            if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and max keeps it
                 what = "non-finite velocity" if not np.isfinite(vmax) else "CFL guard exceeded"
                 raise StabilityError(f"{what} in ladder member {m} at t={i * dt:.6g}",
                                      time=i * dt)
             k1 = rhs(w, vel0)
-            k2 = rhs([s + 0.5 * dt * k for s, k in zip(w, k1)], velm)
-            k3 = rhs([s + 0.5 * dt * k for s, k in zip(w, k2)], velm)
-            k4 = rhs([s + dt * k for s, k in zip(w, k3)], vel1)
+            k2 = rhs(w + 0.5 * dt * k1, velm)
+            k3 = rhs(w + 0.5 * dt * k2, velm)
+            k4 = rhs(w + dt * k3, vel1)
             vel0 = vel1
-            w = [s + dt / 6.0 * (a + 2 * b + 2 * c + e)
-                 for s, a, b, c, e in zip(w, k1, k2, k3, k4)]
-            w = _leray_spectra(w, g.n, g.d)
+            w = _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
             history.append(w)
-        members_raw.append(history)
-
-    # wrap as trajectories and measure the decay table one derivative down
-    down = NormSpec(norm_spec.s - 1.0, norm_spec.p, norm_spec.q,
-                    norm_spec.homogeneous, norm_spec.flavor)
-    members = []
-    for hist in members_raw:
-        states = tuple(_wrap_spectral(g, s) for s in hist)
-        members.append(Trajectory(times, states))
-    decay = []
-    for m in range(1, M + 1):
-        norms = []
-        for i in range(steps + 1):
-            diff = _wrap_spectral(g, [a - b for a, b in
-                                      zip(members_raw[m][i], members_raw[m - 1][i])])
-            norms.append(field_norm(bank, diff, down))
-        decay.append(float(np.max(norms)))  # np.max keeps a NaN that builtin max drops
+        members.append(Trajectory(times, tuple(_wrap_half(g, s) for s in history)))
+        decay.append(_sup_gap(bank, members[m], members[m - 1], down))
+        before, prev = prev, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
 
 
@@ -162,5 +152,4 @@ def ladder_vs_solve(bank: LPFilterBank, ladder: IterationLadder,
     top = ladder.members[-1]
     if len(top.times) != len(reference.times):
         raise ValueError("ladder and reference trajectories use different cadences")
-    return float(np.max([field_norm(bank, a - b, down)
-                         for a, b in zip(top.states, reference.states)]))
+    return _sup_gap(bank, top, reference, down)

@@ -261,7 +261,7 @@ def _modulated_pair(grid, s: float, top: int):
     from .fields import _leray_spectra  # projection keeps the scan honest
 
     spec = vector_as_spectral(VectorField(tuple(comps)))
-    proj = _leray_spectra([c.values for c in spec.components], grid.n, grid.d)
+    proj = _leray_spectra([c.values for c in spec.components])
     u = vector_as_physical(VectorField(tuple(
         GridField(grid, _freeze(p), "spectral") for p in proj), div_free=True))
     u = VectorField(tuple(GridField(grid, c.values.real, PHYSICAL)

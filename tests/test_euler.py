@@ -11,9 +11,10 @@ from lpflow import (Grid, GridField, NormSpec, SolverConfig, StabilityError,
                     jacobian_determinant, pressure_gradient, solve, taylor_green,
                     vorticity)
 from lpflow.corpus import divfree_sample
-from lpflow.euler import (_eval_velocity, default_seed_grid, steady_trajectory,
-                          stream_values, taylor_green_stream)
-from lpflow.fields import vector_as_physical
+from lpflow.euler import (_RHS, _eval_velocity, _half_spectra, default_seed_grid,
+                          steady_trajectory, stream_values, taylor_green_stream)
+from lpflow.fields import (SpectrumSpec, dealias_mask, random_divergence_free,
+                           vector_as_physical, vector_as_spectral, wavenumber_mesh)
 
 TG_ENERGY = 4.442882938158366
 TG_ENSTROPHY = 6.283185307179586
@@ -131,6 +132,60 @@ def test_non_solenoidal_nan_data_rejected():
                       GridField(grid, np.zeros(grid.shape), "physical", True)))
     with pytest.raises(ValueError, match="divergence-free"):
         solve(u0, SolverConfig(dt=1e-3, T=2e-3))
+
+
+def test_complex_data_refused(grid64):
+    # The solver state is a half spectrum, which can only carry a real field.
+    u0 = taylor_green(grid64) * 1j
+    with pytest.raises(ValueError, match="solve requires a real vector field"):
+        solve(u0, SolverConfig(dt=1e-3, T=2e-3))
+
+
+def test_solve_is_deterministic(grid64):
+    u0 = divfree_sample(grid64, 42, decay=2.0, band=(1, 4))
+    cfg = SolverConfig(dt=5e-3, T=0.02, record_stride=2)
+    a, b = solve(u0, cfg), solve(u0, cfg)
+    assert a.diagnostics == b.diagnostics
+    for sa, sb in zip(a.states, b.states):
+        for ca, cb in zip(sa.components, sb.components):
+            assert np.array_equal(ca.values, cb.values)
+
+
+def _complex_path_rhs(spectra, grid, dealias):
+    """Oracle: -P(u . grad u) on full spectra through complex FFTs, one
+    transform per component and per gradient entry."""
+    n, d = grid.n, grid.d
+    mesh = wavenumber_mesh(n, d)
+    mask = dealias_mask(n, d) if dealias else np.ones(grid.shape, bool)
+    vel = [np.fft.ifftn(s * mask).real * n**d for s in spectra]
+    adv = []
+    for l in range(d):
+        acc = np.zeros(grid.shape)
+        for m in range(d):
+            acc += vel[m] * (np.fft.ifftn(1j * mesh[m] * (spectra[l] * mask)).real * n**d)
+        adv.append(np.fft.fftn(acc) / n**d)
+    k2 = sum(m * m for m in mesh)
+    kdotu_k2 = sum(mesh[a] * adv[a] for a in range(d)) / np.where(k2 > 0, k2, 1.0)
+    return np.stack([-(adv[a] - mesh[a] * kdotu_k2) for a in range(d)])
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_half_spectrum_rhs_matches_complex_path(n, d, dealias):
+    # Data reaching past the 2/3 cutoff, so the dealiasing mask matters and the
+    # product reaches the Nyquist planes.
+    grid = Grid(n, d)
+    u = random_divergence_free(grid, SpectrumSpec(1.0, (1, n // 2 - 1), 5))
+    full = [c.values for c in vector_as_spectral(u).components]
+    want = _complex_path_rhs(full, grid, dealias)
+    got = _RHS(grid, dealias)(_half_spectra(u))
+    # Modes with a component at n/2 are dropped: there the complex path's
+    # projection is not the spectrum of a real field.
+    nyquist = (np.abs(np.stack(wavenumber_mesh(n, d))[..., :n // 2 + 1]) == n // 2).any(axis=0)
+    assert not got[:, nyquist].any()
+    err = np.abs(got - want[..., :n // 2 + 1])[:, ~nyquist].max() / np.abs(want).max()
+    print("half vs complex path", err)
+    assert err <= 1e-14
 
 
 def test_trajectory_validation(grid64):

@@ -15,7 +15,8 @@ from lpflow import (FieldFormatError, Grid, GridField, RepresentationError,
                     gradient, random_band_limited, random_divergence_free,
                     read_field, write_field)
 from lpflow.euler import leray_project
-from lpflow.fields import (apply_multiplier, dealias_mask, hermitian_defect,
+from lpflow.fields import (_expand_half_spectrum, _to_coefficients, _to_half_spectrum,
+                           apply_multiplier, dealias_mask, hermitian_defect,
                            max_spectral_divergence, vector_as_physical,
                            wavenumbers_1d)
 
@@ -192,6 +193,30 @@ def test_fields_store_no_reality_flag(grid64):
     assert "is_real" not in vars(f)
 
 
+def test_reality_flag_is_not_readable(grid64):
+    # The old four-argument call still works, but no field answers is_real.
+    for f in (GridField(grid64, 1j * np.ones(grid64.shape), "physical", True),
+              GridField(grid64, np.ones(grid64.shape), "physical")):
+        with pytest.raises(AttributeError):
+            f.is_real
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
+def test_half_spectrum_expands_to_the_full_spectrum(n, d):
+    # White noise fills every mode, the Nyquist planes included.
+    grid = Grid(n, d)
+    samples = np.random.default_rng(8).standard_normal((2,) + grid.shape)
+    half = _to_half_spectrum(samples, d)
+    assert half.shape == (2,) + (n,) * (d - 1) + (n // 2 + 1,)
+    for s, h in zip(samples, half):
+        full = _expand_half_spectrum(h, d)
+        assert hermitian_defect(GridField(grid, full, "spectral")) == 0.0
+        want = _to_coefficients(s)
+        assert np.abs(full - want).max() <= 1e-15 * np.abs(want).max()
+    stacked = _expand_half_spectrum(half, d)
+    assert all(np.array_equal(stacked[i], _expand_half_spectrum(half[i], d)) for i in range(2))
+
+
 def test_transform_results_are_read_only(grid64):
     f = random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12))
     mult = np.full(grid64.shape, 0.5)
@@ -223,11 +248,12 @@ def _transform_calls(path: Path) -> set[str]:
 
 
 def test_torus_transforms_live_in_fields():
-    """Every torus FFT goes through the transform pair in lpflow.fields.  The
-    one exception is the kernel quadrature, which transforms an auxiliary box."""
+    """Every torus FFT goes through the two transform pairs in lpflow.fields
+    (complex for stored fields, real for the solver state).  The one exception
+    is the kernel quadrature, which transforms an auxiliary box."""
     outside = {f"{path.stem}.{name}"
                for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
                if path.name != "fields.py" for name in _transform_calls(path)}
     assert outside == {"norms._kernel_scale_l1"}
-    assert _transform_calls(Path(lpflow.fields.__file__)) == {"_to_coefficients",
-                                                              "_to_samples"}
+    assert _transform_calls(Path(lpflow.fields.__file__)) == {
+        "_to_coefficients", "_to_samples", "_to_half_spectrum", "_from_half_spectrum"}
