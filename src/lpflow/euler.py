@@ -292,17 +292,17 @@ class FlowMapResult:
         return self.positions[i] - self.seeds
 
 
-def _phase_table(x: np.ndarray, n: int) -> np.ndarray:
+def _phase_table(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """e^{ikx} for k in FFT order, shape (n, P), by powers of z = e^{ix}.
 
     Row k = j is z^j, one complex multiply from row j-1; rows k = -j are the
     conjugates of rows j (Grid keeps n even).  Roundoff grows linearly in |k|,
     under |k| eps (about 0.4 |k| eps measured), whatever the size of the
     unwrapped x; exp(1j * k * x) instead loses up to |k x| eps when it
-    rounds the product k * x.
+    rounds the product k * x.  ``out``, if given, is refilled in place.
     """
     h = n // 2
-    table = np.empty((n, x.size), complex)
+    table = np.empty((n, x.size), complex) if out is None else out
     table[0] = 1.0
     table[1] = np.exp(1j * x)
     for j in range(2, h + 1):
@@ -312,15 +312,17 @@ def _phase_table(x: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _eval_velocity(spectra, xs, grid: Grid) -> np.ndarray:
+def _eval_velocity(spectra, xs, grid: Grid, tables=None) -> np.ndarray:
     """Trigonometric interpolation of u at arbitrary points xs (d, P).
 
     The dense sum runs over per-axis phase tables from :func:`_phase_table`:
     one complex exponential per particle and axis, the other n - 1 phases by
     a power recurrence whose roundoff stays under (n/2) eps per phase.
+    ``tables``, d arrays of shape (n, P), are refilled instead of allocated.
     """
     n, d = grid.n, grid.d
-    phases = [_phase_table(xs[a], n) for a in range(d)]  # (n, P) each
+    phases = [_phase_table(xs[a], n, None if tables is None else tables[a])
+              for a in range(d)]  # (n, P) each
     out = np.empty((d, xs.shape[1]))
     for l in range(d):
         U = spectra[l]
@@ -379,15 +381,16 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
 
     pos = xs
     step = 0
+    tables = [np.empty((grid.n, xs.shape[1]), complex) for _ in range(grid.d)]
     for t_target in t_req:
         target_steps = round(t_target / h)
         while step < target_steps:
             s0, s1, s2 = (spectra_at[2 * step], spectra_at[2 * step + 1],
                           spectra_at[2 * step + 2])
-            k1 = _eval_velocity(s0, pos, grid)
-            k2 = _eval_velocity(s1, pos + 0.5 * h * k1, grid)
-            k3 = _eval_velocity(s1, pos + 0.5 * h * k2, grid)
-            k4 = _eval_velocity(s2, pos + h * k3, grid)
+            k1 = _eval_velocity(s0, pos, grid, tables)
+            k2 = _eval_velocity(s1, pos + 0.5 * h * k1, grid, tables)
+            k3 = _eval_velocity(s1, pos + 0.5 * h * k2, grid, tables)
+            k4 = _eval_velocity(s2, pos + h * k3, grid, tables)
             pos = pos + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             step += 1
         out_times.append(step * h)

@@ -12,14 +12,14 @@ and Parseval holds with the quadrature weight (2*pi/n)^d:
 
 That normalization lives here alone, in two transform pairs.  Stored
 fields go through :func:`_to_coefficients` and :func:`_to_samples` (complex
-FFTs of the full lattice).  Real data that never leaves the library, such as
-the Euler solver's state, goes through :func:`_to_half_spectrum` and
-:func:`_from_half_spectrum`: real FFTs over the last d axes of a
-component-stacked array, keeping the half lattice 0 <= k_last <= n/2 (the
-k_last = n/2 entry is the Nyquist mode, -n/2 in FFT order).
-:func:`_expand_half_spectrum` turns a half spectrum into the full one.
-Fields carry no reality flag; a real field is one whose samples have zero
-imaginary part.
+FFTs of the full lattice).  Real data that never leaves the library, the
+Euler solver's state and every block and derivative of the dyadic norms, goes
+through :func:`_to_half_spectrum` and :func:`_from_half_spectrum`: real FFTs
+over the last d axes of a component-stacked array, keeping the half lattice
+0 <= k_last <= n/2 (the k_last = n/2 entry is the Nyquist mode, -n/2 in FFT
+order).  :func:`_expand_half_spectrum` turns a half spectrum into the full
+one.  Fields carry no reality flag; a real field is one whose samples have
+zero imaginary part.
 """
 
 from __future__ import annotations
@@ -109,6 +109,13 @@ def _from_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
     return np.fft.irfftn(half, s=(n,) * d, axes=tuple(range(-d, 0)), norm="forward")
 
 
+def _reflect(a: np.ndarray, axes) -> np.ndarray:
+    """a(-k): the lattice reflection k -> -k (FFT order) along ``axes``."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
 def _expand_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
     """The full-lattice spectrum of the real field a half spectrum stands for.
 
@@ -118,9 +125,7 @@ def _expand_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
     """
     h = half.shape[-1] - 1
     full = np.empty(half.shape[:-1] + (2 * h,), complex)
-    flipped = half
-    for ax in range(-d, -1):  # k -> -k on every axis but the last
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    flipped = _reflect(half, range(-d, -1))  # every axis but the last
     full[..., 1:h] = half[..., 1:h]
     for j in (0, h):
         full[..., j] = 0.5 * (half[..., j] + np.conj(flipped[..., j]))
@@ -180,11 +185,11 @@ def _lattice(n: int, d: int, last: int) -> tuple[tuple[np.ndarray, ...], np.ndar
             dealias_mask(n, d)[cut])
 
 
-@lru_cache(maxsize=None)
-def _nonnyquist_mask_1d(n: int) -> np.ndarray:
-    # The +/- n/2 mode has an ambiguous sign under i*k multipliers; it is
-    # dropped by every derivative.
-    return _freeze(np.abs(wavenumbers_1d(n)) < n / 2)
+def _derivative_symbol(n: int, d: int, axis: int, last: int) -> np.ndarray:
+    """i*k_axis, cut as in :func:`_lattice`.  The axis's Nyquist plane is
+    dropped: the +/- n/2 mode has an ambiguous sign under i*k."""
+    k = _lattice(n, d, last)[0][axis]
+    return 1j * k * (np.abs(k) < n / 2)
 
 
 @dataclass(frozen=True)
@@ -343,13 +348,8 @@ def derivative(f: GridField, axis: int) -> GridField:
     g = f.grid
     if not 0 <= axis < g.d:
         raise ValueError(f"axis {axis} out of range for dimension {g.d}")
-    k = wavenumber_mesh(g.n, g.d)[axis]
-    shape = [1] * g.d
-    shape[axis] = g.n
-    keep = _nonnyquist_mask_1d(g.n).reshape(shape)
-    mult = 1j * k * keep
     F = as_spectral(f)
-    out = GridField(g, _freeze(F.values * mult), SPECTRAL)
+    out = GridField(g, _freeze(F.values * _derivative_symbol(g.n, g.d, axis, g.n)), SPECTRAL)
     return out if f.rep == SPECTRAL else dft_inverse(out)
 
 
@@ -365,13 +365,10 @@ def dealias_field(f: GridField) -> GridField:
 def hermitian_defect(f: GridField) -> float:
     """Max |F(k) - conj(F(-k))| relative to max |F| (0 for a real field)."""
     F = as_spectral(f).values
-    flipped = F
-    for ax in range(f.grid.d):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
     scale = np.abs(F).max()
     if scale == 0.0:
         return 0.0
-    return float(np.abs(F - np.conj(flipped)).max() / scale)
+    return float(np.abs(F - np.conj(_reflect(F, range(f.grid.d)))).max() / scale)
 
 
 def max_spectral_divergence(u: VectorField) -> float:
@@ -446,10 +443,8 @@ class SpectrumSpec:
 
 
 def _hermitian_symmetrize(coeff: np.ndarray, d: int) -> np.ndarray:
-    flipped = coeff
-    for ax in range(d):
-        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-    return 0.5 * (coeff + np.conj(flipped))
+    """Hermitian part of a full spectrum over its last d axes (its field's real part)."""
+    return 0.5 * (coeff + np.conj(_reflect(coeff, range(-d, 0))))
 
 
 def _band_scale(grid: Grid, spec: SpectrumSpec) -> np.ndarray:

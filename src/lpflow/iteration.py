@@ -10,10 +10,11 @@ history; its RK4 midpoint values come from cubic Hermite dense output whose
 endpoint slopes come from the pair (member m-2, member m-1), which keeps the
 scheme's full fourth order without storing integrator stages.  The slope and
 the velocity at the end of one step are carried forward as those at the start
-of the next, not recomputed.  The linear right-hand side is the solver's own
-half-spectrum kernel with the advecting velocity passed in; only the two
-advecting members are kept as half spectra, and each member is expanded to
-the stored format once.
+of the next; the velocities of member m-1, made while stepping member m,
+give member m+1 its slopes, so none is synthesized twice.  The linear
+right-hand side is the solver's own half-spectrum kernel with the advecting
+velocity passed in; only the two advecting members are kept as half spectra,
+and each member is expanded to the stored format once.
 """
 
 from __future__ import annotations
@@ -85,21 +86,27 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
     zero = np.zeros_like(u0_spec)
     w1 = u0_spec * low_pass_multiplier(bank, 1)[half]
-    before, prev = [zero] * (steps + 1), [w1] * (steps + 1)   # members 0 and 1, in half form
+    prev = [w1] * (steps + 1)   # member 1 in half form: one state shared by all times
+    before_vel = [np.zeros((g.d,) + g.shape)] * (steps + 1)   # member 0's velocity
     members = [Trajectory(times, (_wrap_half(g, zero),) * (steps + 1)),
                Trajectory(times, (_wrap_half(g, w1),) * (steps + 1))]
     decay = [field_norm(bank, members[1].states[0], down)]   # member 1 - member 0, at any time
     for m in range(2, M + 1):
         w = u0_spec * low_pass_multiplier(bank, m)[half]
         history = [w]
-        vel0 = rhs.velocity(prev[0])
-        d0 = rhs(prev[0], rhs.velocity(before[0]))
+        vel = [rhs.velocity(prev[0])]   # member m-1's velocity at every time, for member m+1
+        d0 = rhs(prev[0], before_vel[0])
         for i in range(steps):
             v0, v1 = prev[i], prev[i + 1]
-            d1 = rhs(v1, rhs.velocity(before[i + 1]))
-            vm = _hermite_midpoint(v0, v1, d0, d1, dt)
-            d0 = d1
-            velm, vel1 = rhs.velocity(vm), rhs.velocity(v1)
+            vel0 = vel[i]
+            if v1 is v0:   # the frozen member 1: constant velocity, midpoint included
+                velm = vel1 = vel0
+            else:
+                d1 = rhs(v1, before_vel[i + 1])
+                vm = _hermite_midpoint(v0, v1, d0, d1, dt)
+                d0 = d1
+                velm, vel1 = rhs.velocity(vm), rhs.velocity(v1)
+            vel.append(vel1)
             vmax = np.abs(vel0).max()
             if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and max keeps it
                 what = "non-finite velocity" if not np.isfinite(vmax) else "CFL guard exceeded"
@@ -109,12 +116,11 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
             k2 = rhs(w + 0.5 * dt * k1, velm)
             k3 = rhs(w + 0.5 * dt * k2, velm)
             k4 = rhs(w + dt * k3, vel1)
-            vel0 = vel1
             w = _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
             history.append(w)
         members.append(Trajectory(times, tuple(_wrap_half(g, s) for s in history)))
         decay.append(_sup_gap(bank, members[m], members[m - 1], down))
-        before, prev = prev, history
+        before_vel, prev = vel, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bank import LPFilterBank, decompose, radial_cutoff
+from .bank import LPFilterBank, radial_cutoff
 from .errors import DegenerateInputError, ResolutionError
-from .fields import (GridField, VectorField, apply_multiplier, as_physical,
-                     as_spectral, wavenumber_norm)
+from .fields import (PHYSICAL, GridField, VectorField, _derivative_symbol,
+                     _from_half_spectrum, _hermitian_symmetrize, _to_half_spectrum,
+                     apply_multiplier, as_physical, as_spectral, wavenumber_norm)
 
 _FLAVORS = ("tl", "besov")
 
@@ -79,49 +80,66 @@ def lp_norm(f: GridField | VectorField, p: float) -> float:
     return _lp_of_array(vals, p, f.grid.cell_volume)
 
 
-def _block_magnitudes(bank: LPFilterBank, f: GridField):
-    dec = decompose(bank, f)
-    low = np.abs(as_physical(dec.low).values)
-    blocks = [np.abs(as_physical(b).values) for b in dec.blocks]
-    return low, blocks
+def _half_spectrum(f: GridField) -> np.ndarray:
+    """Half spectrum of the real field f stands for, which every norm measures:
+    the real part of its samples, or the Hermitian part of its spectrum."""
+    d = f.grid.d
+    if f.rep == PHYSICAL:
+        return _to_half_spectrum(f.values.real, d)
+    return _hermitian_symmetrize(f.values, d)[..., :f.grid.n // 2 + 1]
 
 
-def _tl_ladder(low: np.ndarray, blocks: list[np.ndarray], spec: NormSpec) -> np.ndarray:
-    weights = [2.0 ** (j * spec.s) for j in range(len(blocks))]
+def _gradient_halves(f: GridField):
+    """Half spectra of the d partial derivatives of the real field f stands for."""
+    half, g = _half_spectrum(f), f.grid
+    for a in range(g.d):
+        yield half * _derivative_symbol(g.n, g.d, a, half.shape[-1])
+
+
+def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
+    """|P_0 f| (if ``low``), then |block_j f| for j = 0..j_max: one real inverse each."""
+    h = half.shape[-1]
+    for m in (bank.phi_0, *bank.psi) if low else bank.psi:
+        b = _from_half_spectrum(half * m[..., :h], bank.grid.d)
+        yield np.abs(b, out=b)
+
+
+def _tl_ladder(mags, spec: NormSpec) -> np.ndarray:
+    """Pointwise (|low|^q + sum_j (2^{js}|block_j|)^q)^{1/q}, a running max for q = inf,
+    over ``mags``: |low| unless ``spec.homogeneous``, then the blocks (overwritten)."""
+    acc = None
+    for j, b in enumerate(mags, 0 if spec.homogeneous else -1):
+        if j > 0:
+            b *= 2.0 ** (j * spec.s)
+        if math.isinf(spec.q):
+            acc = b if acc is None else np.maximum(acc, b, out=acc)
+        else:
+            b **= spec.q
+            acc = b if acc is None else np.add(acc, b, out=acc)
+    return acc if math.isinf(spec.q) else acc ** (1.0 / spec.q)
+
+
+def _half_norm(bank: LPFilterBank, half: np.ndarray, spec: NormSpec) -> float:
+    """The dyadic norm ``spec`` of the real field with half spectrum ``half``."""
+    mags = _block_magnitudes(bank, half, low=not spec.homogeneous)
+    cv = bank.grid.cell_volume
+    if spec.flavor == "tl":
+        return _lp_of_array(_tl_ladder(mags, spec), spec.p, cv)
+    terms = [2.0 ** (max(j, 0) * spec.s) * _lp_of_array(b, spec.p, cv)
+             for j, b in enumerate(mags, 0 if spec.homogeneous else -1)]
     if math.isinf(spec.q):
-        acc = np.zeros_like(blocks[0])
-        if not spec.homogeneous:
-            acc = low.copy()
-        for w, b in zip(weights, blocks):
-            np.maximum(acc, w * b, out=acc)
-        return acc
-    acc = np.zeros_like(blocks[0])
-    if not spec.homogeneous:
-        acc += low**spec.q
-    for w, b in zip(weights, blocks):
-        acc += (w * b) ** spec.q
-    return acc ** (1.0 / spec.q)
+        return max(terms)
+    return float(sum(t**spec.q for t in terms) ** (1.0 / spec.q))
 
 
 def tl_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Triebel-Lizorkin norm of a scalar field."""
-    spec = replace(spec, flavor="tl")
-    low, blocks = _block_magnitudes(bank, f)
-    ladder = _tl_ladder(low, blocks, spec)
-    return _lp_of_array(ladder, spec.p, f.grid.cell_volume)
+    return _half_norm(bank, _half_spectrum(f), replace(spec, flavor="tl"))
 
 
 def besov_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Besov norm of a scalar field."""
-    spec = replace(spec, flavor="besov")
-    low, blocks = _block_magnitudes(bank, f)
-    cv = f.grid.cell_volume
-    block_norms = [_lp_of_array(b, spec.p, cv) for b in blocks]
-    weighted = [2.0 ** (j * spec.s) * bn for j, bn in enumerate(block_norms)]
-    terms = weighted if spec.homogeneous else [_lp_of_array(low, spec.p, cv)] + weighted
-    if math.isinf(spec.q):
-        return max(terms)
-    return float(sum(t**spec.q for t in terms) ** (1.0 / spec.q))
+    return _half_norm(bank, _half_spectrum(f), replace(spec, flavor="besov"))
 
 
 def field_norm(bank: LPFilterBank, f: GridField | VectorField, spec: NormSpec) -> float:
@@ -142,14 +160,12 @@ def sup_norm(f: GridField | VectorField) -> float:
 
 def grad_sup_norm(u: GridField | VectorField) -> float:
     """Sup of the Euclidean norm of the (component-wise) gradient."""
-    from .fields import derivative
-
     comps = u.components if isinstance(u, VectorField) else (u,)
-    acc = None
+    acc = 0.0
     for c in comps:
-        for a in range(c.grid.d):
-            g = np.abs(as_physical(derivative(c, a)).values) ** 2
-            acc = g if acc is None else acc + g
+        for half in _gradient_halves(c):
+            g = _from_half_spectrum(half, c.grid.d)
+            acc = acc + g * g
     return float(np.sqrt(acc).max())
 
 
@@ -244,12 +260,12 @@ def _kernel_lattice(refinement: int, d: int, profile: str):
 def _kernel_scale_l1(mesh, psi: np.ndarray, profile: str, l: int, k: int, i: int,
                      j: int) -> float:
     """|| F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}, evaluated explicitly at scale j."""
-    scaled = [2.0**j * m for m in mesh]
+    # Only psi's support is evaluated: every other entry is multiplied by psi = 0.
+    ann = psi != 0
+    scaled = [2.0**j * m[ann] for m in mesh]
     srho2 = sum(m * m for m in scaled)
     ssym = np.zeros_like(psi)
-    ann = srho2 > 0
-    ssym[ann] = (radial_cutoff(np.sqrt(srho2[ann]), profile)
-                 * scaled[l][ann] * scaled[k][ann] / srho2[ann])
+    ssym[ann] = radial_cutoff(np.sqrt(srho2), profile) * scaled[l] * scaled[k] / srho2
     # Box quadrature: with symbol samples on the dual lattice of a periodic box
     # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
     # This is the one FFT outside lpflow.fields: it acts on the auxiliary box,

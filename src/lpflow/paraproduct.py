@@ -14,12 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bank import LPFilterBank, decompose, delta_j
+from .bank import LPFilterBank, decompose
 from .corpus import scalar_sample, transport_pair
 from .errors import DegenerateInputError
-from .fields import (PHYSICAL, GridField, VectorField, _freeze, _require_divfree,
-                     as_physical, as_spectral, dealias_field, derivative)
-from .norms import NormSpec, _lp_of_array, _tl_ladder, field_norm, grad_sup_norm, sup_norm
+from .fields import (PHYSICAL, GridField, VectorField, _derivative_symbol, _freeze,
+                     _from_half_spectrum, _require_divfree, _to_half_spectrum, as_physical,
+                     as_spectral, dealias_field, derivative)
+from .norms import (NormSpec, _gradient_halves, _half_norm, _half_spectrum, _lp_of_array,
+                    _tl_ladder, field_norm, grad_sup_norm, sup_norm)
 from .reports import ExperimentReport
 
 _OFFSET = 3  # blocks closer than this are "comparable frequency"
@@ -86,26 +88,33 @@ def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorFi
     return fd, dealias_field(as_spectral(g))
 
 
-def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField,
-                       js) -> tuple[GridField, ...]:
-    """Blocks f.grad(block_j g) - block_j(f.grad g), j in ``js``, from dealiased factors.
+def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
+    """Real samples of f.grad(block_j g) - block_j(f.grad g), j in ``js``, one by one.
 
-    ``fd`` and ``gs`` come from :func:`_dealiased_factors`.  The inner
-    advection f.grad g and its spectrum are formed once for every j.
+    ``fd`` and ``gs`` come from :func:`_dealiased_factors`.  Each block takes
+    d + 1 real inverses of half spectra; the inner advection f.grad g is
+    formed once for every j.
     """
-    fv = [c.values for c in fd.components]
-    inner = as_spectral(GridField(gs.grid, _freeze(_advect(fv, gs)), PHYSICAL))
-    out = []
+    n, d = gs.grid.n, gs.grid.d
+    fv = [c.values.real for c in fd.components]
+    half = _half_spectrum(gs)
+    h = half.shape[-1]
+    iks = [_derivative_symbol(n, d, a, h) for a in range(d)]
+    inner = _to_half_spectrum(sum(ul * _from_half_spectrum(half * ik, d)
+                                  for ul, ik in zip(fv, iks)), d)
     for j in js:
-        term1 = _advect(fv, delta_j(bank, gs, j))
-        term2 = as_physical(delta_j(bank, inner, j)).values
-        out.append(GridField(gs.grid, _freeze(term1 - term2), PHYSICAL))
-    return tuple(out)
+        psi = bank.psi[j][..., :h]
+        block = half * psi
+        term1 = sum(ul * _from_half_spectrum(block * ik, d) for ul, ik in zip(fv, iks))
+        yield term1 - _from_half_spectrum(inner * psi, d)
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
     """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
-    return _commutator_blocks(bank, *_dealiased_factors(f, g, "commutator"), (j,))[0]
+    if not 0 <= j <= bank.j_max:
+        raise ValueError(f"block index {j} outside [0, {bank.j_max}]")
+    blocks = _commutator_blocks(bank, *_dealiased_factors(f, g, "commutator"), (j,))
+    return GridField(g.grid, next(blocks), PHYSICAL)
 
 
 @dataclass(frozen=True)
@@ -121,23 +130,20 @@ class CommutatorSequence:
 
 def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> CommutatorSequence:
     fd, gs = _dealiased_factors(f, g, "commutator")
-    return CommutatorSequence(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)))
+    return CommutatorSequence(tuple(GridField(g.grid, b, PHYSICAL) for b in
+                                    _commutator_blocks(bank, fd, gs, range(bank.j_max + 1))))
 
 
-def _sequence_tl_norm(seq: CommutatorSequence, spec: NormSpec) -> float:
-    """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block range."""
-    mags = [np.abs(as_physical(b).values) for b in seq.blocks]
-    env = _tl_ladder(None, mags, replace(spec, homogeneous=True))
-    return _lp_of_array(env, spec.p, seq.blocks[0].grid.cell_volume)
+def _sequence_tl_norm(blocks, spec: NormSpec, cell_volume: float) -> float:
+    """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block samples ``blocks``."""
+    env = _tl_ladder(map(np.abs, blocks), replace(spec, homogeneous=True))
+    return _lp_of_array(env, spec.p, cell_volume)
 
 
 def _jacobian_tl_norm(bank: LPFilterBank, u: VectorField, spec: NormSpec) -> float:
     """Quadrature aggregate of the dyadic norms of every du_l/dx_i."""
-    total = 0.0
-    for c in u.components:
-        for a in range(u.grid.d):
-            total += field_norm(bank, derivative(c, a), spec) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(_half_norm(bank, half, spec) ** 2
+                         for c in u.components for half in _gradient_halves(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +187,7 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
     adv = GridField(v.grid, _freeze(_advect([c.values for c in ud], vd)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
-    grad_v = [derivative(vd, a) for a in range(v.grid.d)]
-    gv_norm = math.sqrt(sum(field_norm(bank, c, spec) ** 2 for c in grad_v))
+    gv_norm = math.sqrt(sum(_half_norm(bank, half, spec) ** 2 for half in _gradient_halves(vd)))
     u_sup = sup_norm(VectorField(tuple(ud)))
     if form == "prod2":
         u_norm = math.sqrt(sum(field_norm(bank, c, spec) ** 2 for c in ud))
@@ -213,8 +218,8 @@ def verify_commutator_estimate(bank: LPFilterBank, f: VectorField, g: GridField,
     if form == "esti2" and spec.s <= -1:
         raise ValueError(f"form esti2 needs s > -1, got s={spec.s}")
     fd, gs = _dealiased_factors(f, g, "verify_commutator_estimate")
-    seq = CommutatorSequence(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)))
-    lhs = _sequence_tl_norm(seq, spec)
+    lhs = _sequence_tl_norm(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)),
+                            spec, g.grid.cell_volume)
     if lhs == 0.0:
         return 0.0
     gd = as_physical(gs)
@@ -301,8 +306,9 @@ def counterexample_scan(bank: LPFilterBank, family: str, s: float, p: float,
     ratios = []
     for N in scales:
         u, v = builders[family](grid, s, N)
-        seq = commutator_sequence(bank, u, v)
-        lhs = _sequence_tl_norm(seq, spec)
+        fd, gs = _dealiased_factors(u, v, "commutator")
+        lhs = _sequence_tl_norm(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)),
+                                spec, grid.cell_volume)
         rhs = field_norm(bank, u, spec) * field_norm(bank, v, spec)
         if rhs == 0.0:
             raise DegenerateInputError(f"degenerate pair at scale {N}")

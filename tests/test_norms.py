@@ -8,10 +8,14 @@ import pytest
 from lpflow import (GridField, NormSpec, besov_norm, kernel_l1_bound, lp_norm,
                     tl_norm, verify_embedding, verify_equivalence,
                     verify_lifting)
-from lpflow.corpus import scalar_sample
-from lpflow.fields import vector_as_physical
-from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm,
+from lpflow import commutator_sequence, delta_j
+from lpflow.bank import decompose
+from lpflow.corpus import scalar_sample, transport_pair
+from lpflow.fields import (as_physical, as_spectral, dealias_field, derivative,
+                           dft_forward, vector_as_physical)
+from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm, grad_sup_norm,
                           kernel_l1_terms, sup_norm)
+from lpflow.paraproduct import _sequence_tl_norm
 
 # regression values computed on the 64^2 grid with the exp-profile bank
 F311_SAMPLE5 = 15728.850184666224
@@ -181,3 +185,107 @@ def test_kernel_refinement_stability():
 def test_kernel_axis_validation():
     with pytest.raises(ValueError):
         kernel_l1_terms(l=2, d=2)
+
+
+# ---------------------------------------------------------------------------
+# the real block engine against the complex decomposition it replaced
+
+
+def _oracle_norm(bank, f, spec):
+    """The decompose-based norm: complex blocks of the full spectrum, |.| of each."""
+    dec = decompose(bank, f)
+    low = np.abs(as_physical(dec.low).values)
+    blocks = [2.0 ** (j * spec.s) * np.abs(as_physical(b).values)
+              for j, b in enumerate(dec.blocks)]
+    mags = blocks if spec.homogeneous else [low] + blocks
+    cv = f.grid.cell_volume
+
+    def lp(a):
+        return float(a.max()) if math.isinf(spec.p) else float((cv * (a**spec.p).sum()) ** (1 / spec.p))
+
+    def lq(terms):
+        if math.isinf(spec.q):
+            return np.max(np.stack(terms), axis=0) if spec.flavor == "tl" else max(terms)
+        return sum(t**spec.q for t in terms) ** (1 / spec.q)
+
+    return lp(lq(mags)) if spec.flavor == "tl" else float(lq([lp(m) for m in mags]))
+
+
+def _real_fields(grid):
+    """A smooth band-limited field, a rough one up to |k| = n/2 - 1, and real
+    white noise, which also fills the Nyquist planes."""
+    rng = np.random.default_rng(41)
+    return [scalar_sample(grid, 5),
+            scalar_sample(grid, 6, decay=0.5, band=(1, grid.n // 2 - 1)),
+            GridField(grid, rng.standard_normal(grid.shape), "physical")]
+
+
+_ORACLE_SPECS = [NormSpec(s, p, q, hom, flavor)
+                 for flavor, s, p in (("tl", 1.5, 1.0), ("tl", 0.5, 3.0),
+                                      ("besov", 1.5, 2.0), ("besov", -0.5, math.inf))
+                 for q in (1.0, 2.0, math.inf) for hom in (False, True)]
+
+
+@pytest.mark.parametrize("grid, bank", [("grid64", "bank64"), ("grid16_3d", "bank16_3d")])
+def test_engine_matches_decompose_oracle(grid, bank, request):
+    grid, bank = request.getfixturevalue(grid), request.getfixturevalue(bank)
+    worst = 0.0
+    for f in _real_fields(grid):
+        for form in (f, dft_forward(f)):
+            for spec in _ORACLE_SPECS:
+                ref = _oracle_norm(bank, f, spec)
+                worst = max(worst, abs(field_norm(bank, form, spec) - ref) / ref)
+    print("engine vs decompose oracle, worst relative", worst)
+    assert worst <= 1e-13
+
+
+def _oracle_commutator_blocks(bank, u, g):
+    """Commutator blocks from complex derivatives and complex blocks."""
+    fv = [as_physical(dealias_field(c)).values for c in u.components]
+    gs = dealias_field(as_spectral(g))
+
+    def advect(h):
+        return sum(ul * as_physical(derivative(h, a)).values for a, ul in enumerate(fv))
+
+    inner = as_spectral(GridField(g.grid, advect(gs), "physical"))
+    return [advect(delta_j(bank, gs, j)) - as_physical(delta_j(bank, inner, j)).values
+            for j in range(bank.j_max + 1)]
+
+
+@pytest.mark.parametrize("grid, bank", [("grid64", "bank64"), ("grid16_3d", "bank16_3d")])
+def test_commutator_sequence_matches_oracle(grid, bank, request):
+    grid, bank = request.getfixturevalue(grid), request.getfixturevalue(bank)
+    u, g = transport_pair(grid, 300, band=(1, grid.n // 2 - 1))
+    ref = _oracle_commutator_blocks(bank, u, g)
+    seq = commutator_sequence(bank, u, g)
+    scale = max(np.abs(b).max() for b in ref)
+    assert max(np.abs(a.values - b).max() for a, b in zip(seq.blocks, ref)) <= 1e-13 * scale
+    for q in (1.0, 2.0, math.inf):
+        spec = NormSpec(2.5, 2.0, q, homogeneous=True)
+        want = _sequence_tl_norm(ref, spec, grid.cell_volume)
+        got = _sequence_tl_norm([b.values for b in seq.blocks], spec, grid.cell_volume)
+        assert abs(got - want) <= 1e-13 * want
+
+
+def test_norm_measures_the_real_part(grid64, bank64):
+    """Complex data: the physical and spectral forms measure the same real field."""
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal(grid64.shape) + 1j * rng.standard_normal(grid64.shape)
+    f = GridField(grid64, vals, "physical")
+    re = GridField(grid64, vals.real, "physical")
+    for spec in (NormSpec(1.5, 1, 1), NormSpec(0.5, 2, math.inf, homogeneous=True),
+                 NormSpec(1.0, math.inf, 2, flavor="besov")):
+        want = field_norm(bank64, re, spec)
+        for form in (f, dft_forward(f)):
+            assert abs(field_norm(bank64, form, spec) - want) <= 1e-13 * want
+
+
+def test_nan_field_norm_is_not_finite(grid64, bank64):
+    vals = scalar_sample(grid64, 5).values.copy()
+    vals[3, 4] = np.nan
+    f = GridField(grid64, vals, "physical")
+    for spec in (NormSpec(3, 1, 1), NormSpec(1, 2, math.inf, homogeneous=True),
+                 NormSpec(1, math.inf, math.inf, flavor="besov")):
+        for form in (f, dft_forward(f)):
+            assert not math.isfinite(field_norm(bank64, form, spec))
+    assert not math.isfinite(grad_sup_norm(f))

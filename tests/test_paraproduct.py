@@ -252,4 +252,5 @@ def test_sequence_tl_norm_is_the_homogeneous_ladder(grid64, bank64, q):
         env = sum((2.0 ** (j * s) * m) ** q for j, m in enumerate(mags)) ** (1.0 / q)
     ref = float((grid64.cell_volume * (env**p).sum()) ** (1.0 / p))
     for hom in (True, False):
-        assert _sequence_tl_norm(seq, NormSpec(s, p, q, homogeneous=hom)) == ref
+        assert _sequence_tl_norm([b.values for b in seq.blocks],
+                                 NormSpec(s, p, q, homogeneous=hom), grid64.cell_volume) == ref
