@@ -292,17 +292,16 @@ class FlowMapResult:
         return self.positions[i] - self.seeds
 
 
-def _phase_table(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+def _phase_table(x: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
     """e^{ikx} for k in FFT order, shape (n, P), by powers of z = e^{ix}.
 
     Row k = j is z^j, one complex multiply from row j-1; rows k = -j are the
     conjugates of rows j (Grid keeps n even).  Roundoff grows linearly in |k|,
     under |k| eps (about 0.4 |k| eps measured), whatever the size of the
     unwrapped x; exp(1j * k * x) instead loses up to |k x| eps when it
-    rounds the product k * x.  ``out``, if given, is refilled in place.
+    rounds the product k * x.  ``table``, of shape (n, P), is refilled in place.
     """
     h = n // 2
-    table = np.empty((n, x.size), complex) if out is None else out
     table[0] = 1.0
     table[1] = np.exp(1j * x)
     for j in range(2, h + 1):
@@ -312,17 +311,16 @@ def _phase_table(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.nda
     return table
 
 
-def _eval_velocity(spectra, xs, grid: Grid, tables=None) -> np.ndarray:
+def _eval_velocity(spectra, xs, grid: Grid, tables) -> np.ndarray:
     """Trigonometric interpolation of u at arbitrary points xs (d, P).
 
     The dense sum runs over per-axis phase tables from :func:`_phase_table`:
     one complex exponential per particle and axis, the other n - 1 phases by
     a power recurrence whose roundoff stays under (n/2) eps per phase.
-    ``tables``, d arrays of shape (n, P), are refilled instead of allocated.
+    ``tables``, d complex arrays of shape (n, P), are refilled in place.
     """
     n, d = grid.n, grid.d
-    phases = [_phase_table(xs[a], n, None if tables is None else tables[a])
-              for a in range(d)]  # (n, P) each
+    phases = [_phase_table(xs[a], n, tables[a]) for a in range(d)]  # (n, P) each
     out = np.empty((d, xs.shape[1]))
     for l in range(d):
         U = spectra[l]

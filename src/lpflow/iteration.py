@@ -86,8 +86,8 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
     zero = np.zeros_like(u0_spec)
     w1 = u0_spec * low_pass_multiplier(bank, 1)[half]
-    prev = [w1] * (steps + 1)   # member 1 in half form: one state shared by all times
-    before_vel = [np.zeros((g.d,) + g.shape)] * (steps + 1)   # member 0's velocity
+    prev = [w1]   # member 1 in half form: frozen, so only its t = 0 state is read
+    before_vel = None   # member m-2's velocities, read only once m > 2
     members = [Trajectory(times, (_wrap_half(g, zero),) * (steps + 1)),
                Trajectory(times, (_wrap_half(g, w1),) * (steps + 1))]
     decay = [field_norm(bank, members[1].states[0], down)]   # member 1 - member 0, at any time
@@ -95,17 +95,17 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         w = u0_spec * low_pass_multiplier(bank, m)[half]
         history = [w]
         vel = [rhs.velocity(prev[0])]   # member m-1's velocity at every time, for member m+1
-        d0 = rhs(prev[0], before_vel[0])
+        if m > 2:
+            d0 = rhs(prev[0], before_vel[0])
         for i in range(steps):
-            v0, v1 = prev[i], prev[i + 1]
             vel0 = vel[i]
-            if v1 is v0:   # the frozen member 1: constant velocity, midpoint included
+            if m == 2:   # member 1 is frozen: constant velocity, midpoint included
                 velm = vel1 = vel0
             else:
-                d1 = rhs(v1, before_vel[i + 1])
-                vm = _hermite_midpoint(v0, v1, d0, d1, dt)
+                d1 = rhs(prev[i + 1], before_vel[i + 1])
+                vm = _hermite_midpoint(prev[i], prev[i + 1], d0, d1, dt)
                 d0 = d1
-                velm, vel1 = rhs.velocity(vm), rhs.velocity(v1)
+                velm, vel1 = rhs.velocity(vm), rhs.velocity(prev[i + 1])
             vel.append(vel1)
             vmax = np.abs(vel0).max()
             if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and max keeps it

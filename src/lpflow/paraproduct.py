@@ -110,7 +110,11 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
-    """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
+    """f.grad(block_j g) - block_j(f.grad g) with dealiased products.
+
+    It acts on the real fields the data stand for (the real part of samples,
+    the Hermitian part of a spectrum), like every norm in :mod:`lpflow.norms`.
+    """
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"block index {j} outside [0, {bank.j_max}]")
     blocks = _commutator_blocks(bank, *_dealiased_factors(f, g, "commutator"), (j,))
@@ -129,6 +133,7 @@ class CommutatorSequence:
 
 
 def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> CommutatorSequence:
+    """Every :func:`commutator` block, j = 0..j_max, of the real fields f and g stand for."""
     fd, gs = _dealiased_factors(f, g, "commutator")
     return CommutatorSequence(tuple(GridField(g.grid, b, PHYSICAL) for b in
                                     _commutator_blocks(bank, fd, gs, range(bank.j_max + 1))))

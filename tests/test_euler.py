@@ -244,7 +244,9 @@ def test_velocity_evaluator_matches_dense_sum(n, d):
     spectra = [np.fft.fftn(s) / n**d for s in samples]
     xs = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (d, 2000))   # unwrapped particles
     assert (xs < 0).any() and (xs > 2.0 * math.pi).any()
-    err = np.abs(_eval_velocity(spectra, xs, grid) - _dense_velocity(spectra, xs, grid)).max()
+    tables = [np.empty((n, xs.shape[1]), complex) for _ in range(d)]
+    err = np.abs(_eval_velocity(spectra, xs, grid, tables)
+                 - _dense_velocity(spectra, xs, grid)).max()
     print("evaluator vs dense sum", err / np.abs(samples).max())
     assert err <= 1e-13 * np.abs(samples).max()
 

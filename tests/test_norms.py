@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lpflow import (GridField, NormSpec, besov_norm, kernel_l1_bound, lp_norm,
+from lpflow import (GridField, NormSpec, VectorField, besov_norm, kernel_l1_bound, lp_norm,
                     tl_norm, verify_embedding, verify_equivalence,
                     verify_lifting)
 from lpflow import commutator_sequence, delta_j
@@ -265,6 +265,20 @@ def test_commutator_sequence_matches_oracle(grid, bank, request):
         want = _sequence_tl_norm(ref, spec, grid.cell_volume)
         got = _sequence_tl_norm([b.values for b in seq.blocks], spec, grid.cell_volume)
         assert abs(got - want) <= 1e-13 * want
+
+
+def test_commutator_acts_on_the_real_parts(grid64, bank64):
+    """Complex f and g: the blocks are the commutator of their real parts."""
+    u, g = transport_pair(grid64, 300)
+    u2, g2 = transport_pair(grid64, 301)
+    f = VectorField(tuple(GridField(grid64, a.values + 1j * b.values, "physical")
+                          for a, b in zip(u.components, u2.components)), div_free=True)
+    gc = GridField(grid64, g.values + 1j * g2.values, "physical")
+    want = commutator_sequence(bank64, u, g).blocks
+    scale = max(np.abs(b.values).max() for b in want)
+    for form in (gc, dft_forward(gc)):
+        got = commutator_sequence(bank64, f, form).blocks
+        assert max(np.abs(a.values - b.values).max() for a, b in zip(got, want)) <= 1e-13 * scale
 
 
 def test_norm_measures_the_real_part(grid64, bank64):
