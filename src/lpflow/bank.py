@@ -50,7 +50,7 @@ def radial_cutoff(r, profile: str = "exp") -> np.ndarray:
 
 @dataclass(frozen=True)
 class LPFilterBank:
-    """Sampled dyadic multipliers for one grid.
+    """Sampled dyadic multipliers for one grid, on its half lattice.
 
     ``phi_0`` is the low-pass multiplier at scale 1; ``psi[j]`` is the annular
     multiplier for block ``j`` (0 <= j <= j_max).  ``j_max`` is large enough
@@ -82,7 +82,7 @@ def max_block_index(grid: Grid) -> int:
 
 
 def build_filter_bank(grid: Grid, profile: str = "exp") -> LPFilterBank:
-    """Sample the low-pass and annular multipliers on the frequency lattice."""
+    """Sample the low-pass and annular multipliers on the half frequency lattice."""
     kk = wavenumber_norm(grid.n, grid.d)
     j_max = max_block_index(grid)
     phis = [radial_cutoff(kk / 2.0**m, profile) for m in range(j_max + 2)]
@@ -99,10 +99,10 @@ def default_bank(n: int, d: int, profile: str = "exp") -> LPFilterBank:
 
 
 def low_pass_multiplier(bank: LPFilterBank, m: int) -> np.ndarray:
-    """phi(| . | / 2^m) on the lattice (identically 1 for m > j_max)."""
-    if m > bank.j_max:
-        return np.ones(bank.grid.shape)
+    """phi(| . | / 2^m) on the half lattice (identically 1 for m > j_max)."""
     kk = wavenumber_norm(bank.grid.n, bank.grid.d)
+    if m > bank.j_max:
+        return np.ones(kk.shape)
     return radial_cutoff(kk / 2.0**m, bank.profile)
 
 

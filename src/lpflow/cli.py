@@ -19,8 +19,7 @@ from .corpus import divfree_sample, scalar_sample, scalar_samples
 from .errors import StabilityError
 from .euler import SolverConfig, solve, taylor_green
 from .fields import (Grid, GridField, SpectrumSpec, VectorField, as_physical,
-                     random_divergence_free, read_field, vector_as_physical,
-                     write_field)
+                     random_divergence_free, read_field, write_field)
 from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound,
                     kernel_l1_terms, sup_norm, verify_embedding, verify_lifting)
 from .reports import dump_json, write_csv, write_svg_polyline
@@ -120,7 +119,7 @@ def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
         band = tuple(init.get("band", (1, 4)))
         decay = float(init.get("decay", 2.0))
         amp = float(init.get("amplitude", 0.5))
-        u = vector_as_physical(random_divergence_free(grid, SpectrumSpec(decay, band, seed)))
+        u = random_divergence_free(grid, SpectrumSpec(decay, band, seed))
         peak = max(float(np.abs(c.values).max()) for c in u.components)
         return u * (amp / peak)
     raise ValueError(f"unknown initial-data kind {kind!r}")
@@ -295,7 +294,7 @@ def _run_solve(args) -> int:
     files = []
     for t, st in zip(traj.times, traj.states):
         name = f"fields/state_{t:.6f}.lpf"
-        write_field(vector_as_physical(st), out / name)
+        write_field(st, out / name)
         files.append(name)
     diag_rows = [dict(time=t, **{k: v[i] for k, v in traj.diagnostics.items()})
                  for i, t in enumerate(traj.times)]
@@ -327,7 +326,7 @@ def _run_iterate(args) -> int:
     member_files = []
     for m, traj in enumerate(ladder.members):
         name = f"fields/member_{m}_final.lpf"
-        write_field(vector_as_physical(traj.states[-1]), out / name)
+        write_field(traj.states[-1], out / name)
         member_files.append(name)
     manifest = {"M": M, "norm_spec": spec.label, "delta": list(ladder.decay_table),
                 "ratios": list(ladder.decay_ratios()), "member_files": member_files}

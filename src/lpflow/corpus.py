@@ -6,9 +6,8 @@ calibration maxima remain comparable across runs and machines.
 
 from __future__ import annotations
 
-from .fields import (Grid, GridField, SpectrumSpec, VectorField, as_physical,
-                     random_band_limited, random_divergence_free,
-                     vector_as_physical)
+from .fields import (Grid, GridField, SpectrumSpec, VectorField, random_band_limited,
+                     random_divergence_free)
 
 DEFAULT_DECAY = 2.0
 
@@ -21,7 +20,7 @@ def default_band(grid: Grid) -> tuple[int, int]:
 def scalar_sample(grid: Grid, seed: int, decay: float = DEFAULT_DECAY,
                   band: tuple[int, int] | None = None) -> GridField:
     spec = SpectrumSpec(decay, band or default_band(grid), seed)
-    return as_physical(random_band_limited(grid, spec))
+    return random_band_limited(grid, spec)
 
 
 def scalar_samples(grid: Grid, count: int, seed0: int,
@@ -42,7 +41,7 @@ def scalar_pairs(grid: Grid, count: int, seed0: int,
 def divfree_sample(grid: Grid, seed: int, decay: float = DEFAULT_DECAY,
                    band: tuple[int, int] | None = None) -> VectorField:
     spec = SpectrumSpec(decay, band or default_band(grid), seed)
-    return vector_as_physical(random_divergence_free(grid, spec))
+    return random_divergence_free(grid, spec)
 
 
 def transport_pair(grid: Grid, seed: int, decay: float = DEFAULT_DECAY,

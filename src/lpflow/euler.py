@@ -3,9 +3,10 @@
 Fixed-step RK4 on the projected form du/dt = -P(u . grad u), with 2/3-rule
 dealiasing of the quadratic term, re-projection after every full step, and a
 CFL guard that aborts the run rather than integrate an under-resolved state.
-The velocity is real, so the state is stepped as stacked half spectra
-(d, n, ..., n//2 + 1) through real FFTs; it is expanded to the stored
-full-spectrum format only when recorded.
+The state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through
+real FFTs.  A recorded state is stored as physical float64 samples, one
+batched inverse transform each, and the trajectory keeps its half spectra
+for the flow map and for differences between trajectories.
 Also provides the pressure-gradient recovery, flow-map particle integration
 with trigonometric velocity interpolation, and the standard 2D benchmark
 data.
@@ -18,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bank import default_bank
 from .errors import StabilityError
-from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _expand_half_spectrum,
-                     _freeze, _from_half_spectrum, _lattice, _leray_spectra, _require_divfree,
-                     _require_real, _to_half_spectrum, as_physical, vector_as_physical,
+from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
+                     _from_half_spectrum, _leray_spectra, _plane_weights, _require_divfree,
+                     _to_half_spectrum, as_physical, dealias_mask, vector_as_physical,
                      vector_as_spectral, wavenumber_mesh)
-from .norms import NormSpec
+from .norms import NormSpec, _vector_half_norm
 
 # ---------------------------------------------------------------------------
 # configuration and trajectory containers
@@ -62,17 +64,28 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded solve output; states are kept in spectral representation."""
+    """Recorded solve output; states are physical float64 samples.
+
+    ``spectra`` are the states' stacked half spectra (d, *half), one per
+    state and frozen like them: the solver's own, or transformed from
+    ``states`` when not given.
+    The flow map and the gaps between trajectories read them, so a recorded
+    state never passes through a transform pair, whose float64 rounding would
+    show in the high shells of a difference norm.
+    """
 
     times: tuple[float, ...]
     states: tuple[VectorField, ...]
     diagnostics: dict = field(default_factory=dict)
+    spectra: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must pair up")
+        if len(self.times) != len(self.states) or len(self.spectra) not in (0, len(self.states)):
+            raise ValueError("times, states and spectra must pair up")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
+        spectra = self.spectra or tuple(_spectra(s) for s in self.states)
+        object.__setattr__(self, "spectra", tuple(_freeze(s) for s in spectra))
 
     @property
     def cadence(self) -> float:
@@ -91,26 +104,15 @@ class Trajectory:
 # spectral-space primitives (raw coefficient arrays for the hot path)
 
 
-def _spectra(u: VectorField) -> list[np.ndarray]:
-    """The (read-only) coefficient arrays of u; nothing writes into a spectrum."""
-    return [c.values for c in vector_as_spectral(u).components]
+def _spectra(u: VectorField) -> np.ndarray:
+    """Stacked half spectra (d, *half) of u."""
+    return np.stack([c.values for c in vector_as_spectral(u).components])
 
 
-def _wrap_spectral(grid: Grid, spectra, div_free: bool = True) -> VectorField:
-    """Adopt freshly computed coefficient arrays as a field (frozen, not copied)."""
-    comps = tuple(GridField(grid, _freeze(s), SPECTRAL) for s in spectra)
-    return VectorField(comps, div_free=div_free)
-
-
-def _half_spectra(u: VectorField) -> np.ndarray:
-    """Stacked half spectra (d, *half) of u: its full spectra at k_last >= 0."""
-    h = u.grid.n // 2
-    return np.stack([s[..., :h + 1] for s in _spectra(u)])
-
-
-def _wrap_half(grid: Grid, half: np.ndarray, div_free: bool = True) -> VectorField:
-    """Expand stacked half spectra into a field in the stored format."""
-    return _wrap_spectral(grid, [_expand_half_spectrum(s, grid.d) for s in half], div_free)
+def _wrap(grid: Grid, half: np.ndarray, rep: str, div_free: bool = True) -> VectorField:
+    """Stacked half spectra as a field in representation ``rep``."""
+    values = half if rep == SPECTRAL else _from_half_spectrum(half, grid.d)
+    return VectorField(tuple(GridField(grid, v, rep) for v in values), div_free=div_free)
 
 
 class _RHS:
@@ -118,7 +120,7 @@ class _RHS:
 
     def __init__(self, grid: Grid, dealias: bool = True):
         self.grid = grid
-        mesh, _, mask = _lattice(grid.n, grid.d, grid.n // 2 + 1)
+        mesh, mask = wavenumber_mesh(grid.n, grid.d), dealias_mask(grid.n, grid.d)
         self.mask = mask if dealias else np.ones_like(mask)
         self.grad = 1j * np.stack(mesh) * self.mask   # i k_m on the retained modes
         # A mode with a component at n/2 has no sign, so no real field there is
@@ -157,26 +159,31 @@ class _RHS:
         return np.multiply(proj, self.negate, out=proj)
 
 
+def _sup_gap(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
+    """sup over recorded times of ||ta(t) - tb(t)||; np.max keeps a NaN that builtin max drops."""
+    if len(ta.times) != len(tb.times):
+        raise ValueError("trajectories recorded on different time lattices")
+    return float(np.max([_vector_half_norm(bank, a - b, spec)
+                         for a, b in zip(ta.spectra, tb.spectra)]))
+
+
 def leray_project(u: VectorField) -> VectorField:
     """Spectral projection onto divergence-free fields (k=0 unchanged)."""
-    out = _wrap_spectral(u.grid, _leray_spectra(_spectra(u)))
-    return out if u.rep == SPECTRAL else vector_as_physical(out)
+    return _wrap(u.grid, _leray_spectra(_spectra(u)), u.rep)
 
 
 def pressure_gradient(u: VectorField) -> VectorField:
     """grad of the pressure balancing u . grad u (zero-mean pressure)."""
     _require_divfree(u, "pressure_gradient")
     g = u.grid
-    adv = _RHS(g).advection(_half_spectra(u))
-    out = _wrap_half(g, _leray_spectra(adv) - adv, div_free=False)
-    return out if u.rep == SPECTRAL else vector_as_physical(out)
+    adv = _RHS(g).advection(_spectra(u))
+    return _wrap(g, _leray_spectra(adv) - adv, u.rep, div_free=False)
 
 
 def euler_rhs(u: VectorField) -> VectorField:
     """-P(u . grad u); divergence-free by construction."""
     _require_divfree(u, "euler_rhs")
-    out = _wrap_half(u.grid, _RHS(u.grid)(_half_spectra(u)))
-    return out if u.rep == SPECTRAL else vector_as_physical(out)
+    return _wrap(u.grid, _RHS(u.grid)(_spectra(u)), u.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +191,10 @@ def euler_rhs(u: VectorField) -> VectorField:
 
 
 def _parseval_l2(grid: Grid, spectra) -> float:
+    """L2 norm of the real fields with half spectra ``spectra``."""
     w = (2.0 * math.pi) ** grid.d
-    return math.sqrt(w * sum(float((np.abs(s) ** 2).sum()) for s in spectra))
+    planes = _plane_weights(grid.n)
+    return math.sqrt(w * sum(float((np.abs(s) ** 2 * planes).sum()) for s in spectra))
 
 
 def _vorticity_spectra(grid: Grid, spectra) -> list[np.ndarray]:
@@ -216,39 +225,32 @@ def energy(u: VectorField) -> float:
 # the solver
 
 
-def _record_norms(state: VectorField, record, diagnostics) -> None:
-    grid, spectra = state.grid, _spectra(state)
-    diagnostics.setdefault("energy", []).append(_parseval_l2(grid, spectra))
+def _record_norms(grid: Grid, half: np.ndarray, record, diagnostics) -> None:
+    diagnostics.setdefault("energy", []).append(_parseval_l2(grid, half))
     diagnostics.setdefault("enstrophy", []).append(
-        _parseval_l2(grid, _vorticity_spectra(grid, spectra)))
+        _parseval_l2(grid, _vorticity_spectra(grid, half)))
     if record:
-        from .bank import default_bank
-        from .norms import field_norm
-
         bank = default_bank(grid.n, grid.d)
         for spec in record:
-            diagnostics.setdefault(spec.label, []).append(field_norm(bank, state, spec))
+            diagnostics.setdefault(spec.label, []).append(_vector_half_norm(bank, half, spec))
 
 
 def solve(u0: VectorField, cfg: SolverConfig,
           record: tuple[NormSpec, ...] = ()) -> Trajectory:
     """March the projected dynamics from u0; record every ``record_stride`` steps.
 
-    Raises :class:`ValueError` unless u0 is real, and :class:`StabilityError`
-    the moment ``max|u| dt / dx`` exceeds the guard or stops being finite,
-    carrying the offending time.
+    Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds the
+    guard or stops being finite, carrying the offending time.
     """
     _require_divfree(u0, "solve")
-    _require_real(u0, "solve")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
-    state = _leray_spectra(_half_spectra(u0))
+    state = _leray_spectra(_spectra(u0))
     dt = cfg.dt
 
-    times = [0.0]
-    states = [_wrap_half(g, state)]
+    times, spectra = [0.0], [state]
     diagnostics: dict = {}
-    _record_norms(states[-1], record, diagnostics)
+    _record_norms(g, state, record, diagnostics)
 
     for step in range(cfg.steps):
         t = step * dt
@@ -265,11 +267,12 @@ def solve(u0: VectorField, cfg: SolverConfig,
         state = _leray_spectra(state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
-            states.append(_wrap_half(g, state))
-            _record_norms(states[-1], record, diagnostics)
+            spectra.append(state)
+            _record_norms(g, state, record, diagnostics)
 
     diagnostics = {k: tuple(v) for k, v in diagnostics.items()}
-    return Trajectory(tuple(times), tuple(states), diagnostics)
+    states = tuple(_wrap(g, s, PHYSICAL) for s in spectra)
+    return Trajectory(tuple(times), states, diagnostics, tuple(spectra))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +302,8 @@ def _phase_table(x: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
     conjugates of rows j (Grid keeps n even).  Roundoff grows linearly in |k|,
     under |k| eps (about 0.4 |k| eps measured), whatever the size of the
     unwrapped x; exp(1j * k * x) instead loses up to |k x| eps when it
-    rounds the product k * x.  ``table``, of shape (n, P), is refilled in place.
+    rounds the product k * x.  ``table``, of shape (n, P), is refilled in place;
+    with n/2 + 1 rows it holds k = 0 .. n/2 - 1 and -n/2 only.
     """
     h = n // 2
     table[0] = 1.0
@@ -307,20 +311,24 @@ def _phase_table(x: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
     for j in range(2, h + 1):
         np.multiply(table[j - 1], table[1], out=table[j])
     np.conjugate(table[h], out=table[h])                    # k = -n/2
-    np.conjugate(table[h - 1:0:-1], out=table[h + 1:])      # k = -(n/2 - 1) ... -1
+    np.conjugate(table[h - 1:n - len(table):-1], out=table[h + 1:])   # k = -(n/2 - 1) ... -1
     return table
 
 
 def _eval_velocity(spectra, xs, grid: Grid, tables) -> np.ndarray:
     """Trigonometric interpolation of u at arbitrary points xs (d, P).
 
-    The dense sum runs over per-axis phase tables from :func:`_phase_table`:
-    one complex exponential per particle and axis, the other n - 1 phases by
-    a power recurrence whose roundoff stays under (n/2) eps per phase.
-    ``tables``, d complex arrays of shape (n, P), are refilled in place.
+    ``spectra`` are u's half spectra times :func:`_plane_weights` along the
+    last axis: the real part of the sum over k_last = 0 .. n/2 - 1 and -n/2,
+    each interior plane counted twice, is the sum over the full lattice.  The
+    dense sum runs over per-axis phase tables from :func:`_phase_table`: one
+    complex exponential per particle and axis, the other n - 1 phases by a
+    power recurrence whose roundoff stays under (n/2) eps per phase.
+    ``tables``, d complex arrays of shape (n, P), the last (n/2 + 1, P) for
+    k_last = 0 .. n/2 - 1 and -n/2, are refilled in place.
     """
     n, d = grid.n, grid.d
-    phases = [_phase_table(xs[a], n, tables[a]) for a in range(d)]  # (n, P) each
+    phases = [_phase_table(xs[a], n, tables[a]) for a in range(d)]
     out = np.empty((d, xs.shape[1]))
     for l in range(d):
         U = spectra[l]
@@ -370,7 +378,7 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
     seed_shape = seeds.shape[1:]
     xs = seeds.reshape(grid.d, -1).copy()
 
-    spectra_at = [_spectra(st) for st in traj.states]
+    weights = _plane_weights(grid.n)
     out_times, out_pos = [], []
     if abs(t_req[0]) <= 1e-12:
         out_times.append(0.0)
@@ -379,12 +387,12 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
 
     pos = xs
     step = 0
-    tables = [np.empty((grid.n, xs.shape[1]), complex) for _ in range(grid.d)]
+    tables = [np.empty((grid.n if a < grid.d - 1 else grid.n // 2 + 1, xs.shape[1]), complex)
+              for a in range(grid.d)]
     for t_target in t_req:
         target_steps = round(t_target / h)
         while step < target_steps:
-            s0, s1, s2 = (spectra_at[2 * step], spectra_at[2 * step + 1],
-                          spectra_at[2 * step + 2])
+            s0, s1, s2 = (traj.spectra[2 * step + i] * weights for i in range(3))
             k1 = _eval_velocity(s0, pos, grid, tables)
             k2 = _eval_velocity(s1, pos + 0.5 * h * k1, grid, tables)
             k3 = _eval_velocity(s1, pos + 0.5 * h * k2, grid, tables)
@@ -464,6 +472,6 @@ def steady_trajectory(u: VectorField, T: float, cadence: float) -> Trajectory:
     steps = round(T / cadence)
     if abs(steps * cadence - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer number of cadence intervals")
-    state = _wrap_spectral(u.grid, _spectra(u), div_free=u.div_free)
     times = tuple(i * cadence for i in range(steps + 1))
-    return Trajectory(times, (state,) * (steps + 1))
+    return Trajectory(times, (vector_as_physical(u),) * (steps + 1), {},
+                      (_spectra(u),) * (steps + 1))

@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bank import default_bank, max_block_index, p_le
 from .errors import DegenerateInputError
-from .euler import SolverConfig, Trajectory, solve
+from .euler import SolverConfig, _sup_gap, solve
 from .fields import Grid, VectorField
-from .norms import NormSpec, field_norm
+from .norms import NormSpec, _vector_half_norm, field_norm
 from .reports import ExperimentReport
 
 
@@ -53,12 +51,6 @@ class DependenceConfig:
         top = max_block_index(grid) - 1
         if self.N_list and max(self.N_list) >= top:
             raise ValueError(f"mollification levels must stay below {top}")
-
-
-def _sup_diff_norm(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
-    if len(ta.times) != len(tb.times):
-        raise ValueError("trajectories recorded on different time lattices")
-    return float(np.max([field_norm(bank, a - b, spec) for a, b in zip(ta.states, tb.states)]))
 
 
 def _report_base(cfg: DependenceConfig, grid: Grid) -> dict:
@@ -110,7 +102,7 @@ def lipschitz_lowernorm_experiment(u0: VectorField, direction: VectorField,
         v0 = u0 + w * eps
         pert = solve(v0, scfg)
         denom = field_norm(bank, u0 - v0, down)
-        moduli.append(_sup_diff_norm(bank, base, pert, down) / denom)
+        moduli.append(_sup_gap(bank, base, pert, down) / denom)
     return ExperimentReport(
         estimate_id="lipschitz_lower_norm",
         **_report_base(cfg, grid),
@@ -150,7 +142,7 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
         if tail <= 1e-13 * u0_norm:
             raise DegenerateInputError(f"data has no content above level {N}")
         moll = solve(u0N, scfg, record=(up,))
-        rho.append(_sup_diff_norm(bank, base, moll, ns) / tail)
+        rho.append(_sup_gap(bank, base, moll, ns) / tail)
         sigma.append(max(moll.diagnostics[up.label]) / (2.0**N * u0_norm))
     return ExperimentReport(
         estimate_id="mollified_data_continuity",
@@ -195,13 +187,13 @@ def continuity_assembly(u0: VectorField, psi: VectorField,
     t_un = solve(_mollify(bank, u0, N), scfg)
     t_pn = solve(_mollify(bank, psi, N), scfg)
 
-    tail_u = _sup_diff_norm(bank, t_u, t_un, ns)
-    tail_p = _sup_diff_norm(bank, t_p, t_pn, ns)
+    tail_u = _sup_gap(bank, t_u, t_un, ns)
+    tail_p = _sup_gap(bank, t_p, t_pn, ns)
     interp = max(
-        math.sqrt(field_norm(bank, a - b, lo) * field_norm(bank, a - b, hi))
-        for a, b in zip(t_un.states, t_pn.states))
+        math.sqrt(_vector_half_norm(bank, a - b, lo) * _vector_half_norm(bank, a - b, hi))
+        for a, b in zip(t_un.spectra, t_pn.spectra))
     chain = tail_u + tail_p + interp
-    direct = _sup_diff_norm(bank, t_u, t_p, ns)
+    direct = _sup_gap(bank, t_u, t_p, ns)
     ratio = direct / chain if chain > 0 else 0.0
     return ExperimentReport(
         estimate_id="continuity_chain_assembly",

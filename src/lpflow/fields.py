@@ -1,29 +1,31 @@
 """Periodic grids, spectral transforms, random fields, and field file I/O.
 
-Fields live on the torus [0, 2*pi)^d sampled on a uniform n^d lattice.  The
-frequency lattice is the set of integer vectors stored in FFT order; the
-forward transform returns Fourier coefficients, i.e. it is normalized so that
+Fields live on the torus [0, 2*pi)^d sampled on a uniform n^d lattice, and
+every field is real, so it is stored as real data.  Physical values are
+float64 samples of shape ``grid.shape``; spectral values are the complex128
+half spectrum of shape ``grid.spectral_shape`` = ``grid.shape[:-1] +
+(n//2 + 1,)``: the Fourier coefficients with 0 <= k_last <= n/2 of the
+integer frequency lattice stored in FFT order (the k_last = n/2 entry is the
+Nyquist mode, -n/2 in that order).  The coefficients are normalized so that
 
-    f(x) = sum_k F(k) exp(i k.x),
+    f(x) = sum_k F(k) exp(i k.x),    F(-k) = conj(F(k)),
 
 and Parseval holds with the quadrature weight (2*pi/n)^d:
 
     (2*pi/n)^d * sum_x |f(x)|^2 = (2*pi)^d * sum_k |F(k)|^2.
 
-That normalization lives here alone, in two transform pairs.  Stored
-fields go through :func:`_to_coefficients` and :func:`_to_samples` (complex
-FFTs of the full lattice).  Real data that never leaves the library, the
-Euler solver's state and every block and derivative of the dyadic norms, goes
-through :func:`_to_half_spectrum` and :func:`_from_half_spectrum`: real FFTs
-over the last d axes of a component-stacked array, keeping the half lattice
-0 <= k_last <= n/2 (the k_last = n/2 entry is the Nyquist mode, -n/2 in FFT
-order).  :func:`_expand_half_spectrum` turns a half spectrum into the full
-one.  Fields carry no reality flag; a real field is one whose samples have
-zero imaginary part.
+That normalization lives here alone, in one transform pair,
+:func:`_to_half_spectrum` and :func:`_from_half_spectrum`: real FFTs over the
+last d axes of a component-stacked array.  The cached lattice tables
+(:func:`wavenumber_mesh`, :func:`wavenumber_norm`, :func:`dealias_mask`) are
+cut to the same half lattice.  Fields carry no reality flag: complex samples
+are stored as their real part when the imaginary part is roundoff, and
+refused otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
@@ -36,13 +38,6 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 TWO_PI = 2.0 * np.pi
-
-# LPF1 field container kinds.
-_KIND_SCALAR_PHYS = 0
-_KIND_SCALAR_SPEC = 1
-_KIND_VECTOR_PHYS = 2
-_KIND_VECTOR_SPEC = 3
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -60,6 +55,11 @@ class Grid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.d
+
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of a half spectrum: the last axis keeps k_last = 0 .. n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
 
     @property
     def spacing(self) -> float:
@@ -84,16 +84,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _to_coefficients(samples: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of torus samples: the FFT divided by n^d."""
-    return np.fft.fftn(samples) / samples.size
-
-
-def _to_samples(coeff: np.ndarray) -> np.ndarray:
-    """Torus samples from Fourier coefficients: the inverse FFT times n^d."""
-    return np.fft.ifftn(coeff) * coeff.size
-
-
 def _to_half_spectrum(samples: np.ndarray, d: int) -> np.ndarray:
     """Half-lattice coefficients of real samples over their last d axes."""
     return np.fft.rfftn(samples, axes=tuple(range(-d, 0)), norm="forward")
@@ -109,28 +99,13 @@ def _from_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
     return np.fft.irfftn(half, s=(n,) * d, axes=tuple(range(-d, 0)), norm="forward")
 
 
-def _reflect(a: np.ndarray, axes) -> np.ndarray:
-    """a(-k): the lattice reflection k -> -k (FFT order) along ``axes``."""
-    for ax in axes:
-        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
-    return a
-
-
-def _expand_half_spectrum(half: np.ndarray, d: int) -> np.ndarray:
-    """The full-lattice spectrum of the real field a half spectrum stands for.
-
-    Modes with k_last < 0 are the conjugates of their reflections; the
-    k_last = 0 and n/2 planes keep their Hermitian part (what
-    :func:`_from_half_spectrum` reads), so the result is exactly Hermitian.
-    """
-    h = half.shape[-1] - 1
-    full = np.empty(half.shape[:-1] + (2 * h,), complex)
-    flipped = _reflect(half, range(-d, -1))  # every axis but the last
-    full[..., 1:h] = half[..., 1:h]
-    for j in (0, h):
-        full[..., j] = 0.5 * (half[..., j] + np.conj(flipped[..., j]))
-    full[..., h + 1:] = np.conj(flipped[..., h - 1:0:-1])
-    return full
+@lru_cache(maxsize=None)
+def _plane_weights(n: int) -> np.ndarray:
+    """How often each k_last plane of a half spectrum occurs in the full lattice:
+    once for k_last = 0 and n/2, twice (k_last and -k_last) in between."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return _freeze(w)
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +116,15 @@ def wavenumbers_1d(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def wavenumber_mesh(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Frequency meshes (one per axis), each of shape ``(n,)*d``."""
+    """Frequency meshes (one per axis) on the half lattice ``(n,)*(d-1) + (n//2 + 1,)``.
+
+    They are the FFT-order full lattice cut to its first n//2 + 1 entries along
+    the last axis, so the k_last = n/2 entry is the Nyquist mode -n/2.
+    """
     k = wavenumbers_1d(n)
-    return tuple(_freeze(m.copy()) for m in np.meshgrid(*([k] * d), indexing="ij"))
+    return tuple(_freeze(np.ascontiguousarray(m[..., :n // 2 + 1]))
+                 for m in np.meshgrid(*([k] * d), indexing="ij"))
+
 
 @lru_cache(maxsize=None)
 def wavenumber_norm(n: int, d: int) -> np.ndarray:
@@ -167,41 +148,32 @@ def dealias_mask(n: int, d: int) -> np.ndarray:
     """Boolean mask keeping |k_axis| <= n//3 on every axis (2/3 rule)."""
     cut = n // 3
     mesh = wavenumber_mesh(n, d)
-    mask = np.ones((n,) * d, dtype=bool)
+    mask = np.ones(mesh[0].shape, dtype=bool)
     for m in mesh:
         mask &= np.abs(m) <= cut
     return _freeze(mask)
 
 
-def _lattice(n: int, d: int, last: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The cached lattice tables cut to spectra whose last axis has ``last`` entries.
-
-    ``last`` is n for the full lattice and n//2 + 1 for a half spectrum (whose
-    k_last = n/2 entry is the -n/2 of FFT order).  Returns the frequency
-    meshes, 1/|k|^2 and the 2/3-rule mask, as read-only views.
-    """
-    cut = (Ellipsis, slice(0, last))
-    return (tuple(m[cut] for m in wavenumber_mesh(n, d)), _inverse_k2(n, d)[cut],
-            dealias_mask(n, d)[cut])
-
-
-def _derivative_symbol(n: int, d: int, axis: int, last: int) -> np.ndarray:
-    """i*k_axis, cut as in :func:`_lattice`.  The axis's Nyquist plane is
-    dropped: the +/- n/2 mode has an ambiguous sign under i*k."""
-    k = _lattice(n, d, last)[0][axis]
+def _derivative_symbol(n: int, d: int, axis: int) -> np.ndarray:
+    """i*k_axis on the half lattice.  The axis's Nyquist plane is dropped: the
+    +/- n/2 mode has an ambiguous sign under i*k."""
+    k = wavenumber_mesh(n, d)[axis]
     return 1j * k * (np.abs(k) < n / 2)
 
 
 @dataclass(frozen=True)
 class GridField:
-    """A scalar field on a :class:`Grid` in one fixed representation.
+    """A real scalar field on a :class:`Grid` in one fixed representation.
 
-    ``values`` is always complex128 of shape ``grid.shape``; ``rep`` is either
-    ``"physical"`` (sample values) or ``"spectral"`` (Fourier coefficients).
-    Instances are immutable: the value buffer is frozen at construction.  A
-    caller's writeable array is copied; an array that is already frozen and
-    owns its data (as the library freezes the ones it has just computed) is
-    adopted as is.  A fourth positional argument is accepted and ignored.
+    ``rep`` is either ``"physical"``: ``values`` are float64 samples of shape
+    ``grid.shape``; or ``"spectral"``: ``values`` are the complex128 half
+    spectrum of shape ``grid.spectral_shape``.  Complex samples are stored as
+    their real part if the imaginary part is roundoff (1e-12 of the largest
+    magnitude) and raise :class:`RepresentationError` otherwise.  Instances
+    are immutable: the value buffer is frozen at construction.  A caller's
+    writeable array is copied; an array that is already frozen and owns its
+    data (as the library freezes the ones it has just computed) is adopted as
+    is.  A fourth positional argument is accepted and ignored.
     """
 
     grid: Grid
@@ -213,10 +185,18 @@ class GridField:
         if self.rep not in (PHYSICAL, SPECTRAL):
             raise RepresentationError(f"unknown representation {self.rep!r}")
         vals = np.asarray(self.values)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if vals.dtype != np.complex128:
-            vals = vals.astype(np.complex128)
+        shape, dtype = ((self.grid.shape, np.float64) if self.rep == PHYSICAL
+                        else (self.grid.spectral_shape, np.complex128))
+        if vals.shape != shape:
+            raise ValueError(f"{self.rep} values of shape {vals.shape} do not match {shape}")
+        if self.rep == PHYSICAL and np.iscomplexobj(vals):
+            imag, scale = np.abs(vals.imag).max(), np.abs(vals).max()
+            if imag > 1e-12 * scale:  # NaN data pass on to the callers' finite-value guards
+                raise RepresentationError(
+                    f"fields are real; the samples' max |imag| is {imag:.3g} of {scale:.3g}")
+            vals = vals.real
+        if vals.dtype != dtype:
+            vals = vals.astype(dtype)
         else:
             vals = vals.copy() if vals.base is not None or vals.flags.writeable else vals
         object.__setattr__(self, "values", _freeze(vals))
@@ -237,7 +217,10 @@ class GridField:
         return GridField(self.grid, _freeze(self.values - other.values), self.rep)
 
     def __mul__(self, c) -> "GridField":
-        return GridField(self.grid, _freeze(self.values * complex(c)), self.rep)
+        c = complex(c)
+        if c.imag != 0:
+            raise RepresentationError("a real field times a non-real number is not real")
+        return GridField(self.grid, _freeze(self.values * c.real), self.rep)
 
     __rmul__ = __mul__
 
@@ -299,17 +282,17 @@ class VectorField:
 
 
 def dft_forward(f: GridField) -> GridField:
-    """Physical samples -> Fourier coefficients (divides the FFT by n^d)."""
+    """Physical samples -> half-spectrum Fourier coefficients (the FFT divided by n^d)."""
     if f.rep != PHYSICAL:
         raise RepresentationError("dft_forward expects a physical-representation field")
-    return GridField(f.grid, _freeze(_to_coefficients(f.values)), SPECTRAL)
+    return GridField(f.grid, _freeze(_to_half_spectrum(f.values, f.grid.d)), SPECTRAL)
 
 
 def dft_inverse(f: GridField) -> GridField:
     """Fourier coefficients -> physical samples (exact inverse of dft_forward)."""
     if f.rep != SPECTRAL:
         raise RepresentationError("dft_inverse expects a spectral-representation field")
-    return GridField(f.grid, _freeze(_to_samples(f.values)), PHYSICAL)
+    return GridField(f.grid, _freeze(_from_half_spectrum(f.values, f.grid.d)), PHYSICAL)
 
 
 def as_spectral(f: GridField) -> GridField:
@@ -333,7 +316,8 @@ def vector_as_physical(u: VectorField) -> VectorField:
 
 
 def apply_multiplier(f: GridField, multiplier: np.ndarray) -> GridField:
-    """Apply a spectral multiplier; the output representation matches the input."""
+    """Apply a spectral multiplier given on the half lattice; the output
+    representation matches the input."""
     F = as_spectral(f)
     out = GridField(f.grid, _freeze(F.values * multiplier), SPECTRAL)
     return out if f.rep == SPECTRAL else dft_inverse(out)
@@ -348,9 +332,7 @@ def derivative(f: GridField, axis: int) -> GridField:
     g = f.grid
     if not 0 <= axis < g.d:
         raise ValueError(f"axis {axis} out of range for dimension {g.d}")
-    F = as_spectral(f)
-    out = GridField(g, _freeze(F.values * _derivative_symbol(g.n, g.d, axis, g.n)), SPECTRAL)
-    return out if f.rep == SPECTRAL else dft_inverse(out)
+    return apply_multiplier(f, _derivative_symbol(g.n, g.d, axis))
 
 
 def gradient(f: GridField) -> VectorField:
@@ -360,15 +342,6 @@ def gradient(f: GridField) -> VectorField:
 def dealias_field(f: GridField) -> GridField:
     """Zero all spectral content above the 2/3-rule cutoff n//3 (per axis)."""
     return apply_multiplier(f, dealias_mask(f.grid.n, f.grid.d).astype(float))
-
-
-def hermitian_defect(f: GridField) -> float:
-    """Max |F(k) - conj(F(-k))| relative to max |F| (0 for a real field)."""
-    F = as_spectral(f).values
-    scale = np.abs(F).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(F - np.conj(_reflect(F, range(f.grid.d)))).max() / scale)
 
 
 def max_spectral_divergence(u: VectorField) -> float:
@@ -391,25 +364,14 @@ def _require_divfree(u: VectorField, who: str) -> None:
         raise ValueError(f"{who} requires a divergence-free vector field")
 
 
-def _require_real(u: VectorField, who: str) -> None:
-    """Raise unless u's samples are real to 1e-12 of their largest magnitude."""
-    samples = [c.values for c in vector_as_physical(u).components]
-    imag = max(float(np.abs(s.imag).max()) for s in samples)
-    scale = max(float(np.abs(s).max()) for s in samples)
-    if imag > 1e-12 * scale:  # NaN data passes on to the caller's finite-value guard
-        raise ValueError(f"{who} requires a real vector field "
-                         f"(max |imag| of the samples is {imag:.3g} of {scale:.3g})")
-
-
 def _leray_spectra(spectra) -> np.ndarray:
-    """Project d spectral components onto divergence-free fields, stacked (d, ...).
+    """Project d half spectra onto divergence-free fields, stacked (d, ...).
 
-    ``spectra`` is a stacked array or a sequence of d arrays, full or half
-    spectra alike: the lattice tables follow the last axis.  The k = 0 mode is
-    left unchanged.
+    ``spectra`` is a stacked array or a sequence of d arrays.  The k = 0 mode
+    is left unchanged.
     """
-    d, n, last = len(spectra), spectra[0].shape[0], spectra[0].shape[-1]
-    mesh, inv_k2, _ = _lattice(n, d, last)
+    d, n = len(spectra), spectra[0].shape[0]
+    mesh, inv_k2 = wavenumber_mesh(n, d), _inverse_k2(n, d)
     kdotu = sum(mesh[a] * spectra[a] for a in range(d))
     out = np.empty((d,) + kdotu.shape, complex)
     for a in range(d):
@@ -444,15 +406,20 @@ class SpectrumSpec:
 
 def _hermitian_symmetrize(coeff: np.ndarray, d: int) -> np.ndarray:
     """Hermitian part of a full spectrum over its last d axes (its field's real part)."""
-    return 0.5 * (coeff + np.conj(_reflect(coeff, range(-d, 0))))
+    reflected = coeff   # coeff(-k): the lattice reflection in FFT order
+    for ax in range(-d, 0):
+        reflected = np.roll(np.flip(reflected, axis=ax), 1, axis=ax)
+    return 0.5 * (coeff + np.conj(reflected))
 
 
 def _band_scale(grid: Grid, spec: SpectrumSpec) -> np.ndarray:
+    """|k|^-decay inside the band on the full lattice, where the Gaussians are drawn."""
     lo, hi = spec.band
     if hi > grid.n // 2 - 1:
         raise ValueError(
             f"band upper edge {hi} exceeds the usable lattice radius {grid.n // 2 - 1}")
-    kk = wavenumber_norm(grid.n, grid.d)
+    k = wavenumbers_1d(grid.n)
+    kk = np.sqrt(sum(m * m for m in np.meshgrid(*([k] * grid.d), indexing="ij")))
     mask = (kk >= lo) & (kk <= hi)
     if not mask.any():
         raise ValueError(f"band {spec.band} contains no lattice frequencies")
@@ -463,69 +430,77 @@ def _band_scale(grid: Grid, spec: SpectrumSpec) -> np.ndarray:
 
 def _random_scalar_spectrum(grid: Grid, scale: np.ndarray,
                             rng: np.random.Generator) -> np.ndarray:
+    """Half spectrum of the real part of full-lattice complex Gaussians."""
     re = rng.standard_normal(grid.shape)
     im = rng.standard_normal(grid.shape)
     coeff = (re + 1j * im) * (scale / np.sqrt(2.0))
-    return _hermitian_symmetrize(coeff, grid.d)
+    return _hermitian_symmetrize(coeff, grid.d)[..., :grid.n // 2 + 1]
 
 
 def random_band_limited(grid: Grid, spec: SpectrumSpec) -> GridField:
-    """Random real scalar field with the prescribed band spectrum."""
+    """Random real scalar field (physical samples) with the prescribed band spectrum."""
     scale = _band_scale(grid, spec)
     rng = np.random.default_rng(spec.seed)
     coeff = _random_scalar_spectrum(grid, scale, rng)
-    return GridField(grid, _to_samples(coeff).real, PHYSICAL)
+    return GridField(grid, _freeze(_from_half_spectrum(coeff, grid.d)), PHYSICAL)
 
 
 def random_divergence_free(grid: Grid, spec: SpectrumSpec) -> VectorField:
-    """Random real divergence-free vector field (Leray-projected)."""
+    """Random real divergence-free vector field (physical samples, Leray-projected)."""
     scale = _band_scale(grid, spec)
     rng = np.random.default_rng(spec.seed)
     spectra = [_random_scalar_spectrum(grid, scale, rng) for _ in range(grid.d)]
-    projected = _leray_spectra(spectra)
-    comps = tuple(GridField(grid, _to_samples(s).real, PHYSICAL) for s in projected)
+    samples = _from_half_spectrum(_leray_spectra(spectra), grid.d)
+    comps = tuple(GridField(grid, s, PHYSICAL) for s in samples)
     return VectorField(comps, div_free=True)
 
 
 # ---------------------------------------------------------------------------
-# LPF1 file format
+# LPF file format
 #
-# magic "LPF1" | u8 version=1 | u8 kind | u8 d | u8 reserved=0
-# | d x u32 LE samples per axis | payload: complex128 LE (re, im) pairs,
-# row-major, components concatenated.
+# magic "LPF1" | u8 version | u8 kind | u8 d | u8 reserved=0
+# | d x u32 LE samples per axis | payload, row-major, components concatenated.
+# kind = 2 * vector + spectral: 0 scalar physical, 1 scalar spectral,
+# 2 vector physical, 3 vector spectral.
+# Version 2 (written): float64 LE samples (physical kinds), or complex128 LE
+# (re, im) half spectra of shape grid.spectral_shape (spectral kinds).
+# Version 1 (read only): complex128 LE samples or full spectra of grid.shape.
 
 _MAGIC = b"LPF1"
-_VERSION = 1
+_VERSION = 2
 
 
 def write_field(f: GridField | VectorField, path) -> None:
-    """Serialize a field to the LPF1 container (bit-exact round trip)."""
-    if isinstance(f, VectorField):
-        comps = f.components
-        kind = _KIND_VECTOR_PHYS if f.rep == PHYSICAL else _KIND_VECTOR_SPEC
-        grid = f.grid
-    else:
-        comps = (f,)
-        kind = _KIND_SCALAR_PHYS if f.rep == PHYSICAL else _KIND_SCALAR_SPEC
-        grid = f.grid
-    header = struct.pack("<4sBBBB", _MAGIC, _VERSION, kind, grid.d, 0)
+    """Serialize a field to an LPF version-2 container (bit-exact round trip)."""
+    vector = isinstance(f, VectorField)
+    comps = f.components if vector else (f,)
+    grid = f.grid
+    header = struct.pack("<4sBBBB", _MAGIC, _VERSION, 2 * vector + (f.rep == SPECTRAL), grid.d, 0)
     header += struct.pack(f"<{grid.d}I", *([grid.n] * grid.d))
+    dtype = "<f8" if f.rep == PHYSICAL else "<c16"
     with open(path, "wb") as fh:
         fh.write(header)
         for c in comps:
-            fh.write(np.ascontiguousarray(c.values).astype("<c16", copy=False).tobytes())
+            fh.write(np.ascontiguousarray(c.values).astype(dtype, copy=False).tobytes())
 
 
 def read_field(path) -> GridField | VectorField:
-    """Read an LPF1 container; the divergence flag is re-derived."""
+    """Read an LPF container, version 2 or 1; the divergence flag is re-derived.
+
+    Version-1 samples go through the :class:`GridField` conversion and
+    version-1 spectra are reduced to the half spectrum of their Hermitian
+    part; a payload that is not a real field raises :class:`FieldFormatError`.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != _MAGIC:
-        raise FieldFormatError("not an LPF1 field file (bad magic)")
+        raise FieldFormatError("not an LPF field file (bad magic)")
     version, kind, d, reserved = struct.unpack("<BBBB", data[4:8])
-    if version != _VERSION:
-        raise FieldFormatError(f"unsupported LPF1 version {version}")
-    if kind not in (_KIND_SCALAR_PHYS, _KIND_SCALAR_SPEC, _KIND_VECTOR_PHYS, _KIND_VECTOR_SPEC):
+    if version not in (1, _VERSION):
+        raise FieldFormatError(f"unsupported LPF version {version}")
+    if reserved != 0:
+        raise FieldFormatError(f"reserved header byte is {reserved}, not 0")
+    if kind > 3:
         raise FieldFormatError(f"unknown field kind {kind}")
     if d not in (2, 3):
         raise FieldFormatError(f"unsupported dimension {d}")
@@ -539,15 +514,22 @@ def read_field(path) -> GridField | VectorField:
         grid = Grid(ns[0], d)
     except ValueError as exc:
         raise FieldFormatError(str(exc)) from exc
-    ncomp = d if kind in (_KIND_VECTOR_PHYS, _KIND_VECTOR_SPEC) else 1
-    expected = ncomp * grid.n**d * 16
+    ncomp = d if kind >= 2 else 1
+    rep = SPECTRAL if kind % 2 else PHYSICAL
+    shape = grid.spectral_shape if version == 2 and rep == SPECTRAL else grid.shape
+    dtype = np.dtype("<f8" if version == 2 and rep == PHYSICAL else "<c16")
+    expected = ncomp * math.prod(shape) * dtype.itemsize
     payload = data[axes_end:]
     if len(payload) != expected:
         raise FieldFormatError(
             f"payload has {len(payload)} bytes, expected {expected}")
-    raw = np.frombuffer(payload, dtype="<c16").reshape(ncomp, *grid.shape)
-    rep = PHYSICAL if kind in (_KIND_SCALAR_PHYS, _KIND_VECTOR_PHYS) else SPECTRAL
-    fields = tuple(GridField(grid, vals, rep) for vals in raw)  # each copied once
+    raw = np.frombuffer(payload, dtype=dtype).reshape(ncomp, *shape)
+    try:
+        if version == 1 and rep == SPECTRAL:
+            raw = _hermitian_symmetrize(raw, d)[..., :grid.n // 2 + 1]
+        fields = tuple(GridField(grid, vals, rep) for vals in raw)  # each copied once
+    except ValueError as exc:
+        raise FieldFormatError(f"LPF version-1 payload is not a real field: {exc}") from exc
     if ncomp == 1:
         return fields[0]
     return VectorField(fields, div_free=max_spectral_divergence(VectorField(fields)) <= 1e-10)

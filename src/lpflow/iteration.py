@@ -14,20 +14,20 @@ of the next; the velocities of member m-1, made while stepping member m,
 give member m+1 its slopes, so none is synthesized twice.  The linear
 right-hand side is the solver's own half-spectrum kernel with the advecting
 velocity passed in; only the two advecting members are kept as half spectra,
-and each member is expanded to the stored format once.
+and each member's states are recorded as physical samples, like the solver's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bank import LPFilterBank, low_pass_multiplier
 from .errors import DegenerateInputError, StabilityError
-from .euler import SolverConfig, Trajectory, _RHS, _half_spectra, _wrap_half
-from .fields import VectorField, _leray_spectra, _require_divfree, _require_real
-from .norms import NormSpec, field_norm
+from .euler import SolverConfig, Trajectory, _RHS, _spectra, _sup_gap, _wrap
+from .fields import PHYSICAL, VectorField, _leray_spectra, _require_divfree
+from .norms import NormSpec, _vector_half_norm
 from .reports import ExperimentReport
 
 
@@ -53,11 +53,6 @@ def _hermite_midpoint(y0, y1, d0, d1, dt):
     return 0.5 * (y0 + y1) + 0.125 * dt * (d0 - d1)
 
 
-def _sup_gap(bank: LPFilterBank, a: Trajectory, b: Trajectory, spec: NormSpec) -> float:
-    """sup over recorded times of ||a(t) - b(t)||; np.max keeps a NaN that builtin max drops."""
-    return float(np.max([field_norm(bank, x - y, spec) for x, y in zip(a.states, b.states)]))
-
-
 def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
             norm_spec: NormSpec) -> IterationLadder:
     """Build members 0..M of the advection ladder started from u0.
@@ -71,28 +66,26 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise ValueError("need at least one ladder member")
     if cfg.record_stride != 1:
         raise ValueError("the ladder needs record_stride=1 (members advect each other)")
-    _require_real(u0, "iterate")
     g = u0.grid
     rhs = _RHS(g, cfg.dealias)
     dt, steps = cfg.dt, cfg.steps
     times = tuple(i * dt for i in range(steps + 1))
-    half = (Ellipsis, slice(0, g.n // 2 + 1))
-    down = NormSpec(norm_spec.s - 1.0, norm_spec.p, norm_spec.q,
-                    norm_spec.homogeneous, norm_spec.flavor)
+    down = replace(norm_spec, s=norm_spec.s - 1.0)
 
-    u0_spec = _leray_spectra(_half_spectra(u0))
+    u0_spec = _leray_spectra(_spectra(u0))
     if not np.isfinite(u0_spec).all():
         # member 1 is advected by the zero member 0, so no step guard sees its data
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
     zero = np.zeros_like(u0_spec)
-    w1 = u0_spec * low_pass_multiplier(bank, 1)[half]
-    prev = [w1]   # member 1 in half form: frozen, so only its t = 0 state is read
+    w1 = u0_spec * low_pass_multiplier(bank, 1)
+    prev = [w1] * (steps + 1)   # member 1 in half form: frozen
     before_vel = None   # member m-2's velocities, read only once m > 2
-    members = [Trajectory(times, (_wrap_half(g, zero),) * (steps + 1)),
-               Trajectory(times, (_wrap_half(g, w1),) * (steps + 1))]
-    decay = [field_norm(bank, members[1].states[0], down)]   # member 1 - member 0, at any time
+    members = [Trajectory(times, (_wrap(g, zero, PHYSICAL),) * (steps + 1), {},
+                          (zero,) * (steps + 1)),
+               Trajectory(times, (_wrap(g, w1, PHYSICAL),) * (steps + 1), {}, tuple(prev))]
+    decay = [_vector_half_norm(bank, w1, down)]   # member 1 - member 0, at any time
     for m in range(2, M + 1):
-        w = u0_spec * low_pass_multiplier(bank, m)[half]
+        w = u0_spec * low_pass_multiplier(bank, m)
         history = [w]
         vel = [rhs.velocity(prev[0])]   # member m-1's velocity at every time, for member m+1
         if m > 2:
@@ -118,7 +111,8 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
             k4 = rhs(w + dt * k3, vel1)
             w = _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
             history.append(w)
-        members.append(Trajectory(times, tuple(_wrap_half(g, s) for s in history)))
+        members.append(Trajectory(times, tuple(_wrap(g, s, PHYSICAL) for s in history), {},
+                                  tuple(history)))
         decay.append(_sup_gap(bank, members[m], members[m - 1], down))
         before_vel, prev = vel, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
@@ -126,8 +120,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
 
 def member_norm_history(bank: LPFilterBank, ladder: IterationLadder, m: int) -> tuple[float, ...]:
     """||member m (t)|| in the ladder's norm at every recorded time."""
-    traj = ladder.members[m]
-    return tuple(field_norm(bank, st, ladder.norm_spec) for st in traj.states)
+    return tuple(_vector_half_norm(bank, s, ladder.norm_spec) for s in ladder.members[m].spectra)
 
 
 def cauchy_report(ladder: IterationLadder) -> ExperimentReport:
@@ -153,9 +146,5 @@ def cauchy_report(ladder: IterationLadder) -> ExperimentReport:
 def ladder_vs_solve(bank: LPFilterBank, ladder: IterationLadder,
                     reference: Trajectory) -> float:
     """sup over recorded times of ||top member - reference|| one norm down."""
-    ns = ladder.norm_spec
-    down = NormSpec(ns.s - 1.0, ns.p, ns.q, ns.homogeneous, ns.flavor)
-    top = ladder.members[-1]
-    if len(top.times) != len(reference.times):
-        raise ValueError("ladder and reference trajectories use different cadences")
-    return _sup_gap(bank, top, reference, down)
+    down = replace(ladder.norm_spec, s=ladder.norm_spec.s - 1.0)
+    return _sup_gap(bank, ladder.members[-1], reference, down)

@@ -16,7 +16,7 @@ from scipy.ndimage import uniform_filter
 
 from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
-from .fields import (PHYSICAL, Grid, GridField, _to_coefficients, _to_samples,
+from .fields import (PHYSICAL, Grid, GridField, _from_half_spectrum, _to_half_spectrum,
                      as_physical, as_spectral, wavenumber_norm)
 
 _WINDOWS = ("cube", "ball")
@@ -61,7 +61,8 @@ def _ball_average(a: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
     mesh = np.meshgrid(*([dist] * grid.d), indexing="ij")
     mask = (sum(m * m for m in mesh) <= radius * radius).astype(float)
     # the cyclic convolution has coefficients n^d * A(k) * M(k)
-    conv = _to_samples(_to_coefficients(a) * _to_coefficients(mask) * a.size).real
+    d = grid.d
+    conv = _from_half_spectrum(_to_half_spectrum(a, d) * _to_half_spectrum(mask, d) * a.size, d)
     return conv / mask.sum()
 
 
@@ -202,7 +203,7 @@ class RadialProfile:
         if self.kind == "gaussian":
             kk = wavenumber_norm(g.n, g.d)
             mult = np.exp(-0.5 * (self.param * eps * kk) ** 2)
-            return _to_samples(F * mult).real
+            return _from_half_spectrum(F * mult, g.d)
         # periodized sampled kernel, normalized to its continuum mass
         self.majorant_l1(g.d)  # raises for nonintegrable profiles
         x = g.axis_coordinates()
@@ -217,7 +218,8 @@ class RadialProfile:
             kernel += (1.0 + rad / eps) ** (-self.param) / eps**g.d
         kernel *= g.cell_volume
         absf = np.abs(as_physical(f).values)
-        return _to_samples(_to_coefficients(absf) * _to_coefficients(kernel) * absf.size).real
+        return _from_half_spectrum(_to_half_spectrum(absf, g.d) * _to_half_spectrum(kernel, g.d)
+                                   * absf.size, g.d)
 
 
 def verify_radial_majorant(profile: RadialProfile, f: GridField,
@@ -231,7 +233,7 @@ def verify_radial_majorant(profile: RadialProfile, f: GridField,
     if np.abs(absf.values).max() == 0.0:
         raise DegenerateInputError("zero field in radial majorant bound")
     c_major = profile.majorant_l1(g.d)
-    mf = hl_maximal(absf, cfg).values.real
+    mf = hl_maximal(absf, cfg).values
     return float(np.max([(np.abs(profile.convolve(absf, eps)) / (c_major * mf)).max()
                          for eps in eps_list]))
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .bank import LPFilterBank, radial_cutoff
 from .errors import DegenerateInputError, ResolutionError
-from .fields import (PHYSICAL, GridField, VectorField, _derivative_symbol,
-                     _from_half_spectrum, _hermitian_symmetrize, _to_half_spectrum,
+from .fields import (GridField, VectorField, _derivative_symbol, _from_half_spectrum,
                      apply_multiplier, as_physical, as_spectral, wavenumber_norm)
 
 _FLAVORS = ("tl", "besov")
@@ -80,27 +79,17 @@ def lp_norm(f: GridField | VectorField, p: float) -> float:
     return _lp_of_array(vals, p, f.grid.cell_volume)
 
 
-def _half_spectrum(f: GridField) -> np.ndarray:
-    """Half spectrum of the real field f stands for, which every norm measures:
-    the real part of its samples, or the Hermitian part of its spectrum."""
-    d = f.grid.d
-    if f.rep == PHYSICAL:
-        return _to_half_spectrum(f.values.real, d)
-    return _hermitian_symmetrize(f.values, d)[..., :f.grid.n // 2 + 1]
-
-
 def _gradient_halves(f: GridField):
-    """Half spectra of the d partial derivatives of the real field f stands for."""
-    half, g = _half_spectrum(f), f.grid
+    """Half spectra of the d partial derivatives of f."""
+    half, g = as_spectral(f).values, f.grid
     for a in range(g.d):
-        yield half * _derivative_symbol(g.n, g.d, a, half.shape[-1])
+        yield half * _derivative_symbol(g.n, g.d, a)
 
 
 def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
     """|P_0 f| (if ``low``), then |block_j f| for j = 0..j_max: one real inverse each."""
-    h = half.shape[-1]
     for m in (bank.phi_0, *bank.psi) if low else bank.psi:
-        b = _from_half_spectrum(half * m[..., :h], bank.grid.d)
+        b = _from_half_spectrum(half * m, bank.grid.d)
         yield np.abs(b, out=b)
 
 
@@ -132,14 +121,19 @@ def _half_norm(bank: LPFilterBank, half: np.ndarray, spec: NormSpec) -> float:
     return float(sum(t**spec.q for t in terms) ** (1.0 / spec.q))
 
 
+def _vector_half_norm(bank: LPFilterBank, halves, spec: NormSpec) -> float:
+    """Quadrature (little-l2) aggregate of the norms ``spec`` of the half spectra ``halves``."""
+    return math.sqrt(sum(_half_norm(bank, h, spec) ** 2 for h in halves))
+
+
 def tl_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Triebel-Lizorkin norm of a scalar field."""
-    return _half_norm(bank, _half_spectrum(f), replace(spec, flavor="tl"))
+    return _half_norm(bank, as_spectral(f).values, replace(spec, flavor="tl"))
 
 
 def besov_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Besov norm of a scalar field."""
-    return _half_norm(bank, _half_spectrum(f), replace(spec, flavor="besov"))
+    return _half_norm(bank, as_spectral(f).values, replace(spec, flavor="besov"))
 
 
 def field_norm(bank: LPFilterBank, f: GridField | VectorField, spec: NormSpec) -> float:
@@ -148,10 +142,9 @@ def field_norm(bank: LPFilterBank, f: GridField | VectorField, spec: NormSpec) -
     Vector fields aggregate component norms in quadrature (little-l2), which
     is equivalent to any other componentwise convention up to fixed factors.
     """
-    fn = tl_norm if spec.flavor == "tl" else besov_norm
     if isinstance(f, VectorField):
-        return float(np.sqrt(sum(fn(bank, c, spec) ** 2 for c in f.components)))
-    return fn(bank, f, spec)
+        return _vector_half_norm(bank, (as_spectral(c).values for c in f.components), spec)
+    return _half_norm(bank, as_spectral(f).values, spec)
 
 
 def sup_norm(f: GridField | VectorField) -> float:
@@ -212,7 +205,7 @@ def verify_embedding(bank: LPFilterBank, f: GridField, source: tuple[float, floa
 def fractional_laplacian_half(f: GridField, order: float) -> GridField:
     """|k|^order spectral multiplier (the k = 0 mode is annihilated)."""
     kk = wavenumber_norm(f.grid.n, f.grid.d)
-    mult = np.zeros(f.grid.shape)
+    mult = np.zeros(kk.shape)
     nz = kk > 0
     mult[nz] = kk[nz] ** order
     return apply_multiplier(f, mult)
@@ -253,7 +246,11 @@ def _kernel_lattice(refinement: int, d: int, profile: str):
     xi_1d = np.fft.fftfreq(m_pts, d=1.0 / m_pts) * dxi
     mesh = np.meshgrid(*([xi_1d] * d), indexing="ij")
     rho = np.sqrt(sum(m * m for m in mesh))
-    psi = radial_cutoff(rho / 2.0, profile) - radial_cutoff(rho, profile)
+    # psi vanishes off the open annulus 1/2 < rho < 2, exactly: both profiles
+    # return 1.0 for r <= 1/2 and 0.0 for r >= 1.
+    ann = (rho > 0.5) & (rho < 2.0)
+    psi = np.zeros_like(rho)
+    psi[ann] = radial_cutoff(rho[ann] / 2.0, profile) - radial_cutoff(rho[ann], profile)
     return mesh, psi
 
 

@@ -9,7 +9,6 @@ dealiased factors, so the three pieces sum to the dealiased product exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,11 +16,12 @@ import numpy as np
 from .bank import LPFilterBank, decompose
 from .corpus import scalar_sample, transport_pair
 from .errors import DegenerateInputError
-from .fields import (PHYSICAL, GridField, VectorField, _derivative_symbol, _freeze,
-                     _from_half_spectrum, _require_divfree, _to_half_spectrum, as_physical,
-                     as_spectral, dealias_field, derivative)
-from .norms import (NormSpec, _gradient_halves, _half_norm, _half_spectrum, _lp_of_array,
-                    _tl_ladder, field_norm, grad_sup_norm, sup_norm)
+from .fields import (PHYSICAL, GridField, SpectrumSpec, VectorField, _derivative_symbol,
+                     _freeze, _from_half_spectrum, _leray_spectra, _require_divfree,
+                     _to_half_spectrum, as_physical, as_spectral, dealias_field,
+                     random_divergence_free, vector_as_physical, vector_as_spectral)
+from .norms import (NormSpec, _gradient_halves, _lp_of_array, _tl_ladder, _vector_half_norm,
+                    field_norm, grad_sup_norm, sup_norm)
 from .reports import ExperimentReport
 
 _OFFSET = 3  # blocks closer than this are "comparable frequency"
@@ -76,7 +76,8 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
 
 def _advect(u_comps: list[np.ndarray], g: GridField) -> np.ndarray:
     """Physical samples of sum_l u_l * d_l g (factors already dealiased)."""
-    return sum(ul * as_physical(derivative(g, l)).values for l, ul in enumerate(u_comps))
+    d = g.grid.d
+    return sum(ul * _from_half_spectrum(h, d) for ul, h in zip(u_comps, _gradient_halves(g)))
 
 
 def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorField, GridField]:
@@ -96,14 +97,13 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     formed once for every j.
     """
     n, d = gs.grid.n, gs.grid.d
-    fv = [c.values.real for c in fd.components]
-    half = _half_spectrum(gs)
-    h = half.shape[-1]
-    iks = [_derivative_symbol(n, d, a, h) for a in range(d)]
+    fv = [c.values for c in fd.components]
+    half = gs.values
+    iks = [_derivative_symbol(n, d, a) for a in range(d)]
     inner = _to_half_spectrum(sum(ul * _from_half_spectrum(half * ik, d)
                                   for ul, ik in zip(fv, iks)), d)
     for j in js:
-        psi = bank.psi[j][..., :h]
+        psi = bank.psi[j]
         block = half * psi
         term1 = sum(ul * _from_half_spectrum(block * ik, d) for ul, ik in zip(fv, iks))
         yield term1 - _from_half_spectrum(inner * psi, d)
@@ -112,8 +112,6 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
     """f.grad(block_j g) - block_j(f.grad g) with dealiased products.
 
-    It acts on the real fields the data stand for (the real part of samples,
-    the Hermitian part of a spectrum), like every norm in :mod:`lpflow.norms`.
     """
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"block index {j} outside [0, {bank.j_max}]")
@@ -133,7 +131,7 @@ class CommutatorSequence:
 
 
 def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> CommutatorSequence:
-    """Every :func:`commutator` block, j = 0..j_max, of the real fields f and g stand for."""
+    """Every :func:`commutator` block, j = 0..j_max."""
     fd, gs = _dealiased_factors(f, g, "commutator")
     return CommutatorSequence(tuple(GridField(g.grid, b, PHYSICAL) for b in
                                     _commutator_blocks(bank, fd, gs, range(bank.j_max + 1))))
@@ -147,8 +145,7 @@ def _sequence_tl_norm(blocks, spec: NormSpec, cell_volume: float) -> float:
 
 def _jacobian_tl_norm(bank: LPFilterBank, u: VectorField, spec: NormSpec) -> float:
     """Quadrature aggregate of the dyadic norms of every du_l/dx_i."""
-    return math.sqrt(sum(_half_norm(bank, half, spec) ** 2
-                         for c in u.components for half in _gradient_halves(c)))
+    return _vector_half_norm(bank, (h for c in u.components for h in _gradient_halves(c)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +184,17 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
     if spec.s <= -1:
         raise ValueError(f"the transport estimate needs s > -1, got s={spec.s}")
     _require_divfree(u, "verify_moser_transport")
-    ud = [as_physical(dealias_field(c)) for c in u.components]
+    ud = VectorField(tuple(as_physical(dealias_field(c)) for c in u.components))
     vd = as_physical(dealias_field(v))
-    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud], vd)), PHYSICAL)
+    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud.components], vd)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
-    gv_norm = math.sqrt(sum(_half_norm(bank, half, spec) ** 2 for half in _gradient_halves(vd)))
-    u_sup = sup_norm(VectorField(tuple(ud)))
+    gv_norm = _vector_half_norm(bank, _gradient_halves(vd), spec)
+    u_sup = sup_norm(ud)
     if form == "prod2":
-        u_norm = math.sqrt(sum(field_norm(bank, c, spec) ** 2 for c in ud))
-        rhs = u_sup * gv_norm + grad_sup_norm(vd) * u_norm
+        rhs = u_sup * gv_norm + grad_sup_norm(vd) * field_norm(bank, ud, spec)
     else:
-        rhs = u_sup * gv_norm + sup_norm(vd) * _jacobian_tl_norm(bank, VectorField(tuple(ud)), spec)
+        rhs = u_sup * gv_norm + sup_norm(vd) * _jacobian_tl_norm(bank, ud, spec)
     if lhs == 0.0:
         return 0.0
     if rhs == 0.0:
@@ -267,24 +263,18 @@ def _modulated_pair(grid, s: float, top: int):
     u1 = 2.0 ** (-top * s) * env * np.cos(2**top * x[1])
     comps = [GridField(grid, u1, PHYSICAL)] + [
         GridField(grid, np.zeros(grid.shape), PHYSICAL) for _ in range(grid.d - 1)]
-    from .fields import vector_as_physical, vector_as_spectral
-    from .fields import _leray_spectra  # projection keeps the scan honest
-
+    # projection keeps the scan honest
     spec = vector_as_spectral(VectorField(tuple(comps)))
     proj = _leray_spectra([c.values for c in spec.components])
     u = vector_as_physical(VectorField(tuple(
-        GridField(grid, _freeze(p), "spectral") for p in proj), div_free=True))
-    u = VectorField(tuple(GridField(grid, c.values.real, PHYSICAL)
-                          for c in u.components), div_free=True)
+        GridField(grid, p, "spectral") for p in proj), div_free=True))
     return u, v
 
 
 def _random_pair(grid, s: float, top: int):
     lo = max(1, 2 ** (top - 1))
     hi = min(grid.n // 3, 2**top)
-    from .fields import SpectrumSpec, random_divergence_free, vector_as_physical
-
-    u = vector_as_physical(random_divergence_free(grid, SpectrumSpec(s, (lo, hi), seed=900 + top)))
+    u = random_divergence_free(grid, SpectrumSpec(s, (lo, hi), seed=900 + top))
     g = scalar_sample(grid, 950 + top, decay=s, band=(lo, hi))
     return u, g
 

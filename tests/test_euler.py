@@ -6,15 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from lpflow import (Grid, GridField, NormSpec, SolverConfig, StabilityError,
-                    Trajectory, VectorField, energy, euler_rhs, flow_map,
+from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig,
+                    StabilityError, Trajectory, VectorField, energy, euler_rhs, flow_map,
                     jacobian_determinant, pressure_gradient, solve, taylor_green,
                     vorticity)
 from lpflow.corpus import divfree_sample
-from lpflow.euler import (_RHS, _eval_velocity, _half_spectra, default_seed_grid,
+from lpflow.euler import (_RHS, _eval_velocity, _spectra, default_seed_grid,
                           steady_trajectory, stream_values, taylor_green_stream)
-from lpflow.fields import (SpectrumSpec, dealias_mask, random_divergence_free,
-                           vector_as_physical, vector_as_spectral, wavenumber_mesh)
+from lpflow.fields import (SpectrumSpec, _plane_weights, random_divergence_free,
+                           vector_as_physical, wavenumber_mesh)
 
 TG_ENERGY = 4.442882938158366
 TG_ENSTROPHY = 6.283185307179586
@@ -135,10 +135,12 @@ def test_non_solenoidal_nan_data_rejected():
 
 
 def test_complex_data_refused(grid64):
-    # The solver state is a half spectrum, which can only carry a real field.
-    u0 = taylor_green(grid64) * 1j
-    with pytest.raises(ValueError, match="solve requires a real vector field"):
-        solve(u0, SolverConfig(dt=1e-3, T=2e-3))
+    # Fields are real: complex data never reach the solver.
+    with pytest.raises(RepresentationError):
+        taylor_green(grid64) * 1j
+    x = grid64.meshes()
+    with pytest.raises(RepresentationError):
+        GridField(grid64, np.sin(x[1]) * (1 + 1e-6j), "physical")
 
 
 def test_solve_is_deterministic(grid64):
@@ -151,12 +153,18 @@ def test_solve_is_deterministic(grid64):
             assert np.array_equal(ca.values, cb.values)
 
 
+def _full_mesh(n, d):
+    """The full FFT-order frequency lattice, one mesh per axis."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return np.meshgrid(*([k] * d), indexing="ij")
+
+
 def _complex_path_rhs(spectra, grid, dealias):
     """Oracle: -P(u . grad u) on full spectra through complex FFTs, one
     transform per component and per gradient entry."""
     n, d = grid.n, grid.d
-    mesh = wavenumber_mesh(n, d)
-    mask = dealias_mask(n, d) if dealias else np.ones(grid.shape, bool)
+    mesh = _full_mesh(n, d)
+    mask = np.all([np.abs(m) <= n // 3 for m in mesh], axis=0) if dealias else 1.0
     vel = [np.fft.ifftn(s * mask).real * n**d for s in spectra]
     adv = []
     for l in range(d):
@@ -176,12 +184,12 @@ def test_half_spectrum_rhs_matches_complex_path(n, d, dealias):
     # product reaches the Nyquist planes.
     grid = Grid(n, d)
     u = random_divergence_free(grid, SpectrumSpec(1.0, (1, n // 2 - 1), 5))
-    full = [c.values for c in vector_as_spectral(u).components]
+    full = [np.fft.fftn(c.values) / n**d for c in u.components]
     want = _complex_path_rhs(full, grid, dealias)
-    got = _RHS(grid, dealias)(_half_spectra(u))
+    got = _RHS(grid, dealias)(_spectra(u))
     # Modes with a component at n/2 are dropped: there the complex path's
     # projection is not the spectrum of a real field.
-    nyquist = (np.abs(np.stack(wavenumber_mesh(n, d))[..., :n // 2 + 1]) == n // 2).any(axis=0)
+    nyquist = (np.abs(np.stack(wavenumber_mesh(n, d))) == n // 2).any(axis=0)
     assert not got[:, nyquist].any()
     err = np.abs(got - want[..., :n // 2 + 1])[:, ~nyquist].max() / np.abs(want).max()
     print("half vs complex path", err)
@@ -235,18 +243,21 @@ def _dense_velocity(spectra, xs, grid):
 
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
 def test_velocity_evaluator_matches_dense_sum(n, d):
-    # Complex white noise excites every mode.  Without Hermitian symmetry the
-    # real part also depends on the sign of the k = -n/2 phases.
+    # Real white noise excites every mode.  Modes with k = -n/2 on an axis other
+    # than the last are removed: off the lattice their interpolant depends on the
+    # sign convention, which the half sum (k_last >= 0) and the full sum fold
+    # differently.  The k_last = -n/2 plane, which both sums read once, is kept.
     grid = Grid(n, d)
     rng = np.random.default_rng(3)
-    samples = (rng.uniform(-1.0, 1.0, (d,) + grid.shape)
-               + 1j * rng.uniform(-1.0, 1.0, (d,) + grid.shape))
-    spectra = [np.fft.fftn(s) / n**d for s in samples]
+    full = np.fft.fftn(rng.uniform(-1.0, 1.0, (d,) + grid.shape), axes=range(1, d + 1)) / n**d
+    full *= np.all([m != -n // 2 for m in _full_mesh(n, d)[:-1]], axis=0)
+    samples = np.fft.ifftn(full, axes=range(1, d + 1)).real * n**d
+    half = _spectra(VectorField(tuple(GridField(grid, s, "physical") for s in samples)))
     xs = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (d, 2000))   # unwrapped particles
     assert (xs < 0).any() and (xs > 2.0 * math.pi).any()
-    tables = [np.empty((n, xs.shape[1]), complex) for _ in range(d)]
-    err = np.abs(_eval_velocity(spectra, xs, grid, tables)
-                 - _dense_velocity(spectra, xs, grid)).max()
+    tables = [np.empty((n if a < d - 1 else n // 2 + 1, xs.shape[1]), complex) for a in range(d)]
+    err = np.abs(_eval_velocity(half * _plane_weights(n), xs, grid, tables)
+                 - _dense_velocity(full, xs, grid)).max()
     print("evaluator vs dense sum", err / np.abs(samples).max())
     assert err <= 1e-13 * np.abs(samples).max()
 

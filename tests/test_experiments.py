@@ -13,12 +13,12 @@ from lpflow.experiments import DependenceConfig, boundedness_experiment
 from lpflow.norms import field_norm
 
 BOUNDEDNESS_MAX = 1.0005057465427485
-# RHO_N345[2] and CONTINUITY_RATIO re-pinned for the half-spectrum solver (CHANGES.md has
+# RHO_N345[2] and CONTINUITY_RATIO re-pinned for the float64 field format (CHANGES.md has
 # the shift of each against its roundoff probes); RHO_N345[:2] are the older pins.
-RHO_N345 = (1.0045143136383348, 1.0109110786033393, 1.0581372472658426)
+RHO_N345 = (1.0045143136383348, 1.0109110786033393, 1.05813724164475)
 SIGMA_N3 = 0.16955861661531602
 SIGMA_N5 = 0.04569727622134795
-CONTINUITY_RATIO = 0.43912444201415596
+CONTINUITY_RATIO = 0.43912444522292277
 INTERP_SAMPLE5 = 0.865910185863096
 
 

@@ -15,10 +15,9 @@ from lpflow import (FieldFormatError, Grid, GridField, RepresentationError,
                     gradient, random_band_limited, random_divergence_free,
                     read_field, write_field)
 from lpflow.euler import leray_project
-from lpflow.fields import (_expand_half_spectrum, _to_coefficients, _to_half_spectrum,
-                           apply_multiplier, dealias_mask, hermitian_defect,
-                           max_spectral_divergence, vector_as_physical,
-                           wavenumbers_1d)
+from lpflow.fields import (_from_half_spectrum, _to_half_spectrum, apply_multiplier,
+                           dealias_mask, max_spectral_divergence, vector_as_physical,
+                           wavenumber_mesh, wavenumbers_1d)
 
 
 def test_grid_validation():
@@ -86,8 +85,8 @@ def test_values_frozen(grid64):
 
 def test_dealias_mask_cutoff():
     mask = dealias_mask(64, 2)
-    k = wavenumbers_1d(64)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kx, ky = wavenumber_mesh(64, 2)
+    assert mask.shape == (64, 33) and ky[0, -1] == -32   # the half lattice, Nyquist last
     assert not mask[np.maximum(np.abs(kx), np.abs(ky)) > 64 // 3].any()
     assert mask[np.maximum(np.abs(kx), np.abs(ky)) <= 64 // 3 - 1].all()
 
@@ -98,11 +97,36 @@ def test_dealias_idempotent(grid64):
     assert np.abs(dealias_field(g).values - g.values).max() == 0.0
 
 
-def test_random_fields_are_real_and_reproducible(grid64):
-    f = random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12))
-    assert hermitian_defect(f) < 1e-14
-    g = random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12))
-    assert np.abs(f.values - g.values).max() == 0.0
+def _reflect(a, axes):
+    """a(-k): the FFT-order lattice reflection k -> -k along ``axes``."""
+    for ax in axes:
+        a = np.roll(np.flip(a, axis=ax), 1, axis=ax)
+    return a
+
+
+def _complex_path_sample(grid, spec):
+    """Oracle: the sampler as a full-lattice complex path, the real part of the
+    inverse complex FFT of the Hermitian-symmetrized Gaussians."""
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    kk = np.sqrt(sum(m * m for m in np.meshgrid(*([k] * grid.d), indexing="ij")))
+    lo, hi = spec.band
+    scale = np.where((kk >= lo) & (kk <= hi), np.maximum(kk, 1.0) ** -spec.decay_exponent, 0.0)
+    rng = np.random.default_rng(spec.seed)
+    coeff = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * (
+        scale / np.sqrt(2.0))
+    coeff = 0.5 * (coeff + np.conj(_reflect(coeff, range(-grid.d, 0))))
+    return np.fft.ifftn(coeff).real * grid.n**grid.d
+
+
+def test_random_fields_are_real_and_reproducible():
+    for grid in (Grid(64, 2), Grid(16, 3)):
+        spec = SpectrumSpec(2.0, (1, grid.n // 2 - 1), 12)
+        f = random_band_limited(grid, spec)
+        assert f.values.dtype == np.float64
+        want = _complex_path_sample(grid, spec)
+        assert np.abs(f.values - want).max() <= 1e-15 * np.abs(want).max()
+        g = random_band_limited(grid, spec)
+        assert np.abs(f.values - g.values).max() == 0.0
 
 
 def test_divergence_free_sampler(grid64):
@@ -174,6 +198,28 @@ def test_3d_roundtrip_and_divergence(grid16_3d):
     assert np.abs(back.values - c.values).max() < 1e-14
 
 
+def test_complex_samples_are_refused_or_stored_real(grid64):
+    """Fields are real: samples with an imaginary part above 1e-12 of their
+    largest magnitude are refused, near-real ones are stored as their real part,
+    and NaN passes on to the callers' finite-value guards."""
+    x = grid64.meshes()
+    re = np.cos(x[0]) + np.sin(2 * x[1])
+    with pytest.raises(RepresentationError):
+        GridField(grid64, re + 1e-10j * np.sin(x[1]), "physical")
+    f = GridField(grid64, re + 1e-13j * np.sin(x[1]), "physical")
+    assert f.values.dtype == np.float64 and np.array_equal(f.values, re)
+    with pytest.raises(RepresentationError):
+        f * 1j
+    nan = re.astype(complex)
+    nan[2, 3] = complex(np.nan, 1.0)
+    assert np.isnan(GridField(grid64, nan, "physical").values[2, 3])
+    spec = dft_forward(f)
+    assert spec.values.dtype == np.complex128 and spec.values.shape == grid64.spectral_shape
+    with pytest.raises(ValueError):
+        GridField(grid64, np.zeros(grid64.shape, complex), "spectral")   # a full spectrum
+    assert np.array_equal(dft_inverse(spec).values, dft_inverse(spec * 1.0).values)
+
+
 def test_field_copies_a_writeable_array(grid64):
     vals = np.ones(grid64.shape, complex)
     f = GridField(grid64, vals, "physical")
@@ -195,10 +241,23 @@ def test_fields_store_no_reality_flag(grid64):
 
 def test_reality_flag_is_not_readable(grid64):
     # The old four-argument call still works, but no field answers is_real.
-    for f in (GridField(grid64, 1j * np.ones(grid64.shape), "physical", True),
-              GridField(grid64, np.ones(grid64.shape), "physical")):
+    for f in (GridField(grid64, np.ones(grid64.shape), "physical", True),
+              GridField(grid64, np.ones(grid64.spectral_shape), "spectral")):
         with pytest.raises(AttributeError):
             f.is_real
+
+
+def _expand(half, d):
+    """Oracle: the full FFT-order spectrum of the real field a half spectrum stands
+    for, k_last < 0 by conjugate reflection, Hermitian parts of the edge planes."""
+    h = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * h,), complex)
+    flipped = _reflect(half, range(-d, -1))   # every axis but the last
+    full[..., 1:h] = half[..., 1:h]
+    for j in (0, h):
+        full[..., j] = 0.5 * (half[..., j] + np.conj(flipped[..., j]))
+    full[..., h + 1:] = np.conj(flipped[..., h - 1:0:-1])
+    return full
 
 
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
@@ -207,19 +266,19 @@ def test_half_spectrum_expands_to_the_full_spectrum(n, d):
     grid = Grid(n, d)
     samples = np.random.default_rng(8).standard_normal((2,) + grid.shape)
     half = _to_half_spectrum(samples, d)
-    assert half.shape == (2,) + (n,) * (d - 1) + (n // 2 + 1,)
+    assert half.shape == (2,) + grid.spectral_shape
     for s, h in zip(samples, half):
-        full = _expand_half_spectrum(h, d)
-        assert hermitian_defect(GridField(grid, full, "spectral")) == 0.0
-        want = _to_coefficients(s)
+        full = _expand(h, d)
+        assert np.array_equal(full, np.conj(_reflect(full, range(-d, 0))))   # Hermitian
+        want = np.fft.fftn(s) / n**d
         assert np.abs(full - want).max() <= 1e-15 * np.abs(want).max()
-    stacked = _expand_half_spectrum(half, d)
-    assert all(np.array_equal(stacked[i], _expand_half_spectrum(half[i], d)) for i in range(2))
+        assert np.abs(_from_half_spectrum(h, d) - s).max() <= 1e-14 * np.abs(s).max()
+    assert np.array_equal(_from_half_spectrum(half, d)[1], _from_half_spectrum(half[1], d))
 
 
 def test_transform_results_are_read_only(grid64):
     f = random_band_limited(grid64, SpectrumSpec(2.0, (1, 8), 12))
-    mult = np.full(grid64.shape, 0.5)
+    mult = np.full(grid64.spectral_shape, 0.5)
     for out in (dft_forward(f), apply_multiplier(f, mult), derivative(f, 0),
                 dft_inverse(dft_forward(f))):
         assert not out.values.flags.writeable
@@ -248,12 +307,11 @@ def _transform_calls(path: Path) -> set[str]:
 
 
 def test_torus_transforms_live_in_fields():
-    """Every torus FFT goes through the two transform pairs in lpflow.fields
-    (complex for stored fields, real for the solver state).  The one exception
-    is the kernel quadrature, which transforms an auxiliary box."""
+    """Every torus FFT goes through the one real transform pair in lpflow.fields.
+    The one exception is the kernel quadrature, which transforms an auxiliary box."""
     outside = {f"{path.stem}.{name}"
                for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
                if path.name != "fields.py" for name in _transform_calls(path)}
     assert outside == {"norms._kernel_scale_l1"}
     assert _transform_calls(Path(lpflow.fields.__file__)) == {
-        "_to_coefficients", "_to_samples", "_to_half_spectrum", "_from_half_spectrum"}
+        "_to_half_spectrum", "_from_half_spectrum"}

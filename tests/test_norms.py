@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from lpflow import (GridField, NormSpec, VectorField, besov_norm, kernel_l1_bound, lp_norm,
-                    tl_norm, verify_embedding, verify_equivalence,
+import lpflow.norms
+
+from lpflow import (GridField, NormSpec, RepresentationError, VectorField, besov_norm,
+                    kernel_l1_bound, lp_norm, tl_norm, verify_embedding, verify_equivalence,
                     verify_lifting)
-from lpflow import commutator_sequence, delta_j
-from lpflow.bank import decompose
+from lpflow import commutator_sequence
+from lpflow.bank import radial_cutoff
 from lpflow.corpus import scalar_sample, transport_pair
-from lpflow.fields import (as_physical, as_spectral, dealias_field, derivative,
-                           dft_forward, vector_as_physical)
+from lpflow.fields import as_physical, dft_forward, vector_as_physical
 from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm, grad_sup_norm,
                           kernel_l1_terms, sup_norm)
 from lpflow.paraproduct import _sequence_tl_norm
@@ -174,6 +175,29 @@ def test_kernel_tail_equals_explicit_terms(profile, d, refinement, axes):
         assert terms[j] == 2.0**j * _kernel_scale_l1(mesh, psi, profile, l, k, i, j)
 
 
+def _full_lattice_bump(refinement, d, profile):
+    """psi evaluated on the whole dual lattice, as before the annulus restriction."""
+    mesh, _ = _kernel_lattice(refinement, d, profile)
+    rho = np.sqrt(sum(m * m for m in mesh))
+    return mesh, radial_cutoff(rho / 2.0, profile) - radial_cutoff(rho, profile)
+
+
+@pytest.mark.parametrize("refinement, d", [(7, 2), (8, 2), (5, 3)])
+@pytest.mark.parametrize("profile", ["exp", "cos"])
+def test_kernel_bump_is_evaluated_on_its_annulus_only(refinement, d, profile):
+    """Restricting psi to 1/2 < |xi| < 2 changes no bit: both profiles are
+    exactly 1 below radius 1/2 and exactly 0 from radius 1 on."""
+    _, psi = _kernel_lattice(refinement, d, profile)
+    assert np.array_equal(psi, _full_lattice_bump(refinement, d, profile)[1])
+
+
+@pytest.mark.parametrize("profile", ["exp", "cos"])
+def test_kernel_terms_unchanged_by_the_annulus(profile, monkeypatch):
+    terms = kernel_l1_terms(profile, 1, 0, 1, refinement=7)
+    monkeypatch.setattr(lpflow.norms, "_kernel_lattice", _full_lattice_bump)
+    assert kernel_l1_terms(profile, 1, 0, 1, refinement=7) == terms
+
+
 def test_kernel_refinement_stability():
     t7 = kernel_l1_bound(refinement=7)
     t8 = kernel_l1_bound(refinement=8)
@@ -191,12 +215,35 @@ def test_kernel_axis_validation():
 # the real block engine against the complex decomposition it replaced
 
 
+def _full_lattice(n, d):
+    """The full FFT-order frequency meshes and |k|."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    mesh = np.meshgrid(*([k] * d), indexing="ij")
+    return mesh, np.sqrt(sum(m * m for m in mesh))
+
+
+def _full_multipliers(bank):
+    """phi_0 and psi_0 .. psi_J of the bank, sampled on the full lattice."""
+    kk = _full_lattice(bank.grid.n, bank.grid.d)[1]
+    phis = [radial_cutoff(kk / 2.0**m, bank.profile) for m in range(bank.j_max + 2)]
+    return phis[0], [phis[j + 1] - phis[j] for j in range(bank.j_max + 1)]
+
+
+def _coefficients(samples):
+    return np.fft.fftn(samples) / samples.size
+
+
+def _samples(coeff):
+    return np.fft.ifftn(coeff) * coeff.size
+
+
 def _oracle_norm(bank, f, spec):
-    """The decompose-based norm: complex blocks of the full spectrum, |.| of each."""
-    dec = decompose(bank, f)
-    low = np.abs(as_physical(dec.low).values)
-    blocks = [2.0 ** (j * spec.s) * np.abs(as_physical(b).values)
-              for j, b in enumerate(dec.blocks)]
+    """The decompose-based norm on the complex path: blocks of the full np.fft
+    spectrum through complex inverse FFTs, |.| of each."""
+    F = _coefficients(as_physical(f).values)
+    phi_0, psi = _full_multipliers(bank)
+    low = np.abs(_samples(F * phi_0))
+    blocks = [2.0 ** (j * spec.s) * np.abs(_samples(F * m)) for j, m in enumerate(psi)]
     mags = blocks if spec.homogeneous else [low] + blocks
     cv = f.grid.cell_volume
 
@@ -240,16 +287,20 @@ def test_engine_matches_decompose_oracle(grid, bank, request):
 
 
 def _oracle_commutator_blocks(bank, u, g):
-    """Commutator blocks from complex derivatives and complex blocks."""
-    fv = [as_physical(dealias_field(c)).values for c in u.components]
-    gs = dealias_field(as_spectral(g))
+    """Commutator blocks on the complex path: full np.fft spectra, complex
+    derivatives and complex blocks."""
+    n = g.grid.n
+    mesh = _full_lattice(n, g.grid.d)[0]
+    keep = np.all([np.abs(m) <= n // 3 for m in mesh], axis=0)
+    iks = [1j * m * (np.abs(m) < n / 2) for m in mesh]
+    fv = [_samples(_coefficients(c.values) * keep) for c in u.components]
+    G = _coefficients(g.values) * keep
 
-    def advect(h):
-        return sum(ul * as_physical(derivative(h, a)).values for a, ul in enumerate(fv))
+    def advect(H):
+        return sum(ul * _samples(H * ik) for ul, ik in zip(fv, iks))
 
-    inner = as_spectral(GridField(g.grid, advect(gs), "physical"))
-    return [advect(delta_j(bank, gs, j)) - as_physical(delta_j(bank, inner, j)).values
-            for j in range(bank.j_max + 1)]
+    inner = _coefficients(advect(G))
+    return [advect(G * m) - _samples(inner * m) for m in _full_multipliers(bank)[1]]
 
 
 @pytest.mark.parametrize("grid, bank", [("grid64", "bank64"), ("grid16_3d", "bank16_3d")])
@@ -268,30 +319,37 @@ def test_commutator_sequence_matches_oracle(grid, bank, request):
 
 
 def test_commutator_acts_on_the_real_parts(grid64, bank64):
-    """Complex f and g: the blocks are the commutator of their real parts."""
+    """Complex f and g are refused at construction.  Near-real ones (imaginary
+    part at roundoff) are stored as their real parts, so their blocks are the
+    real parts' blocks, bit for bit."""
     u, g = transport_pair(grid64, 300)
     u2, g2 = transport_pair(grid64, 301)
-    f = VectorField(tuple(GridField(grid64, a.values + 1j * b.values, "physical")
+    with pytest.raises(RepresentationError):
+        GridField(grid64, g.values + 1j * g2.values, "physical")
+    f = VectorField(tuple(GridField(grid64, a.values + 1e-14j * b.values, "physical")
                           for a, b in zip(u.components, u2.components)), div_free=True)
-    gc = GridField(grid64, g.values + 1j * g2.values, "physical")
+    gc = GridField(grid64, g.values + 1e-14j * g2.values, "physical")
     want = commutator_sequence(bank64, u, g).blocks
-    scale = max(np.abs(b.values).max() for b in want)
     for form in (gc, dft_forward(gc)):
         got = commutator_sequence(bank64, f, form).blocks
-        assert max(np.abs(a.values - b.values).max() for a, b in zip(got, want)) <= 1e-13 * scale
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
 
 
 def test_norm_measures_the_real_part(grid64, bank64):
-    """Complex data: the physical and spectral forms measure the same real field."""
+    """Samples with an imaginary part above roundoff are refused; near-real ones
+    are stored as their real part, which every norm then measures, bit for bit."""
     rng = np.random.default_rng(8)
-    vals = rng.standard_normal(grid64.shape) + 1j * rng.standard_normal(grid64.shape)
-    f = GridField(grid64, vals, "physical")
-    re = GridField(grid64, vals.real, "physical")
+    re, im = rng.standard_normal((2,) + grid64.shape)
+    with pytest.raises(RepresentationError):
+        GridField(grid64, re + 1e-9j * im, "physical")
+    f = GridField(grid64, re + 1e-14j * im, "physical")
+    assert f.values.dtype == np.float64 and np.array_equal(f.values, re)
+    real = GridField(grid64, re, "physical")
     for spec in (NormSpec(1.5, 1, 1), NormSpec(0.5, 2, math.inf, homogeneous=True),
                  NormSpec(1.0, math.inf, 2, flavor="besov")):
-        want = field_norm(bank64, re, spec)
+        want = field_norm(bank64, real, spec)
         for form in (f, dft_forward(f)):
-            assert abs(field_norm(bank64, form, spec) - want) <= 1e-13 * want
+            assert field_norm(bank64, form, spec) == want
 
 
 def test_nan_field_norm_is_not_finite(grid64, bank64):
