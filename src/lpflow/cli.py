@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -181,13 +182,10 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
     source = (spec.s, spec.p, spec.q)
     p1 = 2.0 * spec.p
     target = (spec.s - d / spec.p + d / p1, p1)
-    ratios = [verify_embedding(bank, f, source, target)
-              for f in scalar_samples(grid, args.count, args.seed or 800)]
-    violations = 0
-    for f in scalar_samples(grid, args.count, args.seed or 800):
-        b = besov_norm(bank, f, NormSpec(0.0, math.inf, 1.0, flavor="besov"))
-        if sup_norm(f) > b * (1 + 1e-12):
-            violations += 1
+    samples = scalar_samples(grid, args.count, args.seed or 800)
+    ratios = [verify_embedding(bank, f, source, target) for f in samples]
+    besov_sup = NormSpec(0.0, math.inf, 1.0, flavor="besov")
+    violations = sum(sup_norm(f) > besov_norm(bank, f, besov_sup) * (1 + 1e-12) for f in samples)
     report = {"suite": "embedding", "source": list(source), "target": list(target),
               "ratios": ratios, "max": float(np.max(ratios)), "sup_chain_violations": violations}
     return report, violations == 0 and all(math.isfinite(r) for r in ratios)
@@ -215,9 +213,9 @@ def _verify_maximal(args, bank, spec) -> tuple[dict, bool]:
     for i in range(args.count):
         f = scalar_sample(grid, (args.seed or 500) + i)
         g2 = scalar_sample(grid, (args.seed or 500) + i + 10000)
-        mf, mg = hl_maximal(f, cfgm).values.real, hl_maximal(g2, cfgm).values.real
+        mf, mg = hl_maximal(f, cfgm).values, hl_maximal(g2, cfgm).values
         fg = GridField(grid, f.values + g2.values, "physical")
-        if (hl_maximal(fg, cfgm).values.real > mf + mg + 1e-12).any():
+        if (hl_maximal(fg, cfgm).values > mf + mg + 1e-12).any():
             bad += 1
     ratios = [verify_pointwise_bound(bank, scalar_sample(grid, (args.seed or 500) + i,
                                                          band=(1, 16)),
@@ -349,15 +347,15 @@ def _run_dependence(args, kind: str) -> int:
     grid = _grid_from(args, cfg)
     ex = cfg.get("experiment", {})
     dcfg = DependenceConfig(
+        **asdict(_solver_from(args, cfg)),
         norm_spec=_norm_spec_from(args, cfg),
-        T=float(cfg.get("solver", {}).get("T", args.T)),
-        dt=float(cfg.get("solver", {}).get("dt", args.dt)),
         N_list=tuple(ex.get("N_list", (3, 4, 5))),
         eps_list=tuple(ex.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))),
         seed=int(ex.get("seed", args.seed)),
     )
-    u0 = _initial_field(grid, args, cfg)
-    if "initial" not in cfg:
+    if "initial" in cfg:
+        u0 = _initial_field(grid, args, cfg)
+    else:
         u0 = divfree_sample(grid, dcfg.seed + 21, decay=6.0, band=(1, grid.n // 3))
         u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
     ok = True

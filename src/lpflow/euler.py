@@ -4,9 +4,9 @@ Fixed-step RK4 on the projected form du/dt = -P(u . grad u), with 2/3-rule
 dealiasing of the quadratic term, re-projection after every full step, and a
 CFL guard that aborts the run rather than integrate an under-resolved state.
 The state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through
-real FFTs.  A recorded state is stored as physical float64 samples, one
-batched inverse transform each, and the trajectory keeps its half spectra
-for the flow map and for differences between trajectories.
+real FFTs, one RK4 step and one CFL guard shared with the iteration ladder.
+A trajectory stores only the half spectra it stepped; its physical float64
+states are made on first read, one batched inverse transform each.
 Also provides the pressure-gradient recovery, flow-map particle integration
 with trigonometric velocity interpolation, and the standard 2D benchmark
 data.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,28 +65,41 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded solve output; states are physical float64 samples.
+    """Recorded solve output: the stacked half spectra (d, *half) of each state.
 
-    ``spectra`` are the states' stacked half spectra (d, *half), one per
-    state and frozen like them: the solver's own, or transformed from
-    ``states`` when not given.
-    The flow map and the gaps between trajectories read them, so a recorded
-    state never passes through a transform pair, whose float64 rounding would
-    show in the high shells of a difference norm.
+    The spectra are the ones the solver stepped, frozen.  The flow map and the
+    gaps between trajectories read them, so a recorded state never passes
+    through a transform pair, whose float64 rounding would show in the high
+    shells of a difference norm.  Physical ``states`` are made on first read.
     """
 
     times: tuple[float, ...]
-    states: tuple[VectorField, ...]
+    spectra: tuple[np.ndarray, ...]
     diagnostics: dict = field(default_factory=dict)
-    spectra: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.spectra) not in (0, len(self.states)):
-            raise ValueError("times, states and spectra must pair up")
+        spectra = tuple(self.spectra)
+        shape = spectra[0].shape if spectra and isinstance(spectra[0], np.ndarray) else ()
+        if len(shape) < 3 or shape[1:] != Grid(shape[1], shape[0]).spectral_shape or not all(
+                isinstance(s, np.ndarray) and s.shape == shape and np.iscomplexobj(s)
+                for s in spectra):
+            raise ValueError("a trajectory needs a non-empty sequence of stacked half spectra "
+                             "(d, *grid.spectral_shape) of one grid")
+        if len(self.times) != len(spectra):
+            raise ValueError("times and spectra must pair up")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        spectra = self.spectra or tuple(_spectra(s) for s in self.states)
         object.__setattr__(self, "spectra", tuple(_freeze(s) for s in spectra))
+
+    @property
+    def grid(self) -> Grid:
+        d, n = self.spectra[0].shape[:2]
+        return Grid(n, d)
+
+    @cached_property
+    def states(self) -> tuple[VectorField, ...]:
+        """Physical float64 states, one batched inverse transform each."""
+        return tuple(_wrap(self.grid, s, PHYSICAL) for s in self.spectra)
 
     @property
     def cadence(self) -> float:
@@ -235,6 +249,24 @@ def _record_norms(grid: Grid, half: np.ndarray, record, diagnostics) -> None:
             diagnostics.setdefault(spec.label, []).append(_vector_half_norm(bank, half, spec))
 
 
+def _check_cfl(vel, dt: float, grid: Grid, guard: float, t: float, where: str = "") -> None:
+    """Raise StabilityError unless max|u| dt / dx is finite and within ``guard``."""
+    cfl = np.abs(vel).max() * dt / grid.spacing
+    if not cfl <= guard:  # max keeps a NaN; NaN fails <=
+        what = "non-finite velocity" if not np.isfinite(cfl) else f"CFL guard {guard} exceeded"
+        raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
+
+
+def _rk4_step(rhs: _RHS, w, dt: float, vel0, velm=None, vel1=None) -> np.ndarray:
+    """One projected RK4 step of half spectra w at stage velocities vel0, velm,
+    vel1; a stage velocity not given is the stage state's own."""
+    k1 = rhs(w, vel0)
+    k2 = rhs(w + 0.5 * dt * k1, velm)
+    k3 = rhs(w + 0.5 * dt * k2, velm)
+    k4 = rhs(w + dt * k3, vel1)
+    return _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
 def solve(u0: VectorField, cfg: SolverConfig,
           record: tuple[NormSpec, ...] = ()) -> Trajectory:
     """March the projected dynamics from u0; record every ``record_stride`` steps.
@@ -253,26 +285,15 @@ def solve(u0: VectorField, cfg: SolverConfig,
     _record_norms(g, state, record, diagnostics)
 
     for step in range(cfg.steps):
-        t = step * dt
         vel = rhs.velocity(state)
-        cfl = np.abs(vel).max() * dt / g.spacing
-        if not cfl <= cfg.cfl_guard:  # max keeps a NaN; NaN fails <=
-            what = ("non-finite velocity" if not np.isfinite(cfl)
-                    else f"CFL guard {cfg.cfl_guard} exceeded")
-            raise StabilityError(f"{what} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
-        k1 = rhs(state, vel)
-        k2 = rhs(state + 0.5 * dt * k1)
-        k3 = rhs(state + 0.5 * dt * k2)
-        k4 = rhs(state + dt * k3)
-        state = _leray_spectra(state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        _check_cfl(vel, dt, g, cfg.cfl_guard, step * dt)
+        state = _rk4_step(rhs, state, dt, vel)
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
             spectra.append(state)
             _record_norms(g, state, record, diagnostics)
 
-    diagnostics = {k: tuple(v) for k, v in diagnostics.items()}
-    states = tuple(_wrap(g, s, PHYSICAL) for s in spectra)
-    return Trajectory(tuple(times), states, diagnostics, tuple(spectra))
+    return Trajectory(tuple(times), tuple(spectra), {k: tuple(v) for k, v in diagnostics.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +377,7 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
     fall on recorded states, so no temporal interpolation is needed); the
     requested times must sit on that doubled lattice.
     """
-    grid = traj.states[0].grid
+    grid = traj.grid
     cad = traj.cadence
     if any(abs(t2 - t1 - cad) > 1e-9 for t1, t2 in zip(traj.times, traj.times[1:])):
         raise ValueError("flow_map needs a uniformly recorded trajectory")
@@ -473,5 +494,4 @@ def steady_trajectory(u: VectorField, T: float, cadence: float) -> Trajectory:
     if abs(steps * cadence - T) > 1e-9 * max(1.0, T):
         raise ValueError("T must be an integer number of cadence intervals")
     times = tuple(i * cadence for i in range(steps + 1))
-    return Trajectory(times, (vector_as_physical(u),) * (steps + 1), {},
-                      (_spectra(u),) * (steps + 1))
+    return Trajectory(times, (_spectra(u),) * (steps + 1))

@@ -3,7 +3,9 @@ the mollified-data continuity ladder, and the interpolation-based assembly
 of the continuity bound.
 
 Each experiment is a deterministic function of its config (plus explicit
-input fields); reports carry every number needed to reproduce the run.
+input fields); reports carry every number needed to reproduce the run.  The
+config is a :class:`SolverConfig` and is handed to ``solve`` as it is; the
+experiments compare trajectories through their recorded half spectra.
 """
 
 from __future__ import annotations
@@ -19,21 +21,18 @@ from .norms import NormSpec, _vector_half_norm, field_norm
 from .reports import ExperimentReport
 
 
-@dataclass(frozen=True)
-class DependenceConfig:
-    """Shared settings for the dependence-on-data experiments."""
+@dataclass(frozen=True, kw_only=True)
+class DependenceConfig(SolverConfig):
+    """Solver settings plus the shared settings of the dependence-on-data experiments."""
 
     norm_spec: NormSpec
-    T: float
-    dt: float
     N_list: tuple[int, ...] = ()
     eps_list: tuple[float, ...] = ()
     seed: int = 0
     record_stride: int = 20
-    dealias: bool = True
-    cfl_guard: float = 0.5
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "N_list", tuple(int(N) for N in self.N_list))
         object.__setattr__(self, "eps_list", tuple(float(e) for e in self.eps_list))
         if any(b <= a for a, b in zip(self.N_list, self.N_list[1:])):
@@ -42,10 +41,6 @@ class DependenceConfig:
             raise ValueError("eps_list must be strictly decreasing")
         if any(e <= 0 for e in self.eps_list):
             raise ValueError("eps_list must be positive")
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(dt=self.dt, T=self.T, dealias=self.dealias,
-                            cfl_guard=self.cfl_guard, record_stride=self.record_stride)
 
     def check_levels(self, grid: Grid) -> None:
         top = max_block_index(grid) - 1
@@ -62,7 +57,7 @@ def boundedness_experiment(u0: VectorField, cfg: DependenceConfig) -> Experiment
     """sup over recorded times of ||u(t)|| / ||u0|| in the configured norm."""
     grid = u0.grid
     bank = default_bank(grid.n, grid.d)
-    traj = solve(u0, cfg.solver(), record=(cfg.norm_spec,))
+    traj = solve(u0, cfg, record=(cfg.norm_spec,))
     hist = traj.diagnostics[cfg.norm_spec.label]
     if hist[0] == 0.0:
         raise DegenerateInputError("zero initial data in boundedness experiment")
@@ -95,12 +90,11 @@ def lipschitz_lowernorm_experiment(u0: VectorField, direction: VectorField,
     if wnorm == 0.0:
         raise DegenerateInputError("perturbation direction vanishes (v0 = u0)")
     w = direction * (1.0 / wnorm)
-    scfg = cfg.solver()
-    base = solve(u0, scfg)
+    base = solve(u0, cfg)
     moduli = []
     for eps in cfg.eps_list:
         v0 = u0 + w * eps
-        pert = solve(v0, scfg)
+        pert = solve(v0, cfg)
         denom = field_norm(bank, u0 - v0, down)
         moduli.append(_sup_gap(bank, base, pert, down) / denom)
     return ExperimentReport(
@@ -132,8 +126,7 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
         raise ValueError("N_list is empty")
     ns = cfg.norm_spec
     up = replace(ns, s=ns.s + 1.0)
-    scfg = cfg.solver()
-    base = solve(u0, scfg, record=(ns,))
+    base = solve(u0, cfg, record=(ns,))
     u0_norm = base.diagnostics[ns.label][0]
     rho, sigma = [], []
     for N in cfg.N_list:
@@ -141,7 +134,7 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
         tail = field_norm(bank, u0 - u0N, ns)
         if tail <= 1e-13 * u0_norm:
             raise DegenerateInputError(f"data has no content above level {N}")
-        moll = solve(u0N, scfg, record=(up,))
+        moll = solve(u0N, cfg, record=(up,))
         rho.append(_sup_gap(bank, base, moll, ns) / tail)
         sigma.append(max(moll.diagnostics[up.label]) / (2.0**N * u0_norm))
     return ExperimentReport(
@@ -180,12 +173,11 @@ def continuity_assembly(u0: VectorField, psi: VectorField,
     N = cfg.N_list[-1]
     ns = cfg.norm_spec
     lo, hi = replace(ns, s=ns.s - 1.0), replace(ns, s=ns.s + 1.0)
-    scfg = cfg.solver()
 
-    t_u = solve(u0, scfg)
-    t_p = solve(psi, scfg)
-    t_un = solve(_mollify(bank, u0, N), scfg)
-    t_pn = solve(_mollify(bank, psi, N), scfg)
+    t_u = solve(u0, cfg)
+    t_p = solve(psi, cfg)
+    t_un = solve(_mollify(bank, u0, N), cfg)
+    t_pn = solve(_mollify(bank, psi, N), cfg)
 
     tail_u = _sup_gap(bank, t_u, t_un, ns)
     tail_p = _sup_gap(bank, t_p, t_pn, ns)

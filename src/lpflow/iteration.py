@@ -13,8 +13,9 @@ the velocity at the end of one step are carried forward as those at the start
 of the next; the velocities of member m-1, made while stepping member m,
 give member m+1 its slopes, so none is synthesized twice.  The linear
 right-hand side is the solver's own half-spectrum kernel with the advecting
-velocity passed in; only the two advecting members are kept as half spectra,
-and each member's states are recorded as physical samples, like the solver's.
+velocity passed in, and each step is the solver's RK4 step and CFL guard.
+Members are trajectories like the solver's: half spectra only, physical
+states made on first read.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .bank import LPFilterBank, low_pass_multiplier
 from .errors import DegenerateInputError, StabilityError
-from .euler import SolverConfig, Trajectory, _RHS, _spectra, _sup_gap, _wrap
-from .fields import PHYSICAL, VectorField, _leray_spectra, _require_divfree
+from .euler import SolverConfig, Trajectory, _RHS, _check_cfl, _rk4_step, _spectra, _sup_gap
+from .fields import VectorField, _leray_spectra, _require_divfree
 from .norms import NormSpec, _vector_half_norm
 from .reports import ExperimentReport
 
@@ -76,13 +77,10 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
     if not np.isfinite(u0_spec).all():
         # member 1 is advected by the zero member 0, so no step guard sees its data
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
-    zero = np.zeros_like(u0_spec)
     w1 = u0_spec * low_pass_multiplier(bank, 1)
     prev = [w1] * (steps + 1)   # member 1 in half form: frozen
     before_vel = None   # member m-2's velocities, read only once m > 2
-    members = [Trajectory(times, (_wrap(g, zero, PHYSICAL),) * (steps + 1), {},
-                          (zero,) * (steps + 1)),
-               Trajectory(times, (_wrap(g, w1, PHYSICAL),) * (steps + 1), {}, tuple(prev))]
+    members = [Trajectory(times, (np.zeros_like(u0_spec),) * (steps + 1)), Trajectory(times, prev)]
     decay = [_vector_half_norm(bank, w1, down)]   # member 1 - member 0, at any time
     for m in range(2, M + 1):
         w = u0_spec * low_pass_multiplier(bank, m)
@@ -100,19 +98,10 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
                 d0 = d1
                 velm, vel1 = rhs.velocity(vm), rhs.velocity(prev[i + 1])
             vel.append(vel1)
-            vmax = np.abs(vel0).max()
-            if not vmax * dt / g.spacing <= cfg.cfl_guard:  # NaN fails <=, and max keeps it
-                what = "non-finite velocity" if not np.isfinite(vmax) else "CFL guard exceeded"
-                raise StabilityError(f"{what} in ladder member {m} at t={i * dt:.6g}",
-                                     time=i * dt)
-            k1 = rhs(w, vel0)
-            k2 = rhs(w + 0.5 * dt * k1, velm)
-            k3 = rhs(w + 0.5 * dt * k2, velm)
-            k4 = rhs(w + dt * k3, vel1)
-            w = _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+            _check_cfl(vel0, dt, g, cfg.cfl_guard, i * dt, f" in ladder member {m}")
+            w = _rk4_step(rhs, w, dt, vel0, velm, vel1)
             history.append(w)
-        members.append(Trajectory(times, tuple(_wrap(g, s, PHYSICAL) for s in history), {},
-                                  tuple(history)))
+        members.append(Trajectory(times, history))
         decay.append(_sup_gap(bank, members[m], members[m - 1], down))
         before_vel, prev = vel, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
@@ -129,7 +118,7 @@ def cauchy_report(ladder: IterationLadder) -> ExperimentReport:
         raise ValueError("the contraction profile needs at least 4 members")
     if max(ladder.decay_table) == 0.0:
         raise DegenerateInputError("all ladder members coincide (zero data?)")
-    grid = ladder.members[0].states[0].grid
+    grid = ladder.members[0].grid
     ns = ladder.norm_spec
     ratios = ladder.decay_ratios()
     return ExperimentReport(

@@ -55,19 +55,20 @@ def _cube_average(a: np.ndarray, half_cells: int) -> np.ndarray:
     return uniform_filter(a, size=2 * half_cells + 1, mode="wrap")
 
 
-def _ball_average(a: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
+def _ball_average(half: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
     x = grid.axis_coordinates()
     dist = np.minimum(x, 2.0 * np.pi - x)
     mesh = np.meshgrid(*([dist] * grid.d), indexing="ij")
     mask = (sum(m * m for m in mesh) <= radius * radius).astype(float)
     # the cyclic convolution has coefficients n^d * A(k) * M(k)
     d = grid.d
-    conv = _from_half_spectrum(_to_half_spectrum(a, d) * _to_half_spectrum(mask, d) * a.size, d)
+    conv = _from_half_spectrum(half * _to_half_spectrum(mask, d) * mask.size, d)
     return conv / mask.sum()
 
 
 def _maximal_array(absvals: np.ndarray, grid: Grid, cfg: MaximalConfig) -> np.ndarray:
     out = absvals.copy()
+    half = _to_half_spectrum(absvals, grid.d) if cfg.window == "ball" else None
     for r in cfg.radii:
         if cfg.window == "cube":
             w = int(r / grid.spacing)
@@ -75,7 +76,7 @@ def _maximal_array(absvals: np.ndarray, grid: Grid, cfg: MaximalConfig) -> np.nd
                 continue
             avg = _cube_average(absvals, w)
         else:
-            avg = _ball_average(absvals, r, grid)
+            avg = _ball_average(half, r, grid)
         np.maximum(out, avg, out=out)
     return out
 
@@ -199,11 +200,10 @@ class RadialProfile:
     def convolve(self, f: GridField, eps: float) -> np.ndarray:
         """Samples of (profile_eps * f) on the grid, profile_eps = eps^-d profile(./eps)."""
         g = f.grid
-        F = as_spectral(f).values
         if self.kind == "gaussian":
             kk = wavenumber_norm(g.n, g.d)
             mult = np.exp(-0.5 * (self.param * eps * kk) ** 2)
-            return _from_half_spectrum(F * mult, g.d)
+            return _from_half_spectrum(as_spectral(f).values * mult, g.d)
         # periodized sampled kernel, normalized to its continuum mass
         self.majorant_l1(g.d)  # raises for nonintegrable profiles
         x = g.axis_coordinates()

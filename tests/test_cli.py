@@ -155,6 +155,37 @@ def test_continuity_command(tmp_path, capsys):
     assert pieces["direct"] <= 1.05 * pieces["chain"]
 
 
+def test_lipschitz_command_honours_solver_block(tmp_path, capsys):
+    from lpflow import NormSpec, lipschitz_lowernorm_experiment
+    from lpflow.experiments import DependenceConfig
+    from lpflow.fields import SpectrumSpec, random_divergence_free
+    from lpflow.reports import dump_json
+
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({
+        "grid": {"n": 32, "dim": 2},
+        "solver": {"T": 0.07, "dt": 0.001, "dealias": False, "record_stride": 7},
+        "experiment": {"eps_list": [0.1, 0.01], "seed": 0},
+        "initial": {"kind": "random", "seed": 3, "band": [1, 12], "amplitude": 0.5},
+    }))
+    out = tmp_path / "lip"
+    assert main(["lipschitz", "--config", str(cfgf), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep.pop("pass") is True
+
+    grid = Grid(32, 2)
+    u0 = random_divergence_free(grid, SpectrumSpec(2.0, (1, 12), 3))
+    u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
+    w = divfree_sample(grid, 22, decay=2.0, band=(1, 8))
+    dcfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, dealias=False,
+                            record_stride=7, eps_list=(0.1, 0.01))
+    want = lipschitz_lowernorm_experiment(u0, w, dcfg)
+    assert rep == json.loads(dump_json(want.to_json_dict()))
+    dealiased = lipschitz_lowernorm_experiment(u0, w, DependenceConfig(
+        norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, record_stride=7, eps_list=(0.1, 0.01)))
+    assert dealiased.ratios != want.ratios      # the setting reaches the solver
+
+
 def test_bad_config_json(tmp_path):
     cfgf = tmp_path / "broken.json"
     cfgf.write_text("{not json")

@@ -13,8 +13,8 @@ from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig
 from lpflow.corpus import divfree_sample
 from lpflow.euler import (_RHS, _eval_velocity, _spectra, default_seed_grid,
                           steady_trajectory, stream_values, taylor_green_stream)
-from lpflow.fields import (SpectrumSpec, _plane_weights, random_divergence_free,
-                           vector_as_physical, wavenumber_mesh)
+from lpflow.fields import (SpectrumSpec, _from_half_spectrum, _plane_weights,
+                           random_divergence_free, vector_as_physical, wavenumber_mesh)
 
 TG_ENERGY = 4.442882938158366
 TG_ENSTROPHY = 6.283185307179586
@@ -205,9 +205,33 @@ def test_trajectory_validation(grid64):
     with pytest.raises(ValueError):
         traj.state_at(0.015)
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.1, 0.05), traj.states[:3])
+        Trajectory((0.0, 0.1, 0.05), traj.spectra[:3])
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.1), traj.states[:3])
+        Trajectory((0.0, 0.1), traj.spectra[:3])
+
+
+def test_trajectory_stores_only_spectra(grid64):
+    traj = solve(taylor_green(grid64), SolverConfig(dt=1e-2, T=0.04, record_stride=2))
+    assert "states" not in vars(traj)          # made on first read, not by solve
+    assert traj.grid == grid64
+    for st, half in zip(traj.states, traj.spectra):
+        want = _from_half_spectrum(half, grid64.d)
+        assert all(np.array_equal(c.values, w) for c, w in zip(st.components, want))
+    assert traj.states is traj.states          # made once
+
+
+def test_trajectory_rejects_non_spectra(grid64):
+    traj = solve(taylor_green(grid64), SolverConfig(dt=1e-2, T=0.02, record_stride=1))
+    with pytest.raises(ValueError, match="half spectra"):
+        Trajectory(traj.times, traj.states)    # fields, not spectra
+    physical = tuple(np.stack([c.values for c in st.components]) for st in traj.states)
+    with pytest.raises(ValueError, match="half spectra"):
+        Trajectory(traj.times, physical)       # (d, *grid.shape) samples
+    other = _spectra(taylor_green(Grid(32, 2)))
+    with pytest.raises(ValueError, match="half spectra"):
+        Trajectory(traj.times, traj.spectra[:2] + (other,))
+    with pytest.raises(ValueError, match="half spectra"):
+        Trajectory((), ())
 
 
 def test_flow_map_on_steady_vortex(grid64):
@@ -271,7 +295,7 @@ def test_flow_map_validation(grid64):
         flow_map(st, times=(0.2,))                  # beyond the trajectory
     with pytest.raises(ValueError):
         flow_map(st, times=(0.05,), seeds=np.zeros((3, 4)))   # wrong leading dim
-    ragged = Trajectory((0.0, 0.01, 0.03), st.states[:3])
+    ragged = Trajectory((0.0, 0.01, 0.03), st.spectra[:3])
     with pytest.raises(ValueError):
         flow_map(ragged, times=(0.02,))
 
@@ -312,3 +336,49 @@ def test_three_dimensional_shear_runs(grid16_3d):
         assert max_spectral_divergence(st) < 1e-12
     e = traj.diagnostics["energy"]
     assert abs(e[-1] - e[0]) / e[0] < 1e-10
+
+
+def _functions_where(path, hit):
+    """Functions (``module.function``) of a module with a node for which ``hit`` holds."""
+    import ast
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            if hit(child):
+                found.add(scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_one_rk4_step_and_one_cfl_guard():
+    """The spectral RK4 stage combination and the CFL-guard message are each written once."""
+    import ast
+    import re
+    from pathlib import Path
+    import lpflow
+
+    def assigns_k4(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "k4" for t in node.targets)
+
+    def cfl_message(node):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            return False
+        return re.search(r"CFL guard.*exceeded", text) is not None
+
+    paths = sorted(Path(lpflow.__file__).parent.glob("*.py"))
+    steppers = set().union(*(_functions_where(p, assigns_k4) for p in paths))
+    guards = set().union(*(_functions_where(p, cfl_message) for p in paths))
+    # flow_map's is the particle RK4 through recorded velocities
+    assert steppers == {"euler._rk4_step", "euler.flow_map"}
+    assert guards == {"euler._check_cfl"}

@@ -43,6 +43,17 @@ def test_config_validation():
                          eps_list=(1e-3, 1e-2))
 
 
+def test_config_is_a_validated_solver_config():
+    from lpflow import SolverConfig
+    cfg = _cfg()
+    assert isinstance(cfg, SolverConfig)
+    assert (cfg.record_stride, cfg.dealias, cfg.cfl_guard, cfg.steps) == (20, True, 0.5, 200)
+    with pytest.raises(ValueError, match="integer number of steps"):
+        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=0.03)
+    with pytest.raises(ValueError):
+        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, cfl_guard=0.7)
+
+
 def test_level_check(grid64):
     cfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3,
                            N_list=(3, 9))

@@ -62,6 +62,17 @@ def test_non_finite_data_raises(grid64, bank64, M):
     assert exc.value.time == 0.0
 
 
+def test_members_store_only_spectra(grid64, bank64):
+    from lpflow.fields import _from_half_spectrum
+    lad = iterate(bank64, _data(grid64), 3, SolverConfig(dt=2e-3, T=6e-3, record_stride=1),
+                  NormSpec(3, 1, 1))
+    for member in lad.members:
+        assert "states" not in vars(member)      # made on first read, not by iterate
+        for st, half in zip(member.states, member.spectra):
+            want = _from_half_spectrum(half, grid64.d)
+            assert all(np.array_equal(c.values, w) for c, w in zip(st.components, want))
+
+
 def test_first_member_is_frozen_low_pass(grid64, bank64):
     """Member 1 is advected by member 0 = 0, so it never moves; its value is
     the m = 1 low-pass of the data at every recorded time."""
@@ -187,9 +198,8 @@ def test_ladder_vs_nan_reference_is_not_finite(grid64, bank64):
     u0 = _data(grid64)
     lad = iterate(bank64, u0, 2, cfg, NormSpec(3, 1, 1))
     ref = solve(u0, cfg)
-    comps = [c.values.real.copy() for c in vector_as_physical(ref.states[1]).components]
-    comps[1][5, 8] = np.nan
-    bad = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps))
-    states = (ref.states[0], bad) + ref.states[2:]
-    gap = ladder_vs_solve(bank64, lad, Trajectory(ref.times, states))
+    bad = ref.spectra[1].copy()
+    bad[1, 5, 8] = np.nan
+    spectra = (ref.spectra[0], bad) + ref.spectra[2:]
+    gap = ladder_vs_solve(bank64, lad, Trajectory(ref.times, spectra))
     assert not math.isfinite(gap)

@@ -150,3 +150,55 @@ def test_ball_window_also_dominates(grid64):
     f = scalar_sample(grid64, 5)
     m = hl_maximal(f, cfg).values.real
     assert (m >= np.abs(f.values.real) - 1e-12).all()
+
+
+@pytest.fixture()
+def transform_spy(monkeypatch):
+    """Counts the real transforms made through lpflow.fields, under either import."""
+    import lpflow.fields
+    import lpflow.maximal
+    counts = {"forward": 0, "inverse": 0}
+    fwd, inv = lpflow.fields._to_half_spectrum, lpflow.fields._from_half_spectrum
+
+    def forward(*a):
+        counts["forward"] += 1
+        return fwd(*a)
+
+    def inverse(*a):
+        counts["inverse"] += 1
+        return inv(*a)
+
+    for mod in (lpflow.fields, lpflow.maximal):
+        monkeypatch.setattr(mod, "_to_half_spectrum", forward)
+        monkeypatch.setattr(mod, "_from_half_spectrum", inverse)
+    return counts
+
+
+def test_ball_window_takes_the_data_spectrum_once(grid64, transform_spy):
+    from lpflow.fields import _from_half_spectrum, _to_half_spectrum
+    cfg = default_config(grid64, window="ball")
+    f = scalar_sample(grid64, 5)
+    a = np.abs(f.values)
+    # oracle: each radius transforms |f| and its ball again
+    x = grid64.axis_coordinates()
+    dist = np.minimum(x, 2.0 * np.pi - x)
+    r2 = sum(m * m for m in np.meshgrid(dist, dist, indexing="ij"))
+    want = a.copy()
+    for r in cfg.radii:
+        mask = (r2 <= r * r).astype(float)
+        conv = _from_half_spectrum(_to_half_spectrum(a, 2) * _to_half_spectrum(mask, 2)
+                                   * a.size, 2)
+        np.maximum(want, conv / mask.sum(), out=want)
+    transform_spy.update(forward=0, inverse=0)
+    got = hl_maximal(f, cfg).values
+    assert len(cfg.radii) == 6
+    assert transform_spy == {"forward": 7, "inverse": 6}
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,forward", [("gaussian", 1), ("power", 2)])
+def test_profile_convolution_transforms(grid64, transform_spy, kind, forward):
+    f = scalar_sample(grid64, 5)
+    transform_spy.update(forward=0, inverse=0)
+    RadialProfile(kind, 3.5).convolve(f, 0.3)
+    assert transform_spy == {"forward": forward, "inverse": 1}
