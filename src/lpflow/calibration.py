@@ -1,14 +1,16 @@
-"""Stored corpus maxima for the constant-bearing inequalities.
+"""Calibrated estimates: the one definition of what each gate measures.
 
 The inequalities under test guarantee *existence* of a constant, not its
-value, so the suite pins each one by measurement: a fixed seeded corpus is
-swept once, the worst ratio stored here (in packaged JSON), and later runs
-assert ratios stay within twice the stored value.  Regenerate with
+value, so each is pinned by measurement.  A row of ``_TABLE`` holds a ratio
+function of (bank, count, seed0, parameters), its seeded corpus and its
+parameters; the worst ratio is stored in packaged JSON, and gates allow twice
+it.  ``--check``, ``lpflow verify`` and the acceptance criteria all measure
+through :func:`ratios` or :func:`measure`.  Regenerate the table with
 
     python3 -m lpflow.calibration
 
 which rewrites ``src/lpflow/data/calibration.json`` deterministically, or
-check fresh measurements against the stored table, writing nothing, with
+check fresh measurements against it, writing nothing, with
 
     python3 -m lpflow.calibration --check
 """
@@ -16,126 +18,158 @@ check fresh measurements against the stored table, writing nothing, with
 from __future__ import annotations
 
 import importlib.resources
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bank import default_bank
-from .corpus import divfree_sample, scalar_sample, scalar_samples
+from .bank import decompose, default_bank
+from .corpus import divfree_sample, scalar_pairs, scalar_samples, transport_pair
+from .fields import as_physical
+from .maximal import verify_pointwise_bound
 from .norms import NormSpec, verify_lifting
+from .paraproduct import verify_commutator_estimate, verify_moser, verify_moser_transport
 from .reports import dump_json
 
 _GRID_N, _GRID_D = 64, 2
 
 
-def _sweep_moser():
-    from .paraproduct import moser_sweep
-
-    bank = default_bank(_GRID_N, _GRID_D)
-    ratios = moser_sweep(bank, NormSpec(3, 1, 1, homogeneous=True), count=50, seed0=100)
-    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
-            "count": 50, "seed0": 100, "s": 3, "p": 1, "q": 1}
+def _moser(bank, count, seed0, s, p, q):
+    spec = NormSpec(s, p, q, homogeneous=True)
+    return [verify_moser(bank, f, g, spec) for f, g in scalar_pairs(bank.grid, count, seed0)]
 
 
-def _sweep_transport(form: str):
-    from .paraproduct import transport_sweep
-
-    bank = default_bank(_GRID_N, _GRID_D)
-    ratios = transport_sweep(bank, NormSpec(0, 1, 2, homogeneous=True), form,
-                             count=20, seed0=300)
-    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
-            "count": 20, "seed0": 300, "s": 0, "p": 1, "q": 2, "form": form}
+def _transport(bank, count, seed0, s, p, q, form):
+    spec = NormSpec(s, p, q, homogeneous=True)
+    return [verify_moser_transport(bank, *transport_pair(bank.grid, seed0 + i), spec, form)
+            for i in range(count)]
 
 
-def _sweep_commutator(form: str, s: float, p: float, q: float, seed0: int):
-    from .paraproduct import commutator_sweep
-
-    bank = default_bank(_GRID_N, _GRID_D)
-    ratios = commutator_sweep(bank, NormSpec(s, p, q, homogeneous=True), form,
-                              count=30, seed0=seed0)
-    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
-            "count": 30, "seed0": seed0, "s": s, "p": p, "q": q, "form": form}
+def _commutator(bank, count, seed0, s, p, q, form):
+    spec = NormSpec(s, p, q, homogeneous=True)
+    return [verify_commutator_estimate(bank, *transport_pair(bank.grid, seed0 + i), spec, form)
+            for i in range(count)]
 
 
-def _sweep_keyesti():
-    from .maximal import verify_pointwise_bound
-
-    bank = default_bank(_GRID_N, _GRID_D)
-    grid = bank.grid
-    per_gap = {}
-    for gap in range(5):  # j - k
-        j = 4
-        k = j - gap
-        vals = [verify_pointwise_bound(bank, scalar_sample(grid, 500 + i, band=(1, 16)),
-                                       j=j, k=k, theta=1.0, r=0.5)
-                for i in range(20)]
-        per_gap[str(gap)] = float(np.max(vals))
-    return {"max": float(np.max(list(per_gap.values()))), "per_gap": per_gap,
-            "count": 20, "seed0": 500, "j": 4, "theta": 1.0, "r": 0.5}
+def _pointwise(bank, count, seed0, j, theta, r):
+    """Gap-major: ``count`` ratios for each block k = j, j-1, ..., 0 of scale-j fields."""
+    samples = scalar_samples(bank.grid, count, seed0, band=(1, 2**j))
+    return [verify_pointwise_bound(bank, f, j=j, k=j - gap, theta=theta, r=r)
+            for gap in range(j + 1) for f in samples]
 
 
-def _sweep_fefferman_stein():
-    from .bank import decompose
-    from .fields import as_physical
-    from .maximal import verify_fefferman_stein
+def _fefferman_stein(bank, count, seed0, p, q):
+    """Per field: its first 8 dyadic blocks as one family, then the field alone."""
+    from .maximal import verify_fefferman_stein  # read at call time, so a patched one is used
 
-    bank = default_bank(_GRID_N, _GRID_D)
-    grid = bank.grid
     ratios = []
-    for i in range(20):
-        f = scalar_sample(grid, 600 + i)
-        dec = decompose(bank, f)
-        family = [as_physical(b) for b in dec.blocks[:8]]
-        ratios.append(verify_fefferman_stein(family, p=2.0, q=2.0))
-        ratios.append(verify_fefferman_stein([f], p=2.0, q=2.0))
-    return {"max": float(np.max(ratios)), "count": 20, "seed0": 600, "p": 2, "q": 2,
-            "family": "first 8 dyadic blocks, plus the field itself"}
+    for f in scalar_samples(bank.grid, count, seed0):
+        ratios.append(verify_fefferman_stein([as_physical(b) for b in
+                                              decompose(bank, f).blocks[:8]], p, q))
+        ratios.append(verify_fefferman_stein([f], p, q))
+    return ratios
 
 
-def _sweep_lifting():
-    bank = default_bank(_GRID_N, _GRID_D)
-    grid = bank.grid
-    ratios = [verify_lifting(bank, f, s=1.0, p=2.0, q=2.0, k=1.0)
-              for f in scalar_samples(grid, 30, 700)]
-    return {"max": float(np.max(ratios)), "min": float(np.min(ratios)),
-            "count": 30, "seed0": 700, "s": 1, "p": 2, "q": 2, "order": 1}
+def _lifting(bank, count, seed0, s, p, q, order):
+    return [verify_lifting(bank, f, s=s, p=p, q=q, k=order)
+            for f in scalar_samples(bank.grid, count, seed0)]
 
 
-def _sweep_boundedness():
+def _boundedness(bank, count, seed0, seed, T, dt, s, p, q, amplitude):
+    """One solve of the datum ``seed``; there is no corpus, so count and seed0 are unused."""
     from .experiments import DependenceConfig, boundedness_experiment
-    from .fields import Grid
 
-    grid = Grid(_GRID_N, _GRID_D)
-    u0 = divfree_sample(grid, 21, decay=6.0, band=(1, 21))
-    u0 = u0 * (0.5 / _max_abs(u0))
-    cfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.2, dt=1e-3, seed=21)
-    rep = boundedness_experiment(u0, cfg)
-    return {"max": rep.max, "seed": 21, "T": 0.2, "dt": 1e-3,
-            "s": 3, "p": 1, "q": 1, "amplitude": 0.5}
+    u0 = divfree_sample(bank.grid, seed, decay=6.0, band=(1, 21))
+    u0 = u0 * (amplitude / max(float(np.abs(c.values).max()) for c in u0.components))
+    cfg = DependenceConfig(norm_spec=NormSpec(s, p, q), T=T, dt=dt, seed=seed)
+    return [boundedness_experiment(u0, cfg).max]
 
 
-def _max_abs(u) -> float:
-    return max(float(np.abs(c.values).max()) for c in u.components)
+def _max(ratios, count):
+    return {"max": float(np.max(ratios))}
 
 
-_SWEEPS = {
-    "product_endpoint_s3_p1_q1": _sweep_moser,
-    "transport_prod2_s0_p1_q2": lambda: _sweep_transport("prod2"),
-    "transport_prod3_s0_p1_q2": lambda: _sweep_transport("prod3"),
-    "commutator_esti1_s3_p1_q1": lambda: _sweep_commutator("esti1", 3, 1, 1, 400),
-    "commutator_esti2_s3_p1_q1": lambda: _sweep_commutator("esti2", 3, 1, 1, 400),
-    "commutator_esti1_s2p5_p2_q2": lambda: _sweep_commutator("esti1", 2.5, 2, 2, 450),
-    "pointwise_block_maximal": _sweep_keyesti,
-    "vector_maximal_p2_q2": _sweep_fefferman_stein,
-    "lifting_s1_order1": _sweep_lifting,
-    "solution_map_boundedness": _sweep_boundedness,
+def _max_min(ratios, count):
+    return {"max": float(np.max(ratios)), "min": float(np.min(ratios))}
+
+
+def _max_per_gap(ratios, count):
+    return {"max": float(np.max(ratios)), "per_gap": {
+        str(g): float(np.max(ratios[g * count:(g + 1) * count]))
+        for g in range(len(ratios) // count)}}
+
+
+def _max_of_family(ratios, count):
+    return {"max": float(np.max(ratios)), "family": "first 8 dyadic blocks, plus the field itself"}
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """A ratio function, its corpus (``count`` fields from ``seed0``), its
+    parameters and the ``lpflow verify`` suite that re-measures it.
+    ``summary(ratios, count)`` gives the stored statistics."""
+
+    ratio_fn: Callable[..., list]
+    count: int | None
+    seed0: int | None
+    params: dict
+    suite: str | None = None
+    summary: Callable[[list, int], dict] = _max_min
+
+
+_TABLE = {
+    "product_endpoint_s3_p1_q1": _Entry(_moser, 50, 100, dict(s=3, p=1, q=1), "moser"),
+    "transport_prod2_s0_p1_q2": _Entry(_transport, 20, 300, dict(s=0, p=1, q=2, form="prod2")),
+    "transport_prod3_s0_p1_q2": _Entry(_transport, 20, 300, dict(s=0, p=1, q=2, form="prod3")),
+    "commutator_esti1_s3_p1_q1": _Entry(_commutator, 30, 400,
+                                        dict(s=3, p=1, q=1, form="esti1"), "commutator"),
+    "commutator_esti2_s3_p1_q1": _Entry(_commutator, 30, 400,
+                                        dict(s=3, p=1, q=1, form="esti2"), "commutator"),
+    "commutator_esti1_s2p5_p2_q2": _Entry(_commutator, 30, 450,
+                                          dict(s=2.5, p=2, q=2, form="esti1"), "commutator"),
+    "pointwise_block_maximal": _Entry(_pointwise, 20, 500, dict(j=4, theta=1.0, r=0.5),
+                                      "maximal", _max_per_gap),
+    "vector_maximal_p2_q2": _Entry(_fefferman_stein, 20, 600, dict(p=2, q=2),
+                                   "fefferman-stein", _max_of_family),
+    "lifting_s1_order1": _Entry(_lifting, 30, 700, dict(s=1, p=2, q=2, order=1), "lifting"),
+    "solution_map_boundedness": _Entry(_boundedness, None, None,
+                                       dict(seed=21, T=0.2, dt=1e-3, s=3, p=1, q=1,
+                                            amplitude=0.5), summary=_max),
 }
+
+
+def ratios(name: str, count: int | None = None, seed0: int | None = None) -> list:
+    """Entry ``name``'s ratios on the calibration grid, over its corpus or over
+    ``count`` fields from ``seed0`` where given."""
+    e = _TABLE[name]
+    return e.ratio_fn(default_bank(_GRID_N, _GRID_D), e.count if count is None else count,
+                      e.seed0 if seed0 is None else seed0, **e.params)
+
+
+def measure(suite: str, bank, count: int | None = None, seed0: int | None = None, **params):
+    """What ``lpflow verify suite`` with ``params`` measures on ``bank``:
+    (the entry it re-measures or None, (count, seed0), ratios).
+
+    The entry is the first row of ``suite`` whose parameters include
+    ``params``, and it is measured with its own parameters.  With no such row,
+    ``params`` override those of the suite's first row.  The corpus is the
+    row's unless ``count``/``seed0`` are given.
+    """
+    rows = [(name, e) for name, e in _TABLE.items() if e.suite == suite]
+    name, e = next(((name, e) for name, e in rows
+                    if all(e.params[k] == v for k, v in params.items())), (None, rows[0][1]))
+    count = e.count if count is None else count
+    seed0 = e.seed0 if seed0 is None else seed0
+    return name, (count, seed0), e.ratio_fn(bank, count, seed0,
+                                            **(e.params if name else {**e.params, **params}))
 
 
 def compute_all() -> dict:
     entries = {}
-    for name, fn in sorted(_SWEEPS.items()):
-        entries[name] = fn()
+    for name, e in sorted(_TABLE.items()):
+        corpus = {} if e.count is None else {"count": e.count, "seed0": e.seed0}
+        entries[name] = {**e.summary(ratios(name), e.count), **corpus, **e.params}
     return {"grid": {"n": _GRID_N, "d": _GRID_D}, "entries": entries}
 
 
@@ -168,8 +202,8 @@ def bracket(name: str) -> tuple[float, float]:
 def check() -> int:
     """Re-measure every entry against its 2x bound; 1 if any exceeds it, else 0."""
     status = 0
-    for name, fn in sorted(_SWEEPS.items()):
-        measured = float(fn()["max"])
+    for name in sorted(_TABLE):
+        measured = float(np.max(ratios(name)))
         bound = regression_bound(name)
         print(f"  {name}: measured={measured!r} stored={stored(name)['max']!r} "
               f"headroom={1.0 - measured / bound:.1%}")

@@ -11,6 +11,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from . import calibration
 from .bank import decompose, default_bank
 from .corpus import divfree_sample, scalar_sample, scalar_samples
 from .errors import StabilityError
-from .euler import SolverConfig, solve, taylor_green
-from .fields import (Grid, GridField, SpectrumSpec, VectorField, as_physical,
+from .euler import SolverConfig, _wrap, solve, taylor_green
+from .fields import (PHYSICAL, Grid, GridField, SpectrumSpec, VectorField, as_physical,
                      random_divergence_free, read_field, write_field)
 from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound,
                     kernel_l1_terms, sup_norm, verify_embedding, verify_lifting)
@@ -44,33 +45,39 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--q", type=_float_or_inf, default=1.0)
     common.add_argument("--T", type=float, default=0.2)
     common.add_argument("--dt", type=float, default=1e-3)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--config", type=Path, default=None)
     common.add_argument("--out", type=Path, default=None)
+    # not in `common`: argparse shares a parent's actions between subparsers, so
+    # verify's own --seed default (the calibrated corpus) would leak into the rest
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    pn = sub.add_parser("norm", parents=[common], help="norm of a stored field")
+    pn = sub.add_parser("norm", parents=[seeded], help="norm of a stored field")
     pn.add_argument("file", type=Path)
     pn.add_argument("--flavor", choices=("tl", "besov"), default="tl")
     pn.add_argument("--homogeneous", action="store_true")
 
-    pd = sub.add_parser("decompose", parents=[common], help="emit dyadic blocks")
+    pd = sub.add_parser("decompose", parents=[seeded], help="emit dyadic blocks")
     pd.add_argument("file", type=Path)
 
     pv = sub.add_parser("verify", parents=[common], help="run a named inequality suite")
     pv.add_argument("suite", choices=_VERIFY_SUITES)
-    pv.add_argument("--count", type=int, default=10)
+    pv.add_argument("--seed", type=int, default=None,
+                    help="first seed of the corpus (default: the calibrated entry's)")
+    pv.add_argument("--count", type=int, default=None,
+                    help="corpus size (default: the calibrated entry's)")
     pv.add_argument("--form", default=None)
     pv.add_argument("--family", default="lacunary")
     pv.add_argument("--scales", type=int, nargs="+", default=[2, 3, 4])
 
-    sub.add_parser("solve", parents=[common], help="integrate the torus dynamics")
-    pi = sub.add_parser("iterate", parents=[common], help="successive-approximation ladder")
+    sub.add_parser("solve", parents=[seeded], help="integrate the torus dynamics")
+    pi = sub.add_parser("iterate", parents=[seeded], help="successive-approximation ladder")
     pi.add_argument("--members", type=int, default=6)
-    sub.add_parser("bona-smith", parents=[common], help="mollified-data continuity ladder")
-    sub.add_parser("lipschitz", parents=[common], help="lower-norm dependence moduli")
-    sub.add_parser("continuity", parents=[common], help="three-piece continuity assembly")
+    sub.add_parser("bona-smith", parents=[seeded], help="mollified-data continuity ladder")
+    sub.add_parser("lipschitz", parents=[seeded], help="lower-norm dependence moduli")
+    sub.add_parser("continuity", parents=[seeded], help="three-piece continuity assembly")
     return p
 
 
@@ -99,10 +106,14 @@ def _norm_spec_from(args, cfg: dict, homogeneous: bool = False) -> NormSpec:
 
 
 def _solver_from(args, cfg: dict, stride: int = 20) -> SolverConfig:
-    sv = cfg.get("solver", {})
-    return SolverConfig(dt=float(sv.get("dt", args.dt)), T=float(sv.get("T", args.T)),
-                        dealias=bool(sv.get("dealias", True)),
-                        record_stride=int(sv.get("record_stride", stride)))
+    """The ``solver`` block as a :class:`SolverConfig`, field by field; ``T`` and
+    ``dt`` default to the flags."""
+    block = {"T": args.T, "dt": args.dt, "record_stride": stride, **cfg.get("solver", {})}
+    types = get_type_hints(SolverConfig)
+    unknown = sorted(set(block) - set(types))
+    if unknown:
+        raise ValueError(f"unknown solver setting(s) {unknown}; expected some of {sorted(types)}")
+    return SolverConfig(**{k: types[k](v) for k, v in block.items()})
 
 
 def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
@@ -143,37 +154,25 @@ def _emit(report: dict, args) -> None:
 # verify suites
 
 
-def _bound_or_none(key: str, spec, calibrated: tuple[float, float, float]):
-    """Regression bound when the requested indices match the calibrated ones."""
-    if (spec.s, spec.p, spec.q) == calibrated:
-        return calibration.regression_bound(key)
-    return None
+def _gated(report: dict, name, ratios) -> tuple[dict, bool]:
+    """Add the ratios, their max and the entry's bound; pass if the max is within it."""
+    bound = None if name is None else calibration.regression_bound(name)
+    worst = float(np.max(ratios))
+    ok = (worst <= bound) if bound else all(math.isfinite(r) for r in ratios)
+    return {**report, "ratios": ratios, "max": worst, "bound": bound}, ok
 
 
 def _verify_moser(args, bank, spec) -> tuple[dict, bool]:
-    from .paraproduct import moser_sweep
-
-    ratios = moser_sweep(bank, spec, args.count, args.seed or 100)
-    bound = _bound_or_none("product_endpoint_s3_p1_q1", spec, (3.0, 1.0, 1.0))
-    worst = float(np.max(ratios))
-    ok = (worst <= bound) if bound else all(math.isfinite(r) for r in ratios)
-    return {"suite": "moser", "ratios": ratios, "max": worst, "bound": bound}, ok
+    name, _, ratios = calibration.measure("moser", bank, args.count, args.seed,
+                                          s=spec.s, p=spec.p, q=spec.q)
+    return _gated({"suite": "moser"}, name, ratios)
 
 
 def _verify_commutator(args, bank, spec) -> tuple[dict, bool]:
-    from .paraproduct import commutator_sweep
-
     form = args.form or "esti1"
-    ratios = commutator_sweep(bank, spec, form, args.count, args.seed or 400)
-    key = ("commutator_esti1_s3_p1_q1" if form == "esti1"
-           else "commutator_esti2_s3_p1_q1")
-    bound = _bound_or_none(key, spec, (3.0, 1.0, 1.0))
-    if bound is None and form == "esti1":
-        bound = _bound_or_none("commutator_esti1_s2p5_p2_q2", spec, (2.5, 2.0, 2.0))
-    worst = float(np.max(ratios))
-    ok = (worst <= bound) if bound else all(math.isfinite(r) for r in ratios)
-    return {"suite": "commutator", "form": form, "ratios": ratios,
-            "max": worst, "bound": bound}, ok
+    name, _, ratios = calibration.measure("commutator", bank, args.count, args.seed,
+                                          s=spec.s, p=spec.p, q=spec.q, form=form)
+    return _gated({"suite": "commutator", "form": form}, name, ratios)
 
 
 def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
@@ -182,7 +181,8 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
     source = (spec.s, spec.p, spec.q)
     p1 = 2.0 * spec.p
     target = (spec.s - d / spec.p + d / p1, p1)
-    samples = scalar_samples(grid, args.count, args.seed or 800)
+    samples = scalar_samples(grid, 10 if args.count is None else args.count,
+                             800 if args.seed is None else args.seed)
     ratios = [verify_embedding(bank, f, source, target) for f in samples]
     besov_sup = NormSpec(0.0, math.inf, 1.0, flavor="besov")
     violations = sum(sup_norm(f) > besov_norm(bank, f, besov_sup) * (1 + 1e-12) for f in samples)
@@ -192,54 +192,37 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
 
 
 def _verify_lifting(args, bank, spec) -> tuple[dict, bool]:
-    grid = bank.grid
-    x = grid.meshes()
-    pure = GridField(grid, 2.0 * np.cos(4 * x[0]), "physical")
+    x = bank.grid.meshes()
+    pure = GridField(bank.grid, 2.0 * np.cos(4 * x[0]), "physical")
     r_pure = verify_lifting(bank, pure, s=1.0, p=2.0, q=2.0, k=1.0)
-    ratios = [verify_lifting(bank, f, s=1.0, p=2.0, q=2.0, k=1.0)
-              for f in scalar_samples(grid, args.count, args.seed or 700)]
-    lo, hi = calibration.bracket("lifting_s1_order1")
+    name, _, ratios = calibration.measure("lifting", bank, args.count, args.seed)
+    lo, hi = calibration.bracket(name)
     ok = abs(r_pure - 1.0) <= 1e-12 and all(lo <= r <= hi for r in ratios)
     return {"suite": "lifting", "pure_mode_ratio": r_pure, "ratios": ratios,
             "bracket": [lo, hi]}, ok
 
 
 def _verify_maximal(args, bank, spec) -> tuple[dict, bool]:
-    from .maximal import default_config, hl_maximal, verify_pointwise_bound
+    from .maximal import default_config, hl_maximal
 
     grid = bank.grid
     cfgm = default_config(grid)
+    name, (count, seed0), ratios = calibration.measure("maximal", bank, args.count, args.seed)
     bad = 0
-    for i in range(args.count):
-        f = scalar_sample(grid, (args.seed or 500) + i)
-        g2 = scalar_sample(grid, (args.seed or 500) + i + 10000)
+    for i in range(count):
+        f = scalar_sample(grid, seed0 + i)
+        g2 = scalar_sample(grid, seed0 + i + 10000)
         mf, mg = hl_maximal(f, cfgm).values, hl_maximal(g2, cfgm).values
         fg = GridField(grid, f.values + g2.values, "physical")
         if (hl_maximal(fg, cfgm).values > mf + mg + 1e-12).any():
             bad += 1
-    ratios = [verify_pointwise_bound(bank, scalar_sample(grid, (args.seed or 500) + i,
-                                                         band=(1, 16)),
-                                     j=4, k=2, theta=1.0, r=0.5)
-              for i in range(args.count)]
-    bound = calibration.regression_bound("pointwise_block_maximal")
-    worst = float(np.max(ratios))
-    ok = bad == 0 and worst <= bound
-    return {"suite": "maximal", "sublinearity_violations": bad,
-            "pointwise_ratios": ratios, "max": worst, "bound": bound}, ok
+    report, ok = _gated({"suite": "maximal", "sublinearity_violations": bad}, name, ratios)
+    return report, ok and bad == 0
 
 
 def _verify_fs(args, bank, spec) -> tuple[dict, bool]:
-    from .maximal import verify_fefferman_stein
-
-    grid = bank.grid
-    ratios = []
-    for i in range(args.count):
-        f = scalar_sample(grid, (args.seed or 600) + i)
-        fam = [as_physical(b) for b in decompose(bank, f).blocks[:8]]
-        ratios.append(verify_fefferman_stein(fam, 2.0, 2.0))
-    worst = float(np.max(ratios))
-    bound = calibration.regression_bound("vector_maximal_p2_q2")
-    return {"suite": "fefferman-stein", "max": worst, "bound": bound}, worst <= bound
+    name, _, ratios = calibration.measure("fefferman-stein", bank, args.count, args.seed)
+    return _gated({"suite": "fefferman-stein"}, name, ratios)
 
 
 def _verify_kernel(args, bank, spec) -> tuple[dict, bool]:
@@ -324,7 +307,7 @@ def _run_iterate(args) -> int:
     member_files = []
     for m, traj in enumerate(ladder.members):
         name = f"fields/member_{m}_final.lpf"
-        write_field(traj.states[-1], out / name)
+        write_field(_wrap(traj.grid, traj.spectra[-1], PHYSICAL), out / name)
         member_files.append(name)
     manifest = {"M": M, "norm_spec": spec.label, "delta": list(ladder.decay_table),
                 "ratios": list(ladder.decay_ratios()), "member_files": member_files}

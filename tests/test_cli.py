@@ -5,9 +5,23 @@ import json
 import numpy as np
 import pytest
 
-from lpflow import Grid, write_field
+from lpflow import Grid, NormSpec, SolverConfig, SpectrumSpec, calibration, write_field
+from lpflow.bank import default_bank
 from lpflow.cli import main
 from lpflow.corpus import divfree_sample, scalar_sample
+from lpflow.fields import random_divergence_free
+from lpflow.iteration import cauchy_report, iterate
+
+# `lpflow verify` arguments that re-measure each entry with a CLI suite
+CALIBRATED_SUITES = {
+    "product_endpoint_s3_p1_q1": ["moser"],
+    "commutator_esti1_s3_p1_q1": ["commutator"],
+    "commutator_esti2_s3_p1_q1": ["commutator", "--form", "esti2"],
+    "commutator_esti1_s2p5_p2_q2": ["commutator", "--s", "2.5", "--p", "2", "--q", "2"],
+    "pointwise_block_maximal": ["maximal"],
+    "vector_maximal_p2_q2": ["fefferman-stein"],
+    "lifting_s1_order1": ["lifting"],
+}
 
 
 @pytest.fixture()
@@ -69,6 +83,29 @@ def test_verify_lifting(capsys):
     assert abs(out["pure_mode_ratio"] - 1.0) <= 1e-12
 
 
+def test_every_entry_with_a_suite_is_listed():
+    assert set(CALIBRATED_SUITES) == {name for name, e in calibration._TABLE.items() if e.suite}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATED_SUITES))
+def test_verify_defaults_remeasure_the_calibrated_entry(name, capsys):
+    assert main(["verify", *CALIBRATED_SUITES[name]]) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = calibration.ratios(name)
+    assert out["ratios"] == want
+    if "max" in out:                            # lifting reports a bracket instead
+        assert out["max"] == max(want)
+        assert out["bound"] == calibration.regression_bound(name)
+
+
+def test_verify_seed_zero_is_a_seed(capsys):
+    assert main(["verify", "moser", "--count", "2", "--seed", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    entry = "product_endpoint_s3_p1_q1"
+    assert out["ratios"] == calibration.ratios(entry, count=2, seed0=0)
+    assert out["ratios"] != calibration.ratios(entry, count=2)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "sharpness"])
@@ -125,6 +162,67 @@ def test_iterate_manifest(tmp_path, capsys):
     assert len(man["member_files"]) == 5        # includes the zero member
     assert (out / "tables" / "cauchy.json").exists()
     assert (out / "plots" / "decay.svg").exists()
+
+
+def _count_inverse_transforms(monkeypatch) -> list:
+    import sys
+
+    from lpflow import fields
+
+    calls, real = [], fields._from_half_spectrum
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("lpflow") and getattr(mod, "_from_half_spectrum", None) is real:
+            monkeypatch.setattr(mod, "_from_half_spectrum", spy)
+    return calls
+
+
+def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, monkeypatch, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({
+        "norm": {"s": 3, "p": 2, "q": 2},
+        "solver": {"T": 0.02, "dt": 0.002},
+        "initial": {"kind": "random", "seed": 11, "band": [1, 4], "amplitude": 0.5},
+        "experiment": {"members": 4},
+    }))
+    calls = _count_inverse_transforms(monkeypatch)
+    out = tmp_path / "ladder"
+    assert main(["iterate", "--config", str(cfgf), "--out", str(out)]) == 0
+    cli_calls = len(calls)
+    calls.clear()
+    grid = Grid(64, 2)
+    u0 = random_divergence_free(grid, SpectrumSpec(2.0, (1, 4), 11))
+    u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
+    ladder = iterate(default_bank(64, 2), u0, 4, SolverConfig(dt=0.002, T=0.02, record_stride=1),
+                     NormSpec(3, 2, 2))
+    cauchy_report(ladder)
+    assert cli_calls - len(calls) == 5          # one inverse transform per member file
+    for m, traj in enumerate(ladder.members):
+        write_field(traj.states[-1], tmp_path / "want.lpf")
+        got = (out / f"fields/member_{m}_final.lpf").read_bytes()
+        assert got == (tmp_path / "want.lpf").read_bytes()
+
+
+def test_solve_honours_the_cfl_guard(tmp_path, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({
+        "grid": {"n": 16, "dim": 2},
+        "solver": {"T": 0.02, "dt": 0.01, "cfl_guard": 0.001},
+        "initial": {"kind": "taylor-green"},
+    }))
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 1
+    assert "CFL guard 0.001 exceeded" in capsys.readouterr().err
+
+
+def test_unknown_solver_setting(tmp_path, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"solver": {"T": 0.01, "dt": 0.001, "cfl": 0.1}}))
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert "'cfl'" in capsys.readouterr().err
 
 
 def test_bona_smith_command(tmp_path, capsys):

@@ -15,10 +15,10 @@ from lpflow import (DegenerateInputError, GridField, NormSpec, VectorField,
                     delta_j,
                     verify_commutator_estimate, verify_moser,
                     verify_moser_transport)
+from lpflow import calibration
 from lpflow.corpus import scalar_sample, transport_pair
 from lpflow.fields import dealias_field, derivative
-from lpflow.paraproduct import (_sequence_tl_norm, commutator_sweep, moser_sweep,
-                                transport_sweep)
+from lpflow.paraproduct import _sequence_tl_norm
 
 MOSER_SEED56 = 0.31188812465414134
 PROD2_SEED300 = 0.14831309394561232
@@ -28,6 +28,20 @@ ESTI2_SEED300 = 0.12532605613314318
 ESTI1_NONENDPOINT = 0.37626445441536116
 SCAN_LACUNARY_S2 = (0.051715461199199286, 0.040938360993777546,
                     0.03477337508847563)
+# Exact on one FFT backend: every advection goes through one helper and the
+# modulated pair through leray_project, in the same floating-point order.
+SCAN_S2_EXACT = {
+    "lacunary": (0.051715461199199286, 0.040938360993777546, 0.034773375088475646),
+    "modulated-bump": (0.14114581427363676, 0.05797669651748615, 0.025285813403664488),
+    "random": (0.07419251106115309, 0.03350739927125938, 0.01597753180419627),
+}
+CORPUS_MAX_MIN_EXACT = {
+    "transport_prod2_s0_p1_q2": (0.14831309394561232, 0.11160430316854035),
+    "transport_prod3_s0_p1_q2": (0.17680683455679552, 0.09270992204250159),
+    "commutator_esti1_s3_p1_q1": (0.4895723287865932, 0.39014507309773244),
+    "commutator_esti2_s3_p1_q1": (0.17517906834786412, 0.07432957661331863),
+    "commutator_esti1_s2p5_p2_q2": (0.39421485761110175, 0.29539073401165744),
+}
 
 
 def test_bony_pieces_resum_to_product(grid64, bank64):
@@ -202,14 +216,13 @@ def test_commutator_estimate_index_ranges(grid64, bank64):
                                    "esti9")
 
 
-def test_sweeps_are_deterministic(bank64):
-    spec = NormSpec(3, 1, 1, homogeneous=True)
-    a = moser_sweep(bank64, spec, 3, 100)
-    b = moser_sweep(bank64, spec, 3, 100)
+def test_sweeps_are_deterministic():
+    a = calibration.ratios("product_endpoint_s3_p1_q1", count=3, seed0=100)
+    b = calibration.ratios("product_endpoint_s3_p1_q1", count=3, seed0=100)
     assert a == b
-    t = transport_sweep(bank64, NormSpec(0, 1, 2, homogeneous=True), "prod2", 2, 300)
+    t = calibration.ratios("transport_prod2_s0_p1_q2", count=2, seed0=300)
     assert abs(t[0] - PROD2_SEED300) < 1e-12
-    c = commutator_sweep(bank64, spec, "esti1", 2, 300)
+    c = calibration.ratios("commutator_esti1_s3_p1_q1", count=2, seed0=300)
     assert abs(c[0] - ESTI1_SEED300) < 1e-12
 
 
@@ -219,6 +232,14 @@ def test_counterexample_scan_lacunary(bank64):
     assert list(rep.seeds) == [2, 3, 4]
     for got, want in zip(rep.ratios, SCAN_LACUNARY_S2):
         assert abs(got - want) < 1e-12
+
+
+def test_advection_and_projection_paths_are_exact(bank64):
+    for family, want in SCAN_S2_EXACT.items():
+        assert counterexample_scan(bank64, family, 2.0, 2.0, 2.0, [2, 3, 4]).ratios == want
+    for name, want in CORPUS_MAX_MIN_EXACT.items():
+        ratios = calibration.ratios(name)
+        assert (max(ratios), min(ratios)) == want
 
 
 def test_counterexample_scan_validation(bank64):
