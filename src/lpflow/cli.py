@@ -11,7 +11,6 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -106,14 +105,16 @@ def _norm_spec_from(args, cfg: dict, homogeneous: bool = False) -> NormSpec:
 
 
 def _solver_from(args, cfg: dict, stride: int = 20) -> SolverConfig:
-    """The ``solver`` block as a :class:`SolverConfig`, field by field; ``T`` and
-    ``dt`` default to the flags."""
-    block = {"T": args.T, "dt": args.dt, "record_stride": stride, **cfg.get("solver", {})}
-    types = get_type_hints(SolverConfig)
-    unknown = sorted(set(block) - set(types))
+    """The ``solver`` block's ``T``, ``dt`` (default: the flags), ``dealias`` and
+    ``record_stride``; any other key is a usage error."""
+    sv = cfg.get("solver", {})
+    unknown = sorted(set(sv) - {"T", "dt", "dealias", "record_stride"})
     if unknown:
-        raise ValueError(f"unknown solver setting(s) {unknown}; expected some of {sorted(types)}")
-    return SolverConfig(**{k: types[k](v) for k, v in block.items()})
+        raise ValueError(f"unknown solver setting(s) {unknown}; "
+                         "expected some of ['T', 'dealias', 'dt', 'record_stride']")
+    return SolverConfig(dt=float(sv.get("dt", args.dt)), T=float(sv.get("T", args.T)),
+                        dealias=bool(sv.get("dealias", True)),
+                        record_stride=int(sv.get("record_stride", stride)))
 
 
 def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:

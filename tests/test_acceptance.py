@@ -30,6 +30,19 @@ from lpflow.paraproduct import commutator
 
 GRID = Grid(64, 2)
 BANK = default_bank(64, 2)
+# (max, min) of each transport/commutator entry's calibrated corpus.
+CORPUS_MAX_MIN = {
+    "transport_prod2_s0_p1_q2": (0.14831309394561232, 0.11160430316854035),
+    "transport_prod3_s0_p1_q2": (0.17680683455679552, 0.09270992204250159),
+    "commutator_esti1_s3_p1_q1": (0.4895723287865932, 0.39014507309773244),
+    "commutator_esti2_s3_p1_q1": (0.17517906834786412, 0.07432957661331863),
+    "commutator_esti1_s2p5_p2_q2": (0.39421485761110175, 0.29539073401165744),
+}
+
+
+def _matches_pin(name, ratios):
+    want_max, want_min = CORPUS_MAX_MIN[name]
+    return abs(max(ratios) - want_max) < 1e-12 and abs(min(ratios) - want_min) < 1e-12
 
 
 def _sup_diff(u, v):
@@ -165,6 +178,8 @@ def test_criterion_07_product_endpoint():
     assert scale_dev <= 1e-10
     assert max(p2) <= b2
     assert max(p3) <= b3
+    assert _matches_pin("transport_prod2_s0_p1_q2", p2)
+    assert _matches_pin("transport_prod3_s0_p1_q2", p3)
 
 
 def test_criterion_08_commutator_estimates():
@@ -189,6 +204,9 @@ def test_criterion_08_commutator_estimates():
     assert max(e2) <= b2
     assert const_max <= 1e-13
     assert max(non) <= bn
+    assert _matches_pin("commutator_esti1_s3_p1_q1", e1)
+    assert _matches_pin("commutator_esti2_s3_p1_q1", e2)
+    assert _matches_pin("commutator_esti1_s2p5_p2_q2", non)
 
 
 def test_criterion_09_solver_correctness():

@@ -207,15 +207,16 @@ def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, monkeypatch
         assert got == (tmp_path / "want.lpf").read_bytes()
 
 
-def test_solve_honours_the_cfl_guard(tmp_path, capsys):
+def test_solve_rejects_a_cfl_guard_setting(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({
         "grid": {"n": 16, "dim": 2},
         "solver": {"T": 0.02, "dt": 0.01, "cfl_guard": 0.001},
         "initial": {"kind": "taylor-green"},
     }))
-    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 1
-    assert "CFL guard 0.001 exceeded" in capsys.readouterr().err
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert "'cfl_guard'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_solver_setting(tmp_path, capsys):
