@@ -19,33 +19,16 @@ from .errors import DegenerateInputError
 from .fields import (PHYSICAL, Grid, GridField, apply_multiplier, as_physical,
                      as_spectral, wavenumber_norm)
 
-_PROFILES = ("exp", "cos")
 
-
-def _smooth_step_exp(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for t <= 1/2, 0 for t >= 1, strictly monotone between."""
-    t = np.asarray(t, dtype=float)
+def radial_cutoff(r) -> np.ndarray:
+    """Low-pass profile phi(r): 1 for r <= 1/2, 0 for r >= 1, C-infinity and
+    strictly monotone between."""
+    t = np.asarray(r, dtype=float)
     # h(s) = exp(-1/s) for s > 0, else 0; underflow far from the transition is fine.
     with np.errstate(divide="ignore", over="ignore"):
         a = np.where(t < 1.0, np.exp(-1.0 / np.maximum(2.0 - 2.0 * t, 1e-300)), 0.0)
         b = np.where(t > 0.5, np.exp(-1.0 / np.maximum(2.0 * t - 1.0, 1e-300)), 0.0)
     return a / (a + b)
-
-
-def _smooth_step_cos(t: np.ndarray) -> np.ndarray:
-    """C^1 raised-cosine step with the same plateau and support."""
-    t = np.asarray(t, dtype=float)
-    s = np.clip(2.0 * t - 1.0, 0.0, 1.0)
-    return 0.5 * (1.0 + np.cos(np.pi * s))
-
-
-def radial_cutoff(r, profile: str = "exp") -> np.ndarray:
-    """Low-pass profile phi(r): 1 for r <= 1/2, 0 for r >= 1, smooth between."""
-    if profile == "exp":
-        return _smooth_step_exp(np.asarray(r, dtype=float))
-    if profile == "cos":
-        return _smooth_step_cos(np.asarray(r, dtype=float))
-    raise ValueError(f"unknown profile {profile!r}; expected one of {_PROFILES}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +44,6 @@ class LPFilterBank:
     j_max: int
     phi_0: np.ndarray
     psi: tuple[np.ndarray, ...]
-    profile: str = "exp"
 
 
 @dataclass(frozen=True)
@@ -81,21 +63,21 @@ def max_block_index(grid: Grid) -> int:
     return math.ceil(math.log2(math.sqrt(grid.d) * grid.n / 2.0)) + 1
 
 
-def build_filter_bank(grid: Grid, profile: str = "exp") -> LPFilterBank:
+def build_filter_bank(grid: Grid) -> LPFilterBank:
     """Sample the low-pass and annular multipliers on the half frequency lattice."""
     kk = wavenumber_norm(grid.n, grid.d)
     j_max = max_block_index(grid)
-    phis = [radial_cutoff(kk / 2.0**m, profile) for m in range(j_max + 2)]
+    phis = [radial_cutoff(kk / 2.0**m) for m in range(j_max + 2)]
     psi = tuple(phis[j + 1] - phis[j] for j in range(j_max + 1))
     for arr in (phis[0], *psi):
         arr.setflags(write=False)
-    return LPFilterBank(grid, j_max, phis[0], psi, profile)
+    return LPFilterBank(grid, j_max, phis[0], psi)
 
 
 @lru_cache(maxsize=8)
-def default_bank(n: int, d: int, profile: str = "exp") -> LPFilterBank:
+def default_bank(n: int, d: int) -> LPFilterBank:
     """Cached bank for repeated use on a common grid."""
-    return build_filter_bank(Grid(n, d), profile)
+    return build_filter_bank(Grid(n, d))
 
 
 def low_pass_multiplier(bank: LPFilterBank, m: int) -> np.ndarray:
@@ -103,7 +85,7 @@ def low_pass_multiplier(bank: LPFilterBank, m: int) -> np.ndarray:
     kk = wavenumber_norm(bank.grid.n, bank.grid.d)
     if m > bank.j_max:
         return np.ones(kk.shape)
-    return radial_cutoff(kk / 2.0**m, bank.profile)
+    return radial_cutoff(kk / 2.0**m)
 
 
 def delta_j(bank: LPFilterBank, f: GridField, j: int) -> GridField:

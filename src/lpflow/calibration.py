@@ -5,7 +5,8 @@ value, so each is pinned by measurement.  A row of ``_TABLE`` holds a ratio
 function of (bank, count, seed0, parameters), its seeded corpus and its
 parameters; the worst ratio is stored in packaged JSON, and gates allow twice
 it.  ``--check``, ``lpflow verify`` and the acceptance criteria all measure
-through :func:`ratios` or :func:`measure`.  Regenerate the table with
+through :func:`ratios` or :func:`measure`, and the maximal-function
+sublinearity check through :func:`sublinearity`.  Regenerate the table with
 
     python3 -m lpflow.calibration
 
@@ -25,9 +26,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bank import decompose, default_bank
-from .corpus import divfree_sample, scalar_pairs, scalar_samples, transport_pair
+from .corpus import (scalar_pairs, scalar_sample, scalar_samples, solution_map_datum,
+                     transport_pair)
 from .fields import as_physical
-from .maximal import verify_pointwise_bound
+from .maximal import hl_maximal, verify_pointwise_bound
 from .norms import NormSpec, verify_lifting
 from .paraproduct import verify_commutator_estimate, verify_moser, verify_moser_transport
 from .reports import dump_json
@@ -80,10 +82,8 @@ def _boundedness(bank, count, seed0, seed, T, dt, s, p, q, amplitude):
     """One solve of the datum ``seed``; there is no corpus, so count and seed0 are unused."""
     from .experiments import DependenceConfig, boundedness_experiment
 
-    u0 = divfree_sample(bank.grid, seed, decay=6.0, band=(1, 21))
-    u0 = u0 * (amplitude / max(float(np.abs(c.values).max()) for c in u0.components))
-    cfg = DependenceConfig(norm_spec=NormSpec(s, p, q), T=T, dt=dt, seed=seed)
-    return [boundedness_experiment(u0, cfg).max]
+    cfg = DependenceConfig(norm_spec=NormSpec(s, p, q), T=T, dt=dt)
+    return [boundedness_experiment(solution_map_datum(bank.grid, seed, amplitude), cfg).max]
 
 
 def _max(ratios, count):
@@ -149,7 +149,7 @@ def ratios(name: str, count: int | None = None, seed0: int | None = None) -> lis
 
 def measure(suite: str, bank, count: int | None = None, seed0: int | None = None, **params):
     """What ``lpflow verify suite`` with ``params`` measures on ``bank``:
-    (the entry it re-measures or None, (count, seed0), ratios).
+    (the entry it re-measures or None, ratios).
 
     The entry is the first row of ``suite`` whose parameters include
     ``params``, and it is measured with its own parameters.  With no such row,
@@ -159,10 +159,23 @@ def measure(suite: str, bank, count: int | None = None, seed0: int | None = None
     rows = [(name, e) for name, e in _TABLE.items() if e.suite == suite]
     name, e = next(((name, e) for name, e in rows
                     if all(e.params[k] == v for k, v in params.items())), (None, rows[0][1]))
-    count = e.count if count is None else count
+    return name, e.ratio_fn(bank, e.count if count is None else count,
+                            e.seed0 if seed0 is None else seed0,
+                            **(e.params if name else {**e.params, **params}))
+
+
+def sublinearity(grid, count: int | None = None, seed0: int | None = None) -> list:
+    """Per pair of the ``pointwise_block_maximal`` corpus, f from seed0 + i and g
+    from seed0 + i + 10000 (default: the entry's count and seed0): (f, Mf,
+    whether M(f + g) exceeds Mf + Mg anywhere), M the default maximal function."""
+    e = _TABLE["pointwise_block_maximal"]
     seed0 = e.seed0 if seed0 is None else seed0
-    return name, (count, seed0), e.ratio_fn(bank, count, seed0,
-                                            **(e.params if name else {**e.params, **params}))
+    pairs = []
+    for i in range(e.count if count is None else count):
+        f, g = scalar_sample(grid, seed0 + i), scalar_sample(grid, seed0 + i + 10000)
+        mf, mg = hl_maximal(f).values, hl_maximal(g).values
+        pairs.append((f, mf, bool((hl_maximal(f + g).values > mf + mg + 1e-12).any())))
+    return pairs
 
 
 def compute_all() -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import calibration
 from .bank import decompose, default_bank
-from .corpus import divfree_sample, scalar_sample, scalar_samples
+from .corpus import divfree_sample, scalar_samples, scale_to_peak, solution_map_datum
 from .errors import StabilityError
 from .euler import SolverConfig, _wrap, solve, taylor_green
 from .fields import (PHYSICAL, Grid, GridField, SpectrumSpec, VectorField, as_physical,
@@ -29,10 +29,6 @@ _VERIFY_SUITES = ("moser", "commutator", "embedding", "lifting", "maximal",
                   "fefferman-stein", "kernel-l1", "counterexample-scan")
 
 
-def _float_or_inf(text: str) -> float:
-    return math.inf if text in ("inf", "Inf", "INF") else float(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lpflow",
                                 description="dyadic-analysis toolbox and torus flow solver")
@@ -40,8 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, default=64)
     common.add_argument("--dim", type=int, default=2)
     common.add_argument("--s", type=float, default=3.0)
-    common.add_argument("--p", type=_float_or_inf, default=1.0)
-    common.add_argument("--q", type=_float_or_inf, default=1.0)
+    common.add_argument("--p", type=float, default=1.0)
+    common.add_argument("--q", type=float, default=1.0)
     common.add_argument("--T", type=float, default=0.2)
     common.add_argument("--dt", type=float, default=1e-3)
     common.add_argument("--config", type=Path, default=None)
@@ -84,10 +80,26 @@ def _build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
+# every key any command reads, per block, so one config file serves every command
+_CONFIG_KEYS = {"grid": {"n", "dim"}, "norm": {"s", "p", "q", "homogeneous"},
+                "solver": {"T", "dt", "dealias", "record_stride"},
+                "experiment": {"members", "N_list", "eps_list", "seed"},
+                "initial": {"kind", "seed", "band", "decay", "amplitude"}}
+
+
 def _load_config(args) -> dict:
-    if args.config is None:
-        return {}
-    return json.loads(args.config.read_text())
+    """The ``--config`` file; a block or key outside ``_CONFIG_KEYS``, or a file or
+    block that is not a JSON object, is a usage error."""
+    cfg = {} if args.config is None else json.loads(args.config.read_text())
+    for where, allowed in [("config", _CONFIG_KEYS), *_CONFIG_KEYS.items()]:
+        given = cfg if where == "config" else cfg.get(where, {})
+        if not isinstance(given, dict):
+            raise ValueError(f"{where} must be a JSON object, got {given!r}")
+        unknown = sorted(set(given) - set(allowed))
+        if unknown:
+            raise ValueError(f"unknown {where} setting(s) {unknown}; "
+                             f"expected some of {sorted(allowed)}")
+    return cfg
 
 
 def _grid_from(args, cfg: dict) -> Grid:
@@ -95,23 +107,16 @@ def _grid_from(args, cfg: dict) -> Grid:
     return Grid(int(g.get("n", args.n)), int(g.get("dim", args.dim)))
 
 
-def _norm_spec_from(args, cfg: dict, homogeneous: bool = False) -> NormSpec:
+def _norm_spec_from(args, cfg: dict) -> NormSpec:
     m = cfg.get("norm", {})
-    q = m.get("q", args.q)
-    if isinstance(q, str):
-        q = _float_or_inf(q)
-    return NormSpec(float(m.get("s", args.s)), float(m.get("p", args.p)), float(q),
-                    bool(m.get("homogeneous", homogeneous)))
+    return NormSpec(float(m.get("s", args.s)), float(m.get("p", args.p)),
+                    float(m.get("q", args.q)), bool(m.get("homogeneous", False)))
 
 
 def _solver_from(args, cfg: dict, stride: int = 20) -> SolverConfig:
     """The ``solver`` block's ``T``, ``dt`` (default: the flags), ``dealias`` and
-    ``record_stride``; any other key is a usage error."""
+    ``record_stride``."""
     sv = cfg.get("solver", {})
-    unknown = sorted(set(sv) - {"T", "dt", "dealias", "record_stride"})
-    if unknown:
-        raise ValueError(f"unknown solver setting(s) {unknown}; "
-                         "expected some of ['T', 'dealias', 'dt', 'record_stride']")
     return SolverConfig(dt=float(sv.get("dt", args.dt)), T=float(sv.get("T", args.T)),
                         dealias=bool(sv.get("dealias", True)),
                         record_stride=int(sv.get("record_stride", stride)))
@@ -132,9 +137,7 @@ def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
         band = tuple(init.get("band", (1, 4)))
         decay = float(init.get("decay", 2.0))
         amp = float(init.get("amplitude", 0.5))
-        u = random_divergence_free(grid, SpectrumSpec(decay, band, seed))
-        peak = max(float(np.abs(c.values).max()) for c in u.components)
-        return u * (amp / peak)
+        return scale_to_peak(random_divergence_free(grid, SpectrumSpec(decay, band, seed)), amp)
     raise ValueError(f"unknown initial-data kind {kind!r}")
 
 
@@ -164,15 +167,15 @@ def _gated(report: dict, name, ratios) -> tuple[dict, bool]:
 
 
 def _verify_moser(args, bank, spec) -> tuple[dict, bool]:
-    name, _, ratios = calibration.measure("moser", bank, args.count, args.seed,
-                                          s=spec.s, p=spec.p, q=spec.q)
+    name, ratios = calibration.measure("moser", bank, args.count, args.seed,
+                                       s=spec.s, p=spec.p, q=spec.q)
     return _gated({"suite": "moser"}, name, ratios)
 
 
 def _verify_commutator(args, bank, spec) -> tuple[dict, bool]:
     form = args.form or "esti1"
-    name, _, ratios = calibration.measure("commutator", bank, args.count, args.seed,
-                                          s=spec.s, p=spec.p, q=spec.q, form=form)
+    name, ratios = calibration.measure("commutator", bank, args.count, args.seed,
+                                       s=spec.s, p=spec.p, q=spec.q, form=form)
     return _gated({"suite": "commutator", "form": form}, name, ratios)
 
 
@@ -196,7 +199,7 @@ def _verify_lifting(args, bank, spec) -> tuple[dict, bool]:
     x = bank.grid.meshes()
     pure = GridField(bank.grid, 2.0 * np.cos(4 * x[0]), "physical")
     r_pure = verify_lifting(bank, pure, s=1.0, p=2.0, q=2.0, k=1.0)
-    name, _, ratios = calibration.measure("lifting", bank, args.count, args.seed)
+    name, ratios = calibration.measure("lifting", bank, args.count, args.seed)
     lo, hi = calibration.bracket(name)
     ok = abs(r_pure - 1.0) <= 1e-12 and all(lo <= r <= hi for r in ratios)
     return {"suite": "lifting", "pure_mode_ratio": r_pure, "ratios": ratios,
@@ -204,25 +207,14 @@ def _verify_lifting(args, bank, spec) -> tuple[dict, bool]:
 
 
 def _verify_maximal(args, bank, spec) -> tuple[dict, bool]:
-    from .maximal import default_config, hl_maximal
-
-    grid = bank.grid
-    cfgm = default_config(grid)
-    name, (count, seed0), ratios = calibration.measure("maximal", bank, args.count, args.seed)
-    bad = 0
-    for i in range(count):
-        f = scalar_sample(grid, seed0 + i)
-        g2 = scalar_sample(grid, seed0 + i + 10000)
-        mf, mg = hl_maximal(f, cfgm).values, hl_maximal(g2, cfgm).values
-        fg = GridField(grid, f.values + g2.values, "physical")
-        if (hl_maximal(fg, cfgm).values > mf + mg + 1e-12).any():
-            bad += 1
+    name, ratios = calibration.measure("maximal", bank, args.count, args.seed)
+    bad = sum(v for _, _, v in calibration.sublinearity(bank.grid, args.count, args.seed))
     report, ok = _gated({"suite": "maximal", "sublinearity_violations": bad}, name, ratios)
     return report, ok and bad == 0
 
 
 def _verify_fs(args, bank, spec) -> tuple[dict, bool]:
-    name, _, ratios = calibration.measure("fefferman-stein", bank, args.count, args.seed)
+    name, ratios = calibration.measure("fefferman-stein", bank, args.count, args.seed)
     return _gated({"suite": "fefferman-stein"}, name, ratios)
 
 
@@ -330,28 +322,27 @@ def _run_dependence(args, kind: str) -> int:
     cfg = _load_config(args)
     grid = _grid_from(args, cfg)
     ex = cfg.get("experiment", {})
+    seed = int(ex.get("seed", args.seed))
     dcfg = DependenceConfig(
         **asdict(_solver_from(args, cfg)),
         norm_spec=_norm_spec_from(args, cfg),
         N_list=tuple(ex.get("N_list", (3, 4, 5))),
         eps_list=tuple(ex.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))),
-        seed=int(ex.get("seed", args.seed)),
     )
     if "initial" in cfg:
         u0 = _initial_field(grid, args, cfg)
     else:
-        u0 = divfree_sample(grid, dcfg.seed + 21, decay=6.0, band=(1, grid.n // 3))
-        u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
+        u0 = solution_map_datum(grid, seed + 21)
     ok = True
     if kind == "bona-smith":
         rep = bona_smith_experiment(u0, dcfg)
         plot = {"rho": ([float(N) for N in rep.seeds], list(rep.ratios))}
     elif kind == "lipschitz":
-        w = divfree_sample(grid, dcfg.seed + 22, decay=2.0, band=(1, 8))
+        w = divfree_sample(grid, seed + 22, decay=2.0, band=(1, 8))
         rep = lipschitz_lowernorm_experiment(u0, w, dcfg)
         plot = {"L": ([math.log10(e) for e in dcfg.eps_list], list(rep.ratios))}
     else:
-        w = divfree_sample(grid, dcfg.seed + 22, decay=2.0, band=(1, 8))
+        w = divfree_sample(grid, seed + 22, decay=2.0, band=(1, 8))
         psi = u0 + w * (1e-3 / field_norm(default_bank(grid.n, grid.d), w, dcfg.norm_spec))
         rep = continuity_assembly(u0, psi, dcfg)
         pieces = dict(rep.tables["pieces"])

@@ -28,6 +28,8 @@ from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
                      vector_as_spectral, wavenumber_mesh)
 from .norms import NormSpec, _vector_half_norm
 
+CFL_GUARD = 0.5   # largest max|u| dt / dx a step may start from
+
 # ---------------------------------------------------------------------------
 # configuration and trajectory containers
 
@@ -42,7 +44,6 @@ class SolverConfig:
     dt: float
     T: float
     dealias: bool = True
-    cfl_guard: float = 0.5
     record_stride: int = 1
 
     def __post_init__(self):
@@ -50,8 +51,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.T < 0:
             raise ValueError("T must be nonnegative")
-        if not 0 < self.cfl_guard <= 0.5:
-            raise ValueError("cfl_guard must lie in (0, 0.5]")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         steps = round(self.T / self.dt)
@@ -249,11 +248,11 @@ def _record_norms(grid: Grid, half: np.ndarray, record, diagnostics) -> None:
             diagnostics.setdefault(spec.label, []).append(_vector_half_norm(bank, half, spec))
 
 
-def _check_cfl(vel, dt: float, grid: Grid, guard: float, t: float, where: str = "") -> None:
-    """Raise StabilityError unless max|u| dt / dx is finite and within ``guard``."""
+def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:
+    """Raise StabilityError unless max|u| dt / dx is finite and within ``CFL_GUARD``."""
     cfl = np.abs(vel).max() * dt / grid.spacing
-    if not cfl <= guard:  # max keeps a NaN; NaN fails <=
-        what = "non-finite velocity" if not np.isfinite(cfl) else f"CFL guard {guard} exceeded"
+    if not cfl <= CFL_GUARD:  # max keeps a NaN; NaN fails <=
+        what = "non-finite velocity" if not np.isfinite(cfl) else f"CFL guard {CFL_GUARD} exceeded"
         raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
 
 
@@ -271,8 +270,8 @@ def solve(u0: VectorField, cfg: SolverConfig,
           record: tuple[NormSpec, ...] = ()) -> Trajectory:
     """March the projected dynamics from u0; record every ``record_stride`` steps.
 
-    Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds the
-    guard or stops being finite, carrying the offending time.
+    Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds
+    ``CFL_GUARD`` or stops being finite, carrying the offending time.
     """
     _require_divfree(u0, "solve")
     g = u0.grid
@@ -286,7 +285,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
 
     for step in range(cfg.steps):
         vel = rhs.velocity(state)
-        _check_cfl(vel, dt, g, cfg.cfl_guard, step * dt)
+        _check_cfl(vel, dt, g, step * dt)
         state = _rk4_step(rhs, state, dt, vel)
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)

@@ -28,7 +28,6 @@ class DependenceConfig(SolverConfig):
     norm_spec: NormSpec
     N_list: tuple[int, ...] = ()
     eps_list: tuple[float, ...] = ()
-    seed: int = 0
     record_stride: int = 20
 
     def __post_init__(self):

@@ -98,7 +98,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
                 d0 = d1
                 velm, vel1 = rhs.velocity(vm), rhs.velocity(prev[i + 1])
             vel.append(vel1)
-            _check_cfl(vel0, dt, g, cfg.cfl_guard, i * dt, f" in ladder member {m}")
+            _check_cfl(vel0, dt, g, i * dt, f" in ladder member {m}")
             w = _rk4_step(rhs, w, dt, vel0, velm, vel1)
             history.append(w)
         members.append(Trajectory(times, history))

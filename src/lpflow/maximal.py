@@ -105,12 +105,10 @@ def band_edge(f: GridField) -> float:
 
 
 def verify_pointwise_bound(bank: LPFilterBank, f: GridField, j: int, k: int,
-                           theta: float, r: float,
-                           cfg: MaximalConfig | None = None,
-                           level_slack: int = 5) -> float:
+                           theta: float, r: float) -> float:
     """Max over x of |block_k f| / (2^{(j-k) theta d / r} M(|f|^{1-theta}) M(|f|^r)^{theta/r}).
 
-    ``f`` must be band-limited to |xi| <= 2^j and ``j > k - level_slack``; the
+    ``f`` must be band-limited to |xi| <= 2^j and ``j > k - 5``; the
     returned ratio realizes the convolution-maximal pointwise bound for the
     block-k filter applied to a scale-j field.
     """
@@ -118,12 +116,12 @@ def verify_pointwise_bound(bank: LPFilterBank, f: GridField, j: int, k: int,
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    if j <= k - level_slack:
-        raise ValueError(f"scale gap too large: j={j} <= k - {level_slack}")
+    if j <= k - 5:
+        raise ValueError(f"scale gap too large: j={j} <= k - 5")
     if band_edge(f) > 2.0**j + 1e-9:
         raise ValueError(f"field has content beyond |k| = 2^{j}")
     g = f.grid
-    cfg = cfg or default_config(g)
+    cfg = default_config(g)
     absf = np.abs(as_physical(f).values)
     if absf.max() == 0.0:
         raise DegenerateInputError("zero field in pointwise maximal bound")
@@ -135,8 +133,7 @@ def verify_pointwise_bound(bank: LPFilterBank, f: GridField, j: int, k: int,
     return float((lhs / rhs).max())
 
 
-def verify_bandlimited_sup(f: GridField, j: int, r: float,
-                           cfg: MaximalConfig | None = None) -> float:
+def verify_bandlimited_sup(f: GridField, j: int, r: float) -> float:
     """Max over x of sup_y |f(x-y)| / (1 + |2^j y|^{d/r}) over M(|f|^r)^{1/r}.
 
     The shifted-sup statistic on a band-limited field is controlled by the
@@ -146,7 +143,6 @@ def verify_bandlimited_sup(f: GridField, j: int, r: float,
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r must lie in (0, 1], got {r}")
     g = f.grid
-    cfg = cfg or default_config(g)
     absf = np.abs(as_physical(f).values)
     if absf.max() == 0.0:
         raise DegenerateInputError("zero field in shifted-sup bound")
@@ -159,7 +155,7 @@ def verify_bandlimited_sup(f: GridField, j: int, r: float,
     for offset in np.ndindex(*g.shape):
         shifted = np.roll(absf, shift=offset, axis=tuple(range(g.d)))
         np.maximum(lhs, shifted / weight[offset], out=lhs)
-    rhs = _maximal_array(absf**r, g, cfg) ** (1.0 / r)
+    rhs = _maximal_array(absf**r, g, default_config(g)) ** (1.0 / r)
     return float((lhs / rhs).max())
 
 
@@ -222,8 +218,7 @@ class RadialProfile:
                                    * absf.size, g.d)
 
 
-def verify_radial_majorant(profile: RadialProfile, f: GridField,
-                           eps_list, cfg: MaximalConfig | None = None) -> float:
+def verify_radial_majorant(profile: RadialProfile, f: GridField, eps_list) -> float:
     """Max over x and eps of |profile_eps * f| / (||majorant||_L1 * Mf)."""
     eps_list = tuple(float(e) for e in eps_list)
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -233,13 +228,12 @@ def verify_radial_majorant(profile: RadialProfile, f: GridField,
     if np.abs(absf.values).max() == 0.0:
         raise DegenerateInputError("zero field in radial majorant bound")
     c_major = profile.majorant_l1(g.d)
-    mf = hl_maximal(absf, cfg).values
+    mf = hl_maximal(absf).values
     return float(np.max([(np.abs(profile.convolve(absf, eps)) / (c_major * mf)).max()
                          for eps in eps_list]))
 
 
-def verify_fefferman_stein(fields, p: float, q: float,
-                           cfg: MaximalConfig | None = None) -> float:
+def verify_fefferman_stein(fields, p: float, q: float) -> float:
     """Vector-valued maximal ratio ||(sum_i (M f_i)^q)^{1/q}||_p / ||(sum_i |f_i|^q)^{1/q}||_p.
 
     Requires p in (1, inf) and q in (1, inf]; the p = 1 endpoint is rejected
@@ -253,10 +247,10 @@ def verify_fefferman_stein(fields, p: float, q: float,
     if not fields:
         raise ValueError("need at least one field")
     g = fields[0].grid
-    cfg = cfg or default_config(g)
     stack = np.stack([np.abs(as_physical(f).values) for f in fields])
     if stack.max() == 0.0:
         raise DegenerateInputError("zero family in vector-valued maximal ratio")
+    cfg = default_config(g)
     mstack = np.stack([_maximal_array(a, g, cfg) for a in stack])
     if math.isinf(q):
         num_env = mstack.max(axis=0)

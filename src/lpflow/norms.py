@@ -44,8 +44,10 @@ class NormSpec:
     def __post_init__(self):
         if self.flavor not in _FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.p < 1 or self.q < 1:
+        if not (self.p >= 1 and self.q >= 1):  # NaN fails >=
             raise ValueError(f"integrability indices need p, q >= 1, got p={self.p}, q={self.q}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"smoothness index must be finite, got s={self.s}")
         if self.flavor == "tl" and math.isinf(self.p):
             raise ValueError("the Triebel-Lizorkin scale requires p < infinity")
 
@@ -230,7 +232,7 @@ def verify_lifting(bank: LPFilterBank, f: GridField, s: float, p: float, q: floa
 # L^1 kernel bound for the projected second-order symbol
 
 
-def _kernel_lattice(refinement: int, d: int, profile: str):
+def _kernel_lattice(refinement: int, d: int):
     """Dual-lattice meshes of the auxiliary box and the annulus bump on them."""
     box = 2.0**refinement
     dxi = 2.0 * np.pi / box
@@ -246,23 +248,22 @@ def _kernel_lattice(refinement: int, d: int, profile: str):
     xi_1d = np.fft.fftfreq(m_pts, d=1.0 / m_pts) * dxi
     mesh = np.meshgrid(*([xi_1d] * d), indexing="ij")
     rho = np.sqrt(sum(m * m for m in mesh))
-    # psi vanishes off the open annulus 1/2 < rho < 2, exactly: both profiles
-    # return 1.0 for r <= 1/2 and 0.0 for r >= 1.
+    # psi vanishes off the open annulus 1/2 < rho < 2, exactly: the cutoff
+    # returns 1.0 for r <= 1/2 and 0.0 for r >= 1.
     ann = (rho > 0.5) & (rho < 2.0)
     psi = np.zeros_like(rho)
-    psi[ann] = radial_cutoff(rho[ann] / 2.0, profile) - radial_cutoff(rho[ann], profile)
+    psi[ann] = radial_cutoff(rho[ann] / 2.0) - radial_cutoff(rho[ann])
     return mesh, psi
 
 
-def _kernel_scale_l1(mesh, psi: np.ndarray, profile: str, l: int, k: int, i: int,
-                     j: int) -> float:
+def _kernel_scale_l1(mesh, psi: np.ndarray, l: int, k: int, i: int, j: int) -> float:
     """|| F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}, evaluated explicitly at scale j."""
     # Only psi's support is evaluated: every other entry is multiplied by psi = 0.
     ann = psi != 0
     scaled = [2.0**j * m[ann] for m in mesh]
     srho2 = sum(m * m for m in scaled)
     ssym = np.zeros_like(psi)
-    ssym[ann] = radial_cutoff(np.sqrt(srho2), profile) * scaled[l] * scaled[k] / srho2
+    ssym[ann] = radial_cutoff(np.sqrt(srho2)) * scaled[l] * scaled[k] / srho2
     # Box quadrature: with symbol samples on the dual lattice of a periodic box
     # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
     # This is the one FFT outside lpflow.fields: it acts on the auxiliary box,
@@ -270,20 +271,20 @@ def _kernel_scale_l1(mesh, psi: np.ndarray, profile: str, l: int, k: int, i: int
     return float(np.abs(np.fft.ifftn(ssym * psi * mesh[i])).sum())
 
 
-def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
-                    refinement: int = 7, d: int = 2, tail_tol: float = 1e-6,
-                    max_terms: int = 60) -> list[tuple[int, float]]:
+def kernel_l1_terms(l: int = 0, k: int = 0, i: int = 0, refinement: int = 7, d: int = 2,
+                    tail_tol: float = 1e-6) -> list[tuple[int, float]]:
     """Per-scale L^1 kernel norms 2^j || F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}.
 
     ``m`` is the symbol of the low-pass-projected operator
     (-Laplace)^{-1} d_l d_k, ``psi`` the unit annulus bump.  Terms are listed
-    for j = 0, -1, -2, ... until the geometric tail drops below ``tail_tol``.
+    for j = 0, -1, -2, ... until the geometric tail drops below ``tail_tol``
+    (at most 60 terms).
     The transform is evaluated on an auxiliary box of side 2^refinement with a
     dual lattice fine enough to resolve the annulus.
 
     Only j = 0, -1 and -2 are transformed.  psi vanishes off the open annulus
     1/2 < |xi| < 2, and for j <= -2 the low-pass factor phi(2^j xi) is exactly
-    1 there (its argument stays below 1/2, where both profiles return 1.0).
+    1 there (its argument stays below 1/2, where the cutoff returns 1.0).
     What is left, (2^j xi_l)(2^j xi_k) / |2^j xi|^2, is 0-homogeneous, and
     scaling by a power of two is exact in binary floating point, so the
     sampled symbol, and hence the l1 sum, is bit-for-bit the same at every
@@ -293,12 +294,12 @@ def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
     for name, ax in (("l", l), ("k", k), ("i", i)):
         if not 0 <= ax < d:
             raise ValueError(f"axis {name}={ax} out of range for dimension {d}")
-    mesh, psi = _kernel_lattice(refinement, d, profile)
+    mesh, psi = _kernel_lattice(refinement, d)
 
     terms = []
-    for j in range(0, -max_terms, -1):
+    for j in range(0, -60, -1):
         if j >= -2:  # below j = -2 the sum is frozen at its j = -2 value
-            l1 = _kernel_scale_l1(mesh, psi, profile, l, k, i, j)
+            l1 = _kernel_scale_l1(mesh, psi, l, k, i, j)
         term = 2.0**j * l1
         terms.append((j, term))
         # The prefactor halves per scale while the symbol freezes, so the
@@ -308,7 +309,6 @@ def kernel_l1_terms(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
     return terms
 
 
-def kernel_l1_bound(profile: str = "exp", l: int = 0, k: int = 0, i: int = 0,
-                    refinement: int = 7, d: int = 2, tail_tol: float = 1e-6) -> float:
-    """Partial sum of the dyadic L^1 kernel series (tail below ``tail_tol``)."""
-    return float(sum(t for _, t in kernel_l1_terms(profile, l, k, i, refinement, d, tail_tol)))
+def kernel_l1_bound(refinement: int = 7) -> float:
+    """Partial sum of the 2D dyadic L^1 kernel series for l = k = i = 0 (tail below 1e-6)."""
+    return float(sum(t for _, t in kernel_l1_terms(refinement=refinement)))

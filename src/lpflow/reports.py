@@ -65,7 +65,6 @@ class ExperimentReport:
     n: int
     seeds: tuple[int, ...]
     ratios: tuple[float, ...]
-    calibration_max: float | None = None
     tables: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
@@ -86,7 +85,6 @@ class ExperimentReport:
             "seeds": list(self.seeds),
             "ratios": list(self.ratios),
             "max": self.max,
-            "calibration_max": self.calibration_max,
         }
         if self.tables:
             out["tables"] = self.tables
@@ -95,11 +93,9 @@ class ExperimentReport:
         return out
 
 
-def write_svg_polyline(path, series: dict, title: str = "",
-                       width: int = 640, height: int = 400,
-                       log_y: bool = False) -> None:
-    """Minimal line chart: ``series`` maps label -> (xs, ys)."""
-    pad = 48
+def write_svg_polyline(path, series: dict, title: str = "", log_y: bool = False) -> None:
+    """Minimal 640 x 400 line chart: ``series`` maps label -> (xs, ys)."""
+    width, height, pad = 640, 400, 48
     pts = [(x, y) for xs, ys in series.values() for x, y in zip(xs, ys)]
     if not pts:
         raise ValueError("nothing to plot")

@@ -56,6 +56,19 @@ def test_norm_missing_file(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "nope.lpf")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--p", "nan"), ("--q", "nan"), ("--s", "nan"),
+                                         ("--s", "inf"), ("--s", "-inf")])
+def test_norm_refuses_nan_parameters(scalar_file, flag, value, capsys):
+    assert main(["norm", str(scalar_file), f"{flag}={value}"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("spelling", ["inf", "Inf", "INF", "infinity", "Infinity"])
+def test_norm_reads_every_spelling_of_infinity(scalar_file, spelling, capsys):
+    assert main(["norm", str(scalar_file), "--p", "2", "--q", spelling]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"] == "F3_2_inf"
+
+
 def test_decompose_layout(scalar_file, tmp_path, capsys):
     out = tmp_path / "dec"
     assert main(["decompose", str(scalar_file), "--out", str(out)]) == 0
@@ -224,6 +237,47 @@ def test_unknown_solver_setting(tmp_path, capsys):
     cfgf.write_text(json.dumps({"solver": {"T": 0.01, "dt": 0.001, "cfl": 0.1}}))
     assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
     assert "'cfl'" in capsys.readouterr().err
+
+
+# one small solve; each case adds one misspelt block or key, as in a hand-written config
+_TINY = {"grid": {"n": 16, "dim": 2}, "solver": {"T": 0.002, "dt": 0.001},
+         "initial": {"kind": "taylor-green"}}
+
+
+@pytest.mark.parametrize("block, key", [("grid", "N"), ("norm", "P"), ("experiment", "eps_List"),
+                                        ("initial", "amplitud"), (None, "solvr")])
+def test_unknown_config_key(tmp_path, block, key, capsys):
+    cfg = json.loads(json.dumps(_TINY))
+    if block is None:
+        cfg[key] = {"T": 0.002}
+    else:
+        cfg.setdefault(block, {})[key] = 1
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ['{"grid": 5}', '{"solver": ["T"]}', '[1]'])
+def test_config_blocks_must_be_objects(tmp_path, text, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(text)
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_one_config_serves_every_command(tmp_path, capsys):
+    """Every block accepts every key any command reads, so `solve` takes the
+    experiment settings of `iterate` and `bona-smith` without complaint."""
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({
+        **_TINY, "norm": {"s": 3, "p": 1, "q": 1, "homogeneous": False},
+        "solver": {"T": 0.002, "dt": 0.001, "dealias": True, "record_stride": 1},
+        "experiment": {"members": 4, "N_list": [1, 2], "eps_list": [0.1], "seed": 0},
+        "initial": {"kind": "random", "seed": 3, "band": [1, 4], "decay": 2.0,
+                    "amplitude": 0.5}}))
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_bona_smith_command(tmp_path, capsys):

@@ -1,14 +1,14 @@
 """Data-dependence experiments for the solution map."""
 
+import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from lpflow import (DegenerateInputError, NormSpec, bona_smith_experiment,
                     continuity_assembly, interpolation_ratio,
                     lipschitz_lowernorm_experiment)
-from lpflow.corpus import divfree_sample, scalar_sample
+from lpflow.corpus import divfree_sample, scalar_sample, solution_map_datum
 from lpflow.experiments import DependenceConfig, boundedness_experiment
 from lpflow.norms import field_norm
 
@@ -23,14 +23,12 @@ INTERP_SAMPLE5 = 0.865910185863096
 
 
 def _calibrated_data(grid):
-    u0 = divfree_sample(grid, 21, decay=6.0, band=(1, 21))
-    return u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
+    return solution_map_datum(grid, 21)
 
 
 def _cfg():
     return DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.2, dt=1e-3,
-                            N_list=(3, 4, 5), eps_list=(1e-1, 1e-2, 1e-3, 1e-4),
-                            seed=21)
+                            N_list=(3, 4, 5), eps_list=(1e-1, 1e-2, 1e-3, 1e-4))
 
 
 def test_config_validation():
@@ -47,11 +45,27 @@ def test_config_is_a_validated_solver_config():
     from lpflow import SolverConfig
     cfg = _cfg()
     assert isinstance(cfg, SolverConfig)
-    assert (cfg.record_stride, cfg.dealias, cfg.cfl_guard, cfg.steps) == (20, True, 0.5, 200)
+    assert (cfg.record_stride, cfg.dealias, cfg.steps) == (20, True, 200)
     with pytest.raises(ValueError, match="integer number of steps"):
         DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=0.03)
-    with pytest.raises(ValueError):
-        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, cfl_guard=0.7)
+
+
+def test_config_fields_are_the_settings_in_use():
+    """The CFL guard is the constant euler.CFL_GUARD and the dependence seed is
+    the CLI's, so neither is a config field."""
+    from lpflow import SolverConfig
+    from lpflow.euler import CFL_GUARD
+    assert CFL_GUARD == 0.5
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "dt", "T", "dealias", "record_stride"]
+    assert [f.name for f in dataclasses.fields(DependenceConfig)] == [
+        "dt", "T", "dealias", "record_stride", "norm_spec", "N_list", "eps_list"]
+    with pytest.raises(TypeError):
+        SolverConfig(dt=1e-3, T=0.1, cfl_guard=0.5)
+    with pytest.raises(TypeError):
+        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, cfl_guard=0.5)
+    with pytest.raises(TypeError):
+        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, seed=21)
 
 
 def test_level_check(grid64):

@@ -18,7 +18,7 @@ from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm, grad_su
                           kernel_l1_terms, sup_norm)
 from lpflow.paraproduct import _sequence_tl_norm
 
-# regression values computed on the 64^2 grid with the exp-profile bank
+# regression values computed on the 64^2 grid
 F311_SAMPLE5 = 15728.850184666224
 EQUIV_SAMPLE5 = 0.9971290692396236
 LIFT_SAMPLE5 = 1.0211962624742474
@@ -36,6 +36,13 @@ def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(3, math.inf, 1)          # sup-integrability needs the other scale
     NormSpec(3, math.inf, 1, flavor="besov")
+
+
+@pytest.mark.parametrize("s, p, q", [(3, math.nan, 1), (3, 1, math.nan), (math.nan, 2, 2),
+                                     (math.inf, 2, 2), (-math.inf, 2, 2)])
+def test_norm_spec_refuses_nan_and_infinite_smoothness(s, p, q):
+    with pytest.raises(ValueError):
+        NormSpec(s, p, q)
 
 
 def test_norm_spec_label():
@@ -161,41 +168,38 @@ def test_kernel_terms_decay_and_total():
     assert abs(total - sum(t for _, t in terms)) < 1e-12
 
 
-@pytest.mark.parametrize("profile, d, refinement, axes", [
-    ("exp", 2, 7, (0, 0, 0)), ("cos", 2, 7, (1, 0, 1)),
-    ("exp", 3, 4, (2, 1, 0)), ("cos", 3, 4, (0, 2, 2))])
-def test_kernel_tail_equals_explicit_terms(profile, d, refinement, axes):
+@pytest.mark.parametrize("d, refinement, axes", [
+    (2, 7, (0, 0, 0)), (2, 7, (1, 0, 1)), (3, 4, (2, 1, 0)), (3, 4, (0, 2, 2))])
+def test_kernel_tail_equals_explicit_terms(d, refinement, axes):
     """Below j = -2 the series reuses the j = -2 sum; evaluating each scale
     explicitly must give the same terms bit for bit."""
     l, k, i = axes
-    terms = dict(kernel_l1_terms(profile, l, k, i, refinement, d, tail_tol=1e-12))
+    terms = dict(kernel_l1_terms(l, k, i, refinement, d, tail_tol=1e-12))
     assert min(terms) <= -25
-    mesh, psi = _kernel_lattice(refinement, d, profile)
+    mesh, psi = _kernel_lattice(refinement, d)
     for j in range(-2, -26, -1):
-        assert terms[j] == 2.0**j * _kernel_scale_l1(mesh, psi, profile, l, k, i, j)
+        assert terms[j] == 2.0**j * _kernel_scale_l1(mesh, psi, l, k, i, j)
 
 
-def _full_lattice_bump(refinement, d, profile):
+def _full_lattice_bump(refinement, d):
     """psi evaluated on the whole dual lattice, as before the annulus restriction."""
-    mesh, _ = _kernel_lattice(refinement, d, profile)
+    mesh, _ = _kernel_lattice(refinement, d)
     rho = np.sqrt(sum(m * m for m in mesh))
-    return mesh, radial_cutoff(rho / 2.0, profile) - radial_cutoff(rho, profile)
+    return mesh, radial_cutoff(rho / 2.0) - radial_cutoff(rho)
 
 
 @pytest.mark.parametrize("refinement, d", [(7, 2), (8, 2), (5, 3)])
-@pytest.mark.parametrize("profile", ["exp", "cos"])
-def test_kernel_bump_is_evaluated_on_its_annulus_only(refinement, d, profile):
-    """Restricting psi to 1/2 < |xi| < 2 changes no bit: both profiles are
+def test_kernel_bump_is_evaluated_on_its_annulus_only(refinement, d):
+    """Restricting psi to 1/2 < |xi| < 2 changes no bit: the cutoff is
     exactly 1 below radius 1/2 and exactly 0 from radius 1 on."""
-    _, psi = _kernel_lattice(refinement, d, profile)
-    assert np.array_equal(psi, _full_lattice_bump(refinement, d, profile)[1])
+    _, psi = _kernel_lattice(refinement, d)
+    assert np.array_equal(psi, _full_lattice_bump(refinement, d)[1])
 
 
-@pytest.mark.parametrize("profile", ["exp", "cos"])
-def test_kernel_terms_unchanged_by_the_annulus(profile, monkeypatch):
-    terms = kernel_l1_terms(profile, 1, 0, 1, refinement=7)
+def test_kernel_terms_unchanged_by_the_annulus(monkeypatch):
+    terms = kernel_l1_terms(1, 0, 1, refinement=7)
     monkeypatch.setattr(lpflow.norms, "_kernel_lattice", _full_lattice_bump)
-    assert kernel_l1_terms(profile, 1, 0, 1, refinement=7) == terms
+    assert kernel_l1_terms(1, 0, 1, refinement=7) == terms
 
 
 def test_kernel_refinement_stability():
@@ -225,7 +229,7 @@ def _full_lattice(n, d):
 def _full_multipliers(bank):
     """phi_0 and psi_0 .. psi_J of the bank, sampled on the full lattice."""
     kk = _full_lattice(bank.grid.n, bank.grid.d)[1]
-    phis = [radial_cutoff(kk / 2.0**m, bank.profile) for m in range(bank.j_max + 2)]
+    phis = [radial_cutoff(kk / 2.0**m) for m in range(bank.j_max + 2)]
     return phis[0], [phis[j + 1] - phis[j] for j in range(bank.j_max + 1)]
 
 
