@@ -9,7 +9,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,106 +25,77 @@ from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound,
                     kernel_l1_terms, sup_norm, verify_embedding, verify_lifting)
 from .reports import dump_json, write_csv, write_svg_polyline
 
-_VERIFY_SUITES = ("moser", "commutator", "embedding", "lifting", "maximal",
-                  "fefferman-stein", "kernel-l1", "counterexample-scan")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lpflow",
-                                description="dyadic-analysis toolbox and torus flow solver")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=64)
-    common.add_argument("--dim", type=int, default=2)
-    common.add_argument("--s", type=float, default=3.0)
-    common.add_argument("--p", type=float, default=1.0)
-    common.add_argument("--q", type=float, default=1.0)
-    common.add_argument("--T", type=float, default=0.2)
-    common.add_argument("--dt", type=float, default=1e-3)
-    common.add_argument("--config", type=Path, default=None)
-    common.add_argument("--out", type=Path, default=None)
-    # not in `common`: argparse shares a parent's actions between subparsers, so
-    # verify's own --seed default (the calibrated corpus) would leak into the rest
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=0)
-
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pn = sub.add_parser("norm", parents=[seeded], help="norm of a stored field")
-    pn.add_argument("file", type=Path)
-    pn.add_argument("--flavor", choices=("tl", "besov"), default="tl")
-    pn.add_argument("--homogeneous", action="store_true")
-
-    pd = sub.add_parser("decompose", parents=[seeded], help="emit dyadic blocks")
-    pd.add_argument("file", type=Path)
-
-    pv = sub.add_parser("verify", parents=[common], help="run a named inequality suite")
-    pv.add_argument("suite", choices=_VERIFY_SUITES)
-    pv.add_argument("--seed", type=int, default=None,
-                    help="first seed of the corpus (default: the calibrated entry's)")
-    pv.add_argument("--count", type=int, default=None,
-                    help="corpus size (default: the calibrated entry's)")
-    pv.add_argument("--form", default=None)
-    pv.add_argument("--family", default="lacunary")
-    pv.add_argument("--scales", type=int, nargs="+", default=[2, 3, 4])
-
-    sub.add_parser("solve", parents=[seeded], help="integrate the torus dynamics")
-    pi = sub.add_parser("iterate", parents=[seeded], help="successive-approximation ladder")
-    pi.add_argument("--members", type=int, default=6)
-    sub.add_parser("bona-smith", parents=[seeded], help="mollified-data continuity ladder")
-    sub.add_parser("lipschitz", parents=[seeded], help="lower-norm dependence moduli")
-    sub.add_parser("continuity", parents=[seeded], help="three-piece continuity assembly")
-    return p
-
-
 # ---------------------------------------------------------------------------
-# shared plumbing
+# config files
+
+# the JSON types of config values, as an error names them
+_INT, _REAL, _BOOL, _STR = "an integer", "a number", "true or false", "a string"
+_INDEX = "a number, or a string that float reads"
+_INTS, _REALS = "a list of integers", "a list of numbers"
+
+# every key any command reads, per block, so one config file serves every command:
+# (JSON type, default).  A key the file leaves out takes the value of the command's
+# flag of the same name (--n for grid.n, --seed for both seeds) where it has one,
+# else the default here.
+_CONFIG = {
+    "grid": {"n": (_INT, None), "dim": (_INT, None)},
+    "norm": {"s": (_REAL, None), "p": (_INDEX, None), "q": (_INDEX, None),
+             "homogeneous": (_BOOL, False)},
+    "solver": {"T": (_REAL, None), "dt": (_REAL, None), "dealias": (_BOOL, True),
+               "record_stride": (_INT, 20)},
+    "experiment": {"members": (_INT, None), "N_list": (_INTS, (3, 4, 5)),
+                   "eps_list": (_REALS, (1e-1, 1e-2, 1e-3, 1e-4)), "seed": (_INT, None)},
+    "initial": {"kind": (_STR, "random"), "seed": (_INT, None), "band": (_INTS, (1, 4)),
+                "decay": (_REAL, 2.0), "amplitude": (_REAL, 0.5)},
+}
 
 
-# every key any command reads, per block, so one config file serves every command
-_CONFIG_KEYS = {"grid": {"n", "dim"}, "norm": {"s", "p", "q", "homogeneous"},
-                "solver": {"T", "dt", "dealias", "record_stride"},
-                "experiment": {"members", "N_list", "eps_list", "seed"},
-                "initial": {"kind", "seed", "band", "decay", "amplitude"}}
+def _typed(value, kind: str):
+    """``value`` as a ``kind``, or None if it is not one.  A bool is no number, an
+    integer is also a real, lists come back as tuples, and an index may be a
+    string such as "inf"."""
+    if kind in (_INTS, _REALS):
+        item = _INT if kind == _INTS else _REAL
+        items = tuple(_typed(v, item) for v in value) if type(value) is list else (None,)
+        return None if None in items else items
+    if kind == _INDEX and type(value) is str:
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    if kind in (_REAL, _INDEX):
+        return float(value) if type(value) in (int, float) else None
+    return value if type(value) is {_INT: int, _BOOL: bool, _STR: str}[kind] else None
 
 
-def _load_config(args) -> dict:
-    """The ``--config`` file; a block or key outside ``_CONFIG_KEYS``, or a file or
-    block that is not a JSON object, is a usage error."""
-    cfg = {} if args.config is None else json.loads(args.config.read_text())
-    for where, allowed in [("config", _CONFIG_KEYS), *_CONFIG_KEYS.items()]:
-        given = cfg if where == "config" else cfg.get(where, {})
-        if not isinstance(given, dict):
-            raise ValueError(f"{where} must be a JSON object, got {given!r}")
-        unknown = sorted(set(given) - set(allowed))
+def _load_config(args) -> tuple[dict, set]:
+    """Every block of ``_CONFIG``, typed and filled in from the ``--config`` file,
+    the flags and the defaults, and the names of the blocks the file gives.
+
+    A block or key outside ``_CONFIG``, a file or block that is not a JSON object,
+    and a value of the wrong type are usage errors that name it.
+    """
+    given = {} if args.config is None else json.loads(args.config.read_text())
+    for block, keys in [("config", _CONFIG), *_CONFIG.items()]:
+        values = given if block == "config" else given.get(block, {})
+        if not isinstance(values, dict):
+            raise ValueError(f"{block} must be a JSON object, got {values!r}")
+        unknown = sorted(set(values) - set(keys))
         if unknown:
-            raise ValueError(f"unknown {where} setting(s) {unknown}; "
-                             f"expected some of {sorted(allowed)}")
-    return cfg
+            raise ValueError(f"unknown {block} setting(s) {unknown}; expected some of {sorted(keys)}")
+    cfg = {block: {key: getattr(args, key, default) for key, (_, default) in keys.items()}
+           for block, keys in _CONFIG.items()}
+    for block, values in given.items():
+        for key, value in values.items():
+            kind = _CONFIG[block][key][0]
+            cfg[block][key] = _typed(value, kind)
+            if cfg[block][key] is None:
+                raise ValueError(f"config {block}.{key} must be {kind}, got {json.dumps(value)}")
+    return cfg, set(given)
 
 
-def _grid_from(args, cfg: dict) -> Grid:
-    g = cfg.get("grid", {})
-    return Grid(int(g.get("n", args.n)), int(g.get("dim", args.dim)))
-
-
-def _norm_spec_from(args, cfg: dict) -> NormSpec:
-    m = cfg.get("norm", {})
-    return NormSpec(float(m.get("s", args.s)), float(m.get("p", args.p)),
-                    float(m.get("q", args.q)), bool(m.get("homogeneous", False)))
-
-
-def _solver_from(args, cfg: dict, stride: int = 20) -> SolverConfig:
-    """The ``solver`` block's ``T``, ``dt`` (default: the flags), ``dealias`` and
-    ``record_stride``."""
-    sv = cfg.get("solver", {})
-    return SolverConfig(dt=float(sv.get("dt", args.dt)), T=float(sv.get("T", args.T)),
-                        dealias=bool(sv.get("dealias", True)),
-                        record_stride=int(sv.get("record_stride", stride)))
-
-
-def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
-    init = cfg.get("initial", {"kind": "random"})
-    kind = init.get("kind", "random")
+def _initial_field(grid: Grid, init: dict) -> VectorField:
+    kind = init["kind"]
     if kind == "taylor-green":
         return taylor_green(grid)
     if kind == "shell":
@@ -133,25 +104,16 @@ def _initial_field(grid: Grid, args, cfg: dict) -> VectorField:
         return VectorField(tuple(GridField(grid, c, "physical") for c in comps),
                            div_free=True)
     if kind == "random":
-        seed = int(init.get("seed", args.seed))
-        band = tuple(init.get("band", (1, 4)))
-        decay = float(init.get("decay", 2.0))
-        amp = float(init.get("amplitude", 0.5))
-        return scale_to_peak(random_divergence_free(grid, SpectrumSpec(decay, band, seed)), amp)
+        spec = SpectrumSpec(init["decay"], init["band"], init["seed"])
+        return scale_to_peak(random_divergence_free(grid, spec), init["amplitude"])
     raise ValueError(f"unknown initial-data kind {kind!r}")
 
 
 def _out_dir(args) -> Path:
     out = args.out or Path("lpflow-out")
-    (out / "tables").mkdir(parents=True, exist_ok=True)
-    (out / "fields").mkdir(exist_ok=True)
-    (out / "plots").mkdir(exist_ok=True)
+    for part in ("tables", "fields", "plots"):
+        (out / part).mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _emit(report: dict, args) -> None:
-    text = dump_json(report, None if args.out is None else _out_dir(args) / "report.json")
-    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +135,9 @@ def _verify_moser(args, bank, spec) -> tuple[dict, bool]:
 
 
 def _verify_commutator(args, bank, spec) -> tuple[dict, bool]:
-    form = args.form or "esti1"
     name, ratios = calibration.measure("commutator", bank, args.count, args.seed,
-                                       s=spec.s, p=spec.p, q=spec.q, form=form)
-    return _gated({"suite": "commutator", "form": form}, name, ratios)
+                                       s=spec.s, p=spec.p, q=spec.q, form=args.form)
+    return _gated({"suite": "commutator", "form": args.form}, name, ratios)
 
 
 def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
@@ -220,10 +181,7 @@ def _verify_fs(args, bank, spec) -> tuple[dict, bool]:
 
 def _verify_kernel(args, bank, spec) -> tuple[dict, bool]:
     terms = kernel_l1_terms()
-    ratios = []
-    for (j1, t1), (j2, t2) in zip(terms, terms[1:]):
-        if j2 <= -2:
-            ratios.append(t2 / t1)
+    ratios = [t2 / t1 for (_, t1), (j2, t2) in zip(terms, terms[1:]) if j2 <= -2]
     total7 = kernel_l1_bound(refinement=7)
     total8 = kernel_l1_bound(refinement=8)
     change = abs(total8 - total7) / total7
@@ -239,18 +197,14 @@ def _verify_scan(args, bank, spec) -> tuple[dict, bool]:
     return rep.to_json_dict(), True
 
 
-def _run_verify(args) -> int:
-    bank = default_bank(args.n, args.dim)
-    spec = NormSpec(args.s, args.p, args.q, homogeneous=True)
-    handlers = {
-        "moser": _verify_moser, "commutator": _verify_commutator,
-        "embedding": _verify_embedding, "lifting": _verify_lifting,
-        "maximal": _verify_maximal, "fefferman-stein": _verify_fs,
-        "kernel-l1": _verify_kernel, "counterexample-scan": _verify_scan,
-    }
-    report, ok = handlers[args.suite](args, bank, spec)
+def _run_verify(args, suite) -> int:
+    """Run ``suite`` with the bank and homogeneous norm of its flags, where it takes them."""
+    bank = default_bank(args.n, args.dim) if "n" in args else None
+    spec = NormSpec(args.s, args.p, args.q, homogeneous=True) if "s" in args else None
+    report, ok = suite(args, bank, spec)
     report["pass"] = bool(ok)
-    _emit(report, args)
+    path = None if args.out is None else _out_dir(args) / "report.json"
+    sys.stdout.write(dump_json(report, path))
     return 0 if ok else 1
 
 
@@ -259,11 +213,9 @@ def _run_verify(args) -> int:
 
 
 def _run_solve(args) -> int:
-    cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
-    u0 = _initial_field(grid, args, cfg)
-    spec = _norm_spec_from(args, cfg)
-    traj = solve(u0, _solver_from(args, cfg), record=(spec,))
+    cfg, _ = _load_config(args)
+    u0 = _initial_field(Grid(cfg["grid"]["n"], cfg["grid"]["dim"]), cfg["initial"])
+    traj = solve(u0, SolverConfig(**cfg["solver"]), record=(NormSpec(**cfg["norm"]),))
     out = _out_dir(args)
     files = []
     for t, st in zip(traj.times, traj.states):
@@ -288,14 +240,13 @@ def _run_solve(args) -> int:
 def _run_iterate(args) -> int:
     from .iteration import cauchy_report, iterate
 
-    cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
+    cfg, _ = _load_config(args)
+    grid = Grid(cfg["grid"]["n"], cfg["grid"]["dim"])
     bank = default_bank(grid.n, grid.d)
-    u0 = _initial_field(grid, args, cfg)
-    spec = _norm_spec_from(args, cfg)
-    scfg = _solver_from(args, cfg, stride=1)
-    M = int(cfg.get("experiment", {}).get("members", args.members))
-    ladder = iterate(bank, u0, M, scfg, spec)
+    u0 = _initial_field(grid, cfg["initial"])
+    spec = NormSpec(**cfg["norm"])
+    M = cfg["experiment"]["members"]
+    ladder = iterate(bank, u0, M, SolverConfig(**cfg["solver"]), spec)
     out = _out_dir(args)
     member_files = []
     for m, traj in enumerate(ladder.members):
@@ -315,34 +266,30 @@ def _run_iterate(args) -> int:
     return 0
 
 
-def _run_dependence(args, kind: str) -> int:
+def _run_dependence(args) -> int:
     from .experiments import (DependenceConfig, bona_smith_experiment,
                               continuity_assembly, lipschitz_lowernorm_experiment)
 
-    cfg = _load_config(args)
-    grid = _grid_from(args, cfg)
-    ex = cfg.get("experiment", {})
-    seed = int(ex.get("seed", args.seed))
-    dcfg = DependenceConfig(
-        **asdict(_solver_from(args, cfg)),
-        norm_spec=_norm_spec_from(args, cfg),
-        N_list=tuple(ex.get("N_list", (3, 4, 5))),
-        eps_list=tuple(ex.get("eps_list", (1e-1, 1e-2, 1e-3, 1e-4))),
-    )
-    if "initial" in cfg:
-        u0 = _initial_field(grid, args, cfg)
+    kind = args.command
+    cfg, given = _load_config(args)
+    grid = Grid(cfg["grid"]["n"], cfg["grid"]["dim"])
+    ex = cfg["experiment"]
+    dcfg = DependenceConfig(**cfg["solver"], norm_spec=NormSpec(**cfg["norm"]),
+                            N_list=ex["N_list"], eps_list=ex["eps_list"])
+    if "initial" in given:
+        u0 = _initial_field(grid, cfg["initial"])
     else:
-        u0 = solution_map_datum(grid, seed + 21)
+        u0 = solution_map_datum(grid, ex["seed"] + 21)
+    if kind != "bona-smith":                    # the direction of the perturbed datum
+        w = divfree_sample(grid, ex["seed"] + 22, decay=2.0, band=(1, 8))
     ok = True
     if kind == "bona-smith":
         rep = bona_smith_experiment(u0, dcfg)
         plot = {"rho": ([float(N) for N in rep.seeds], list(rep.ratios))}
     elif kind == "lipschitz":
-        w = divfree_sample(grid, seed + 22, decay=2.0, band=(1, 8))
         rep = lipschitz_lowernorm_experiment(u0, w, dcfg)
         plot = {"L": ([math.log10(e) for e in dcfg.eps_list], list(rep.ratios))}
     else:
-        w = divfree_sample(grid, seed + 22, decay=2.0, band=(1, 8))
         psi = u0 + w * (1e-3 / field_norm(default_bank(grid.n, grid.d), w, dcfg.norm_spec))
         rep = continuity_assembly(u0, psi, dcfg)
         pieces = dict(rep.tables["pieces"])
@@ -363,10 +310,8 @@ def _run_dependence(args, kind: str) -> int:
 def _run_norm(args) -> int:
     f = read_field(args.file)
     bank = default_bank(f.grid.n, f.grid.d)
-    cfg = _load_config(args)
-    spec = _norm_spec_from(args, cfg)
-    if args.flavor == "besov":
-        spec = NormSpec(spec.s, spec.p, spec.q, spec.homogeneous, flavor="besov")
+    cfg, _ = _load_config(args)
+    spec = NormSpec(**cfg["norm"], flavor=args.flavor)
     value = field_norm(bank, f, spec)
     sys.stdout.write(dump_json({"file": str(args.file), "spec": spec.label,
                                 "value": value}))
@@ -380,43 +325,94 @@ def _run_decompose(args) -> int:
     bank = default_bank(f.grid.n, f.grid.d)
     dec = decompose(bank, f)
     out = _out_dir(args)
-    files = []
-    write_field(as_physical(dec.low), out / "fields" / "low.lpf")
-    files.append("fields/low.lpf")
-    for j, b in enumerate(dec.blocks):
-        name = f"fields/block_{j:02d}.lpf"
+    files = ["fields/low.lpf"] + [f"fields/block_{j:02d}.lpf" for j in range(len(dec.blocks))]
+    for name, b in zip(files, (dec.low, *dec.blocks)):
         write_field(as_physical(b), out / name)
-        files.append(name)
     manifest = {"file": str(args.file), "j_max": bank.j_max, "files": files}
     dump_json(manifest, out / "report.json")
     sys.stdout.write(dump_json(manifest))
     return 0
 
 
+# ---------------------------------------------------------------------------
+# the command line: each command and verify suite takes exactly the flags it reads
+
+_FLAGS = {
+    "file": [("file", dict(type=Path))],
+    "grid": [("--n", dict(type=int, default=64)), ("--dim", dict(type=int, default=2))],
+    "norm": [("--s", dict(type=float, default=3.0)), ("--p", dict(type=float, default=1.0)),
+             ("--q", dict(type=float, default=1.0))],
+    "flavor": [("--flavor", dict(choices=("tl", "besov"), default="tl"))],
+    "time": [("--T", dict(type=float, default=0.2)), ("--dt", dict(type=float, default=1e-3))],
+    "seed": [("--seed", dict(type=int, default=0))],
+    "members": [("--members", dict(type=int, default=6))],
+    "config": [("--config", dict(type=Path))],
+    "out": [("--out", dict(type=Path))],
+    "corpus": [("--seed", dict(type=int, help="first seed of the corpus "
+                                              "(default: the calibrated entry's)")),
+               ("--count", dict(type=int, help="corpus size (default: the calibrated entry's)"))],
+    "form": [("--form", dict(default="esti1"))],
+    "scan": [("--family", dict(default="lacunary")),
+             ("--scales", dict(type=int, nargs="+", default=[2, 3, 4]))],
+}
+
+_DYNAMICS = ("grid", "norm", "time", "seed", "config", "out")
+
+# command -> (runner, help, flag groups); each verify suite sets its own runner
+_COMMANDS = {
+    "norm": (_run_norm, "norm of a stored field", ("file", "norm", "flavor", "config")),
+    "decompose": (_run_decompose, "emit dyadic blocks", ("file", "out")),
+    "verify": (None, "run a named inequality suite", ()),
+    "solve": (_run_solve, "integrate the torus dynamics", _DYNAMICS),
+    "iterate": (_run_iterate, "successive-approximation ladder", _DYNAMICS + ("members",)),
+    "bona-smith": (_run_dependence, "mollified-data continuity ladder", _DYNAMICS),
+    "lipschitz": (_run_dependence, "lower-norm dependence moduli", _DYNAMICS),
+    "continuity": (_run_dependence, "three-piece continuity assembly", _DYNAMICS),
+}
+
+_SUITES = {
+    "moser": (_verify_moser, ("grid", "norm", "corpus", "out")),
+    "commutator": (_verify_commutator, ("grid", "norm", "corpus", "form", "out")),
+    "embedding": (_verify_embedding, ("grid", "norm", "corpus", "out")),
+    "lifting": (_verify_lifting, ("grid", "corpus", "out")),
+    "maximal": (_verify_maximal, ("grid", "corpus", "out")),
+    "fefferman-stein": (_verify_fs, ("grid", "corpus", "out")),
+    "kernel-l1": (_verify_kernel, ("out",)),
+    "counterexample-scan": (_verify_scan, ("grid", "norm", "scan", "out")),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, groups) -> argparse.ArgumentParser:
+    for group in groups:
+        for flag, options in _FLAGS[group]:
+            parser.add_argument(flag, **options)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: --s must not stand for --seed where a suite has no --s
+    p = argparse.ArgumentParser(prog="lpflow", allow_abbrev=False,
+                                description="dyadic-analysis toolbox and torus flow solver")
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, (run, help_, groups) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=help_, allow_abbrev=False)
+        _add_flags(parser, groups).set_defaults(run=run)
+    suites = sub.choices["verify"].add_subparsers(dest="suite", required=True)
+    for suite, (measure, groups) in _SUITES.items():
+        parser = suites.add_parser(suite, allow_abbrev=False)
+        _add_flags(parser, groups).set_defaults(run=partial(_run_verify, suite=measure))
+    # the ladder records every step unless solver.record_stride says otherwise
+    sub.choices["iterate"].set_defaults(record_stride=1)
+    return p
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "norm":
-            return _run_norm(args)
-        if args.command == "decompose":
-            return _run_decompose(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "solve":
-            return _run_solve(args)
-        if args.command == "iterate":
-            return _run_iterate(args)
-        if args.command in ("bona-smith", "lipschitz", "continuity"):
-            return _run_dependence(args, args.command)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+        return args.run(args)
+    except (ValueError, FileNotFoundError, KeyError, StabilityError) as exc:
         print(f"lpflow: {exc}", file=sys.stderr)
-        return 2
-    except StabilityError as exc:
-        print(f"lpflow: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        return 1 if isinstance(exc, StabilityError) else 2
 
 
 if __name__ == "__main__":

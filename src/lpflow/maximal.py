@@ -18,6 +18,7 @@ from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
 from .fields import (PHYSICAL, Grid, GridField, _from_half_spectrum, _to_half_spectrum,
                      as_physical, as_spectral, wavenumber_norm)
+from .norms import _lp_of_array
 
 _WINDOWS = ("cube", "ball")
 
@@ -259,6 +260,4 @@ def verify_fefferman_stein(fields, p: float, q: float) -> float:
         num_env = (mstack**q).sum(axis=0) ** (1.0 / q)
         den_env = (stack**q).sum(axis=0) ** (1.0 / q)
     cv = g.cell_volume
-    num = (cv * (num_env**p).sum()) ** (1.0 / p)
-    den = (cv * (den_env**p).sum()) ** (1.0 / p)
-    return float(num / den)
+    return _lp_of_array(num_env, p, cv) / _lp_of_array(den_env, p, cv)

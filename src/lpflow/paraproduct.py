@@ -180,9 +180,8 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
         raise ValueError(f"unknown form {form!r}; expected one of {_TRANSPORT_FORMS}")
     if spec.s <= -1:
         raise ValueError(f"the transport estimate needs s > -1, got s={spec.s}")
-    _require_divfree(u, "verify_moser_transport")
-    ud = VectorField(tuple(as_physical(dealias_field(c)) for c in u.components))
-    vd = as_physical(dealias_field(v))
+    ud, gs = _dealiased_factors(u, v, "verify_moser_transport")
+    vd = as_physical(gs)
     adv = GridField(v.grid, _freeze(_advect([c.values for c in ud.components],
                                             as_spectral(vd).values, v.grid.d)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)

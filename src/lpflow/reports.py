@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 
 def _encode(obj):
     if isinstance(obj, float):
@@ -76,7 +78,8 @@ class ExperimentReport:
 
     @property
     def max(self) -> float:
-        return max(self.ratios)
+        """The largest ratio; NaN if any ratio is NaN."""
+        return float(np.max(self.ratios))
 
     def to_json_dict(self) -> dict:
         out = {

@@ -350,3 +350,136 @@ def test_unknown_initial_kind(tmp_path):
     cfgf.write_text(json.dumps({"initial": {"kind": "vortex-sheet"},
                                 "solver": {"T": 0.01, "dt": 0.001}}))
     assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# each command and verify suite takes exactly the flags it reads
+
+# a second value for every flag the commands and suites once shared
+_OTHER = {"--n": ["128"], "--dim": ["3"], "--s": ["2"], "--p": ["2"], "--q": ["2"],
+          "--T": ["0.004"], "--dt": ["0.001"], "--seed": ["1"], "--members": ["3"],
+          "--count": ["2"], "--form": ["esti2"], "--family": ["random"],
+          "--scales": ["1", "2"], "--flavor": ["besov"], "--homogeneous": [],
+          "--config": ["{other}"], "--out": ["elsewhere"]}
+
+_DYNAMICS = ["--n", "32", "--T", "0.002", "--dt", "0.002", "--config", "{base}"]
+_DYNAMICS_READS = "--n --dim --s --p --q --T --dt --seed --config --out"
+_CORPUS = ["--n", "32", "--count", "1"]
+
+# command line -> the flags that command reads (maximal's corpus needs n >= 64)
+_READS = {
+    "norm": (["norm", "{file}"], "--s --p --q --flavor --config"),
+    "decompose": (["decompose", "{file}"], "--out"),
+    "verify moser": (["verify", "moser", *_CORPUS], "--n --dim --s --p --q --seed --count --out"),
+    "verify commutator": (["verify", "commutator", *_CORPUS],
+                          "--n --dim --s --p --q --seed --count --form --out"),
+    "verify embedding": (["verify", "embedding", *_CORPUS],
+                         "--n --dim --s --p --q --seed --count --out"),
+    "verify lifting": (["verify", "lifting", *_CORPUS], "--n --dim --seed --count --out"),
+    "verify maximal": (["verify", "maximal", "--count", "1"], "--n --dim --seed --count --out"),
+    "verify fefferman-stein": (["verify", "fefferman-stein", *_CORPUS],
+                               "--n --dim --seed --count --out"),
+    "verify kernel-l1": (["verify", "kernel-l1"], "--out"),
+    "verify counterexample-scan": (["verify", "counterexample-scan", "--n", "32", "--scales", "1"],
+                                   "--n --dim --s --p --q --family --scales --out"),
+    "solve": (["solve", *_DYNAMICS], _DYNAMICS_READS),
+    "iterate": (["iterate", "--members", "2", *_DYNAMICS], _DYNAMICS_READS + " --members"),
+    "bona-smith": (["bona-smith", *_DYNAMICS], _DYNAMICS_READS),
+    "lipschitz": (["lipschitz", *_DYNAMICS], _DYNAMICS_READS),
+    "continuity": (["continuity", *_DYNAMICS], _DYNAMICS_READS),
+}
+
+
+@pytest.fixture()
+def argv_of(tmp_path, scalar_file):
+    base, other = tmp_path / "base.json", tmp_path / "other.json"
+    levels = {"N_list": [1], "eps_list": [0.1]}
+    base.write_text(json.dumps({"experiment": levels}))
+    other.write_text(json.dumps({"experiment": levels, "norm": {"homogeneous": True},
+                                 "solver": {"dealias": False}}))
+    paths = {"{file}": str(scalar_file), "{base}": str(base), "{other}": str(other)}
+    return lambda argv: [paths.get(a, a) for a in argv]
+
+
+def _outcome(argv, where, monkeypatch, capsys):
+    """Exit code, stdout and every file written, run from a fresh directory."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    code = main(argv)
+    files = {str(f.relative_to(where)): f.read_bytes() for f in where.rglob("*") if f.is_file()}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_every_flag_a_command_takes_changes_its_run(command, argv_of, tmp_path, monkeypatch,
+                                                    capsys):
+    """Its exit code, stdout or files differ from the run without the flag."""
+    from functools import lru_cache
+
+    from lpflow import cli
+
+    # kernel-l1 reads only --out: sum its series once (0.4 s a call), not once per run
+    monkeypatch.setattr(cli, "kernel_l1_bound", lru_cache(cli.kernel_l1_bound))
+    base, reads = _READS[command]
+    want = _outcome(argv_of(base), tmp_path / "base", monkeypatch, capsys)
+    assert want[0] == 0
+    for flag in reads.split():
+        got = _outcome(argv_of(base + [flag, *_OTHER[flag]]), tmp_path / flag, monkeypatch, capsys)
+        assert got != want, flag
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_every_other_flag_is_a_usage_error(command, capsys):
+    base, reads = _READS[command]
+    for flag in sorted(set(_OTHER) - set(reads.split())):
+        with pytest.raises(SystemExit) as exc:              # parsing fails before any file is read
+            main(base + [flag, *_OTHER[flag]])
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "moser", "--config", "missing.json"],
+                                  ["decompose", "{file}", "--config", "missing.json",
+                                   "--s", "7", "--T", "9"],
+                                  ["norm", "{file}", "--homogeneous"]])
+def test_settings_nothing_reads_are_refused(argv, argv_of, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv_of(argv))
+    assert exc.value.code == 2
+    assert not (tmp_path / "lpflow-out").exists()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("initial", "band", 5), ("solver", "dealias", "false"), ("norm", "homogeneous", "false"),
+    ("experiment", "N_list", "34"), ("solver", "record_stride", "1"), ("grid", "n", "16"),
+    ("solver", "record_stride", True), ("norm", "q", "two")])
+def test_config_value_of_the_wrong_type(tmp_path, block, key, value, capsys):
+    cfg = {"grid": {"n": 16, "dim": 2}, "solver": {"T": 0.002, "dt": 0.001},
+           "initial": {"kind": "random"}}
+    cfg.setdefault(block, {})[key] = value
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
+    assert f"{block}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_spells_infinity_as_a_string(tmp_path, scalar_file, capsys):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"norm": {"s": 2, "p": 2, "q": "inf", "homogeneous": True}}))
+    assert main(["norm", str(scalar_file), "--config", str(cfgf)]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"] == "hF2_2_inf"
+
+
+def test_norm_besov_at_p_infinity(scalar_file, capsys):
+    import math
+
+    from lpflow import besov_norm, read_field
+
+    assert main(["norm", str(scalar_file), "--s", "1", "--p", "Infinity", "--q", "2",
+                 "--flavor", "besov"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["spec"] == "B1_inf_2"
+    assert out["value"] == besov_norm(default_bank(64, 2), read_field(scalar_file),
+                                      NormSpec(1, math.inf, 2, flavor="besov"))

@@ -68,6 +68,16 @@ def test_config_fields_are_the_settings_in_use():
         DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, seed=21)
 
 
+def test_report_max_keeps_nan():
+    """A NaN ratio is the report's max: the builtin max would report 1.0 here."""
+    from lpflow import ExperimentReport
+    from lpflow.reports import dump_json
+    rep = ExperimentReport("e", 3.0, 1.0, 1.0, 2, 64, (1, 2, 3), (1.0, math.nan, 0.5))
+    assert math.isnan(rep.max)
+    assert '"max": "nan"' in dump_json(rep.to_json_dict())
+    assert ExperimentReport("e", 3.0, 1.0, 1.0, 2, 64, (1, 2), (0.5, 1.0)).max == 1.0
+
+
 def test_level_check(grid64):
     cfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3,
                            N_list=(3, 9))

@@ -73,11 +73,24 @@ def test_pure_mode_single_block_norm(grid64, bank64):
 
 
 def test_tl_equals_besov_when_exponents_match(grid64, bank64):
-    # p = q makes the two ladder aggregations commute
-    f = scalar_sample(grid64, 5)
-    a = tl_norm(bank64, f, NormSpec(3, 2, 2))
-    b = besov_norm(bank64, f, NormSpec(3, 2, 2, flavor="besov"))
-    assert abs(a - b) / a < 1e-12
+    """F = B at p = q (the two aggregations commute); otherwise Minkowski's
+    inequality orders them, F <= B for q < p and F >= B for q > p, and the two
+    scales differ by well over roundoff."""
+
+    def ratio(f, s, p, q):
+        return tl_norm(bank64, f, NormSpec(s, p, q)) / besov_norm(
+            bank64, f, NormSpec(s, p, q, flavor="besov"))
+
+    for seed in (5, 6, 7):
+        f = scalar_sample(grid64, seed)
+        for s, p in [(3, 1), (3, 2), (2, 3)]:
+            assert abs(ratio(f, s, p, p) - 1) <= 1e-14, (seed, s, p)
+        for s, p, q in [(2, 2, 1), (3, 4, 2)]:
+            assert ratio(f, s, p, q) <= 1 + 1e-14, (seed, s, p, q)
+        for s, p, q in [(1, 1, 2), (2, 1.5, 3)]:
+            assert ratio(f, s, p, q) >= 1 - 1e-14, (seed, s, p, q)
+        assert ratio(f, 2, 2, 1) <= 0.95, seed
+        assert ratio(f, 1, 1, 2) >= 1.05, seed
 
 
 def test_sample_regression(grid64, bank64):
