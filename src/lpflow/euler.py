@@ -26,7 +26,7 @@ from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
                      _from_half_spectrum, _leray_spectra, _plane_weights, _require_divfree,
                      _to_half_spectrum, as_physical, dealias_mask, vector_as_physical,
                      vector_as_spectral, wavenumber_mesh)
-from .norms import NormSpec, _vector_half_norm
+from .norms import NormSpec, _half_norms
 
 CFL_GUARD = 0.5   # largest max|u| dt / dx a step may start from
 
@@ -176,7 +176,7 @@ def _sup_gap(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
     """sup over recorded times of ||ta(t) - tb(t)||; np.max keeps a NaN that builtin max drops."""
     if len(ta.times) != len(tb.times):
         raise ValueError("trajectories recorded on different time lattices")
-    return float(np.max([_vector_half_norm(bank, a - b, spec)
+    return float(np.max([_half_norms(bank, a - b, (spec,))[0]
                          for a, b in zip(ta.spectra, tb.spectra)]))
 
 
@@ -244,8 +244,8 @@ def _record_norms(grid: Grid, half: np.ndarray, record, diagnostics) -> None:
         _parseval_l2(grid, _vorticity_spectra(grid, half)))
     if record:
         bank = default_bank(grid.n, grid.d)
-        for spec in record:
-            diagnostics.setdefault(spec.label, []).append(_vector_half_norm(bank, half, spec))
+        for spec, value in zip(record, _half_norms(bank, half, record)):
+            diagnostics.setdefault(spec.label, []).append(value)
 
 
 def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:

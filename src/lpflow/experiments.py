@@ -17,7 +17,7 @@ from .bank import default_bank, max_block_index, p_le
 from .errors import DegenerateInputError
 from .euler import SolverConfig, _sup_gap, solve
 from .fields import Grid, VectorField
-from .norms import NormSpec, _vector_half_norm, field_norm
+from .norms import NormSpec, _field_norms, _half_norms, field_norm
 from .reports import ExperimentReport
 
 
@@ -148,9 +148,8 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
 
 def interpolation_ratio(bank, f, spec: NormSpec) -> float:
     """||f||_s over the geometric mean of the s-1 and s+1 norms."""
-    mid = field_norm(bank, f, spec)
-    lo = field_norm(bank, f, replace(spec, s=spec.s - 1.0))
-    hi = field_norm(bank, f, replace(spec, s=spec.s + 1.0))
+    mid, lo, hi = _field_norms(bank, f, (spec, replace(spec, s=spec.s - 1.0),
+                                         replace(spec, s=spec.s + 1.0)))
     if lo == 0.0 or hi == 0.0:
         raise DegenerateInputError("zero field in interpolation ratio")
     return mid / math.sqrt(lo * hi)
@@ -180,9 +179,8 @@ def continuity_assembly(u0: VectorField, psi: VectorField,
 
     tail_u = _sup_gap(bank, t_u, t_un, ns)
     tail_p = _sup_gap(bank, t_p, t_pn, ns)
-    interp = max(
-        math.sqrt(_vector_half_norm(bank, a - b, lo) * _vector_half_norm(bank, a - b, hi))
-        for a, b in zip(t_un.spectra, t_pn.spectra))
+    interp = max(math.sqrt(math.prod(_half_norms(bank, a - b, (lo, hi))))
+                 for a, b in zip(t_un.spectra, t_pn.spectra))
     chain = tail_u + tail_p + interp
     direct = _sup_gap(bank, t_u, t_p, ns)
     ratio = direct / chain if chain > 0 else 0.0

@@ -28,7 +28,7 @@ from .bank import LPFilterBank, low_pass_multiplier
 from .errors import DegenerateInputError, StabilityError
 from .euler import SolverConfig, Trajectory, _RHS, _check_cfl, _rk4_step, _spectra, _sup_gap
 from .fields import VectorField, _leray_spectra, _require_divfree
-from .norms import NormSpec, _vector_half_norm
+from .norms import NormSpec, _half_norms
 from .reports import ExperimentReport
 
 
@@ -81,7 +81,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
     prev = [w1] * (steps + 1)   # member 1 in half form: frozen
     before_vel = None   # member m-2's velocities, read only once m > 2
     members = [Trajectory(times, (np.zeros_like(u0_spec),) * (steps + 1)), Trajectory(times, prev)]
-    decay = [_vector_half_norm(bank, w1, down)]   # member 1 - member 0, at any time
+    decay = [_half_norms(bank, w1, (down,))[0]]   # member 1 - member 0, at any time
     for m in range(2, M + 1):
         w = u0_spec * low_pass_multiplier(bank, m)
         history = [w]
@@ -109,7 +109,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
 
 def member_norm_history(bank: LPFilterBank, ladder: IterationLadder, m: int) -> tuple[float, ...]:
     """||member m (t)|| in the ladder's norm at every recorded time."""
-    return tuple(_vector_half_norm(bank, s, ladder.norm_spec) for s in ladder.members[m].spectra)
+    return tuple(_half_norms(bank, s, (ladder.norm_spec,))[0] for s in ladder.members[m].spectra)
 
 
 def cauchy_report(ladder: IterationLadder) -> ExperimentReport:

@@ -18,7 +18,7 @@ from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
 from .fields import (PHYSICAL, Grid, GridField, _from_half_spectrum, _to_half_spectrum,
                      as_physical, as_spectral, wavenumber_norm)
-from .norms import _lp_of_array
+from .norms import NormSpec, _ladder_norms
 
 _WINDOWS = ("cube", "ball")
 
@@ -251,13 +251,6 @@ def verify_fefferman_stein(fields, p: float, q: float) -> float:
     stack = np.stack([np.abs(as_physical(f).values) for f in fields])
     if stack.max() == 0.0:
         raise DegenerateInputError("zero family in vector-valued maximal ratio")
-    cfg = default_config(g)
-    mstack = np.stack([_maximal_array(a, g, cfg) for a in stack])
-    if math.isinf(q):
-        num_env = mstack.max(axis=0)
-        den_env = stack.max(axis=0)
-    else:
-        num_env = (mstack**q).sum(axis=0) ** (1.0 / q)
-        den_env = (stack**q).sum(axis=0) ** (1.0 / q)
-    cv = g.cell_volume
-    return _lp_of_array(num_env, p, cv) / _lp_of_array(den_env, p, cv)
+    cfg, spec = default_config(g), NormSpec(0.0, p, q, homogeneous=True)  # a ladder at s = 0
+    num = _ladder_norms((_maximal_array(a, g, cfg) for a in stack), (spec,), g.cell_volume, False)
+    return num[0] / _ladder_norms(stack, (spec,), g.cell_volume, False)[0]   # overwrites stack

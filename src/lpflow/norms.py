@@ -95,47 +95,61 @@ def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
         yield np.abs(b, out=b)
 
 
-def _tl_ladder(mags, spec: NormSpec) -> np.ndarray:
-    """Pointwise (|low|^q + sum_j (2^{js}|block_j|)^q)^{1/q}, a running max for q = inf,
-    over ``mags``: |low| unless ``spec.homogeneous``, then the blocks (overwritten)."""
-    acc = None
-    for j, b in enumerate(mags, 0 if spec.homogeneous else -1):
-        if j > 0:
-            b *= 2.0 ** (j * spec.s)
-        if math.isinf(spec.q):
-            acc = b if acc is None else np.maximum(acc, b, out=acc)
+def _ladder_norms(mags, specs, cell_volume: float, low: bool) -> list[float]:
+    """The dyadic norms ``specs`` from one pass over the block magnitudes ``mags``:
+    |P_0 f| first if ``low`` (homogeneous specs skip it), then |block_j f|, j >= 0.
+    A Besov spec keeps 2^{js}||block_j||_{L^p}; a Triebel-Lizorkin spec adds
+    (2^{js}|block_j|)^q to its pointwise ladder (a running max for q = inf), in
+    place if it is the block's last reader and on a copy before that."""
+    order = sorted(range(len(specs)), key=lambda k: specs[k].flavor == "tl")  # Besov reads first
+    accs = [[] if spec.flavor == "besov" else None for spec in specs]
+    for j, b in enumerate(mags, -1 if low else 0):
+        readers = [k for k in order if j >= 0 or not specs[k].homogeneous]
+        for k in readers:
+            spec, acc = specs[k], accs[k]
+            if spec.flavor == "besov":
+                acc.append(2.0 ** (max(j, 0) * spec.s) * _lp_of_array(b, spec.p, cell_volume))
+                continue
+            c = b if k == readers[-1] else b.copy()
+            if j > 0:
+                c *= 2.0 ** (j * spec.s)
+            if math.isinf(spec.q):
+                accs[k] = c if acc is None else np.maximum(acc, c, out=acc)
+            else:
+                c **= spec.q
+                accs[k] = c if acc is None else np.add(acc, c, out=acc)
+    out = []
+    for spec, acc in zip(specs, accs):
+        p, q = spec.p, spec.q
+        if spec.flavor == "tl":
+            out.append(_lp_of_array(acc if math.isinf(q) else acc ** (1.0 / q), p, cell_volume))
         else:
-            b **= spec.q
-            acc = b if acc is None else np.add(acc, b, out=acc)
-    return acc if math.isinf(spec.q) else acc ** (1.0 / spec.q)
+            out.append(max(acc) if math.isinf(q) else float(sum(t**q for t in acc) ** (1.0 / q)))
+    return out
 
 
-def _half_norm(bank: LPFilterBank, half: np.ndarray, spec: NormSpec) -> float:
-    """The dyadic norm ``spec`` of the real field with half spectrum ``half``."""
-    mags = _block_magnitudes(bank, half, low=not spec.homogeneous)
-    cv = bank.grid.cell_volume
-    if spec.flavor == "tl":
-        return _lp_of_array(_tl_ladder(mags, spec), spec.p, cv)
-    terms = [2.0 ** (max(j, 0) * spec.s) * _lp_of_array(b, spec.p, cv)
-             for j, b in enumerate(mags, 0 if spec.homogeneous else -1)]
-    if math.isinf(spec.q):
-        return max(terms)
-    return float(sum(t**spec.q for t in terms) ** (1.0 / spec.q))
+def _half_norms(bank: LPFilterBank, halves, specs) -> list[float]:
+    """The norms ``specs`` of the real field with component half spectra ``halves``,
+    several in quadrature (little-l2); |P_0 f| is made only if a spec reads it."""
+    low = not all(spec.homogeneous for spec in specs)
+    per = [_ladder_norms(_block_magnitudes(bank, h, low), specs, bank.grid.cell_volume, low)
+           for h in halves]
+    return per[0] if len(per) == 1 else [math.sqrt(sum(v**2 for v in vs)) for vs in zip(*per)]
 
 
-def _vector_half_norm(bank: LPFilterBank, halves, spec: NormSpec) -> float:
-    """Quadrature (little-l2) aggregate of the norms ``spec`` of the half spectra ``halves``."""
-    return math.sqrt(sum(_half_norm(bank, h, spec) ** 2 for h in halves))
+def _field_norms(bank: LPFilterBank, f: GridField | VectorField, specs) -> list[float]:
+    comps = f.components if isinstance(f, VectorField) else (f,)
+    return _half_norms(bank, (as_spectral(c).values for c in comps), specs)
 
 
 def tl_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Triebel-Lizorkin norm of a scalar field."""
-    return _half_norm(bank, as_spectral(f).values, replace(spec, flavor="tl"))
+    return _field_norms(bank, f, (replace(spec, flavor="tl"),))[0]
 
 
 def besov_norm(bank: LPFilterBank, f: GridField, spec: NormSpec) -> float:
     """Besov norm of a scalar field."""
-    return _half_norm(bank, as_spectral(f).values, replace(spec, flavor="besov"))
+    return _field_norms(bank, f, (replace(spec, flavor="besov"),))[0]
 
 
 def field_norm(bank: LPFilterBank, f: GridField | VectorField, spec: NormSpec) -> float:
@@ -144,9 +158,7 @@ def field_norm(bank: LPFilterBank, f: GridField | VectorField, spec: NormSpec) -
     Vector fields aggregate component norms in quadrature (little-l2), which
     is equivalent to any other componentwise convention up to fixed factors.
     """
-    if isinstance(f, VectorField):
-        return _vector_half_norm(bank, (as_spectral(c).values for c in f.components), spec)
-    return _half_norm(bank, as_spectral(f).values, spec)
+    return _field_norms(bank, f, (spec,))[0]
 
 
 def sup_norm(f: GridField | VectorField) -> float:
@@ -173,10 +185,11 @@ def verify_equivalence(bank: LPFilterBank, f: GridField, s: float, p: float,
     """Ratio ||f||_{F^s} / (||f||_{L^p} + ||f||_{F^s homogeneous}), s > 0."""
     if s <= 0:
         raise ValueError(f"equivalence requires s > 0, got s={s}")
-    den = lp_norm(f, p) + tl_norm(bank, f, NormSpec(s, p, q, homogeneous=True))
+    num, hom = _field_norms(bank, f, (NormSpec(s, p, q), NormSpec(s, p, q, homogeneous=True)))
+    den = lp_norm(f, p) + hom
     if den == 0.0:
         raise DegenerateInputError("zero field in equivalence ratio")
-    return tl_norm(bank, f, NormSpec(s, p, q)) / den
+    return num / den
 
 
 def verify_embedding(bank: LPFilterBank, f: GridField, source: tuple[float, float, float],
@@ -197,10 +210,10 @@ def verify_embedding(bank: LPFilterBank, f: GridField, source: tuple[float, floa
     if abs(lhs_scale - rhs_scale) > 1e-12:
         raise ValueError(
             f"scaling mismatch: s0 - d/p0 = {lhs_scale} but s1 - d/p1 = {rhs_scale}")
-    den = tl_norm(bank, f, NormSpec(s0, p0, q0, homogeneous=True))
+    den, num = _field_norms(bank, f, (NormSpec(s0, p0, q0, homogeneous=True),
+                                      NormSpec(s1, p1, p0, homogeneous=True, flavor="besov")))
     if den == 0.0:
         raise DegenerateInputError("zero field in embedding ratio")
-    num = besov_norm(bank, f, NormSpec(s1, p1, p0, homogeneous=True, flavor="besov"))
     return num / den
 
 

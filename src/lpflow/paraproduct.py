@@ -20,7 +20,7 @@ from .euler import leray_project
 from .fields import (PHYSICAL, GridField, SpectrumSpec, VectorField, _derivative_symbol,
                      _freeze, _from_half_spectrum, _require_divfree, _to_half_spectrum,
                      as_physical, as_spectral, dealias_field, random_divergence_free)
-from .norms import (NormSpec, _gradient_halves, _lp_of_array, _tl_ladder, _vector_half_norm,
+from .norms import (NormSpec, _gradient_halves, _half_norms, _ladder_norms,
                     field_norm, grad_sup_norm, sup_norm)
 from .reports import ExperimentReport
 
@@ -136,13 +136,13 @@ def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> Com
 
 def _sequence_tl_norm(blocks, spec: NormSpec, cell_volume: float) -> float:
     """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block samples ``blocks``."""
-    env = _tl_ladder(map(np.abs, blocks), replace(spec, homogeneous=True))
-    return _lp_of_array(env, spec.p, cell_volume)
+    spec = replace(spec, homogeneous=True, flavor="tl")
+    return _ladder_norms(map(np.abs, blocks), (spec,), cell_volume, low=False)[0]
 
 
 def _jacobian_tl_norm(bank: LPFilterBank, u: VectorField, spec: NormSpec) -> float:
     """Quadrature aggregate of the dyadic norms of every du_l/dx_i."""
-    return _vector_half_norm(bank, (h for c in u.components for h in _gradient_halves(c)), spec)
+    return _half_norms(bank, (h for c in u.components for h in _gradient_halves(c)), (spec,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +186,7 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
                                             as_spectral(vd).values, v.grid.d)), PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
-    gv_norm = _vector_half_norm(bank, _gradient_halves(vd), spec)
+    gv_norm = _half_norms(bank, _gradient_halves(vd), (spec,))[0]
     u_sup = sup_norm(ud)
     if form == "prod2":
         rhs = u_sup * gv_norm + grad_sup_norm(vd) * field_norm(bank, ud, spec)

@@ -75,7 +75,7 @@ def test_criterion_02_pure_mode_norm_oracle():
     x = GRID.meshes()
     worst = 0.0
     for j0 in (1, 2, 3):
-        f = GridField(GRID, 2.0 * np.cos(2**j0 * x[0]), "physical", True)
+        f = GridField(GRID, 2.0 * np.cos(2**j0 * x[0]), "physical")
         for (s, p, q) in ((3.0, 1.0, 1.0), (2.0, 2.0, 2.0)):
             oracle = 2.0 ** (j0 * s) * lp_norm(f, p)
             for value in (tl_norm(BANK, f, NormSpec(s, p, q)),
@@ -102,7 +102,7 @@ def test_criterion_03_equivalence_and_embedding_chain():
 
 def test_criterion_04_lifting():
     x = GRID.meshes()
-    pure = GridField(GRID, 2.0 * np.cos(4 * x[0]), "physical", True)
+    pure = GridField(GRID, 2.0 * np.cos(4 * x[0]), "physical")
     r_pure = verify_lifting(BANK, pure, s=1.0, p=2.0, q=2.0, k=1.0)
     lo, hi = calibration.bracket("lifting_s1_order1")
     corpus = calibration.ratios("lifting_s1_order1")
@@ -130,7 +130,7 @@ def test_criterion_06_maximal_estimates():
     violations = 0
     for f, mf, sublinearity_fails in calibration.sublinearity(GRID):
         violations += sublinearity_fails
-        half = GridField(GRID, 0.5 * f.values, "physical", True)
+        half = GridField(GRID, 0.5 * f.values, "physical")
         if (hl_maximal(half).values > mf + 1e-13).any():
             violations += 1
 
@@ -180,7 +180,7 @@ def test_criterion_08_commutator_estimates():
     b2 = calibration.regression_bound("commutator_esti2_s3_p1_q1")
 
     _, g = transport_pair(GRID, 400)
-    const = VectorField(tuple(GridField(GRID, np.full(GRID.shape, v), "physical", True)
+    const = VectorField(tuple(GridField(GRID, np.full(GRID.shape, v), "physical")
                               for v in (0.7, -0.3)), div_free=True)
     const_max = max(float(np.abs(commutator(BANK, const, g, j).values).max())
                     for j in range(BANK.j_max + 1))
@@ -242,8 +242,8 @@ def test_criterion_10_iteration_ladder():
     tail = ratios[2:]            # delta_4/delta_3 onward
 
     x = GRID.meshes()
-    shell = VectorField((GridField(GRID, np.sin(x[1]), "physical", True),
-                         GridField(GRID, np.sin(x[0]), "physical", True)),
+    shell = VectorField((GridField(GRID, np.sin(x[1]), "physical"),
+                         GridField(GRID, np.sin(x[0]), "physical")),
                         div_free=True)
     sat = iterate(BANK, shell, 4, cfg, spec).decay_table[1:]
 

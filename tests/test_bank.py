@@ -66,7 +66,7 @@ def test_telescoping(grid64, bank64):
 def test_pure_mode_lands_in_one_block(grid64, bank64):
     x = grid64.meshes()
     for j0 in (1, 2, 3):
-        f = GridField(grid64, 2.0 * np.cos(2**j0 * x[0]), "physical", True)
+        f = GridField(grid64, 2.0 * np.cos(2**j0 * x[0]), "physical")
         dec = decompose(bank64, f)
         live = [j for j, b in enumerate(dec.blocks)
                 if np.abs(b.values).max() > 1e-13]
@@ -83,7 +83,7 @@ def test_low_pass_support_and_fixed_modes(grid64, bank64):
     kk = wavenumber_norm(64, 2)
     assert np.abs(g.values[kk >= 8.0]).max() == 0.0
     x = grid64.meshes()
-    low_mode = GridField(grid64, np.cos(4 * x[0]), "physical", True)
+    low_mode = GridField(grid64, np.cos(4 * x[0]), "physical")
     kept = p_le(bank64, low_mode, 3)
     assert np.abs(kept.values - low_mode.values).max() < 1e-14
 

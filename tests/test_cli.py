@@ -177,24 +177,7 @@ def test_iterate_manifest(tmp_path, capsys):
     assert (out / "plots" / "decay.svg").exists()
 
 
-def _count_inverse_transforms(monkeypatch) -> list:
-    import sys
-
-    from lpflow import fields
-
-    calls, real = [], fields._from_half_spectrum
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("lpflow") and getattr(mod, "_from_half_spectrum", None) is real:
-            monkeypatch.setattr(mod, "_from_half_spectrum", spy)
-    return calls
-
-
-def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, monkeypatch, capsys):
+def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, inverse_transforms, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({
         "norm": {"s": 3, "p": 2, "q": 2},
@@ -202,7 +185,7 @@ def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, monkeypatch
         "initial": {"kind": "random", "seed": 11, "band": [1, 4], "amplitude": 0.5},
         "experiment": {"members": 4},
     }))
-    calls = _count_inverse_transforms(monkeypatch)
+    calls = inverse_transforms
     out = tmp_path / "ladder"
     assert main(["iterate", "--config", str(cfgf), "--out", str(out)]) == 0
     cli_calls = len(calls)
@@ -453,7 +436,8 @@ def test_settings_nothing_reads_are_refused(argv, argv_of, tmp_path, monkeypatch
 @pytest.mark.parametrize("block, key, value", [
     ("initial", "band", 5), ("solver", "dealias", "false"), ("norm", "homogeneous", "false"),
     ("experiment", "N_list", "34"), ("solver", "record_stride", "1"), ("grid", "n", "16"),
-    ("solver", "record_stride", True), ("norm", "q", "two")])
+    ("solver", "record_stride", True), ("norm", "q", "two"),
+    ("initial", "band", [1, 2, 3]), ("initial", "band", [4])])
 def test_config_value_of_the_wrong_type(tmp_path, block, key, value, capsys):
     cfg = {"grid": {"n": 16, "dim": 2}, "solver": {"T": 0.002, "dt": 0.001},
            "initial": {"kind": "random"}}
@@ -463,6 +447,22 @@ def test_config_value_of_the_wrong_type(tmp_path, block, key, value, capsys):
     assert main(["solve", "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 2
     assert f"{block}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_kernel_suite_sums_the_refinement_7_series_once(monkeypatch, capsys):
+    from lpflow import cli, norms
+
+    want, built, real = norms.kernel_l1_bound(7), [], norms.kernel_l1_terms
+
+    def spy(*args, refinement=7, **kwargs):
+        built.append(refinement)
+        return real(*args, refinement=refinement, **kwargs)
+
+    monkeypatch.setattr(cli, "kernel_l1_terms", spy)
+    monkeypatch.setattr(norms, "kernel_l1_terms", spy)
+    assert main(["verify", "kernel-l1"]) == 0
+    assert sorted(built) == [7, 8]                  # refinement 8 for the fine total only
+    assert json.loads(capsys.readouterr().out)["total"] == want
 
 
 def test_config_spells_infinity_as_a_string(tmp_path, scalar_file, capsys):

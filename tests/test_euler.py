@@ -114,7 +114,7 @@ def test_non_finite_data_raises(grid64):
     # NaN fails every comparison, so a guard written as "cfl > limit" lets it through.
     comps = [c.values.real.copy() for c in vector_as_physical(taylor_green(grid64)).components]
     comps[1][3, 5] = np.nan
-    u0 = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps),
+    u0 = VectorField(tuple(GridField(grid64, c, "physical") for c in comps),
                      div_free=True)
     with pytest.raises(StabilityError, match="non-finite velocity") as exc:
         solve(u0, SolverConfig(dt=1e-3, T=2e-3))
@@ -127,8 +127,8 @@ def test_non_solenoidal_nan_data_rejected():
     x = grid.meshes()
     ux = np.sin(x[0])                      # div u = cos x: not solenoidal
     ux[4, 9] = np.nan
-    u0 = VectorField((GridField(grid, ux, "physical", True),
-                      GridField(grid, np.zeros(grid.shape), "physical", True)))
+    u0 = VectorField((GridField(grid, ux, "physical"),
+                      GridField(grid, np.zeros(grid.shape), "physical")))
     with pytest.raises(ValueError, match="divergence-free"):
         solve(u0, SolverConfig(dt=1e-3, T=2e-3))
 

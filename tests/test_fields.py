@@ -38,14 +38,14 @@ def test_wavenumbers_order():
 
 def test_transform_roundtrip(grid64):
     rng = np.random.default_rng(0)
-    f = GridField(grid64, rng.standard_normal(grid64.shape), "physical", True)
+    f = GridField(grid64, rng.standard_normal(grid64.shape), "physical")
     back = dft_inverse(dft_forward(f))
     assert np.abs(back.values - f.values).max() < 1e-14
 
 
 def test_pure_mode_coefficients(grid64):
     x = grid64.meshes()
-    f = GridField(grid64, 2.0 * np.cos(3 * x[0]), "physical", True)
+    f = GridField(grid64, 2.0 * np.cos(3 * x[0]), "physical")
     fh = dft_forward(f).values
     # 2 cos(3x) = e^{3ix} + e^{-3ix}; with the fft/n^d normalization each
     # exponential carries coefficient exactly 1 at (±3, 0).
@@ -58,7 +58,7 @@ def test_pure_mode_coefficients(grid64):
 
 def test_derivative_exact(grid64):
     x = grid64.meshes()
-    f = GridField(grid64, np.sin(5 * x[1]), "physical", True)
+    f = GridField(grid64, np.sin(5 * x[1]), "physical")
     df = derivative(f, 1)
     assert np.abs(df.values.real - 5 * np.cos(5 * x[1])).max() < 1e-12
     assert np.abs(derivative(f, 0).values).max() < 1e-13
@@ -66,19 +66,19 @@ def test_derivative_exact(grid64):
 
 def test_arithmetic_and_compatibility(grid64):
     x = grid64.meshes()
-    f = GridField(grid64, np.cos(x[0]), "physical", True)
-    g = GridField(grid64, np.sin(x[1]), "physical", True)
+    f = GridField(grid64, np.cos(x[0]), "physical")
+    g = GridField(grid64, np.sin(x[1]), "physical")
     h = f + g * 2.0 - f
     assert np.abs(h.values - 2.0 * g.values).max() < 1e-15
     with pytest.raises(ValueError):
         f + as_spectral(g)
-    small = GridField(Grid(32, 2), np.zeros((32, 32)), "physical", True)
+    small = GridField(Grid(32, 2), np.zeros((32, 32)), "physical")
     with pytest.raises(ValueError):
         f + small
 
 
 def test_values_frozen(grid64):
-    f = GridField(grid64, np.zeros(grid64.shape), "physical", True)
+    f = GridField(grid64, np.zeros(grid64.shape), "physical")
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
 
@@ -136,7 +136,7 @@ def test_divergence_free_sampler(grid64):
 
 def test_leray_annihilates_gradients(grid64):
     x = grid64.meshes()
-    phi = GridField(grid64, np.cos(2 * x[0]) * np.sin(3 * x[1]), "physical", True)
+    phi = GridField(grid64, np.cos(2 * x[0]) * np.sin(3 * x[1]), "physical")
     gp = gradient(phi)
     proj = leray_project(vector_as_physical(gp))
     assert max(np.abs(c.values).max() for c in proj.components) < 1e-13
@@ -152,7 +152,7 @@ def test_leray_idempotent(grid64):
 
 
 def test_vector_field_component_count(grid64):
-    f = GridField(grid64, np.zeros(grid64.shape), "physical", True)
+    f = GridField(grid64, np.zeros(grid64.shape), "physical")
     with pytest.raises(ValueError):
         VectorField((f,))
     with pytest.raises(ValueError):
@@ -187,7 +187,7 @@ def test_field_io_rejects_garbage(tmp_path):
 
 def test_representation_tag_is_checked(grid64):
     with pytest.raises(RepresentationError):
-        GridField(grid64, np.zeros(grid64.shape), "fourier", True)
+        GridField(grid64, np.zeros(grid64.shape), "fourier")
 
 
 def test_3d_roundtrip_and_divergence(grid16_3d):

@@ -54,7 +54,7 @@ def test_non_finite_data_raises(grid64, bank64, M):
     # data itself can see the NaN.
     comps = [c.values.real.copy() for c in vector_as_physical(_data(grid64)).components]
     comps[0][7, 2] = np.nan
-    u0 = VectorField(tuple(GridField(grid64, c, "physical", True) for c in comps),
+    u0 = VectorField(tuple(GridField(grid64, c, "physical") for c in comps),
                      div_free=True)
     with pytest.raises(StabilityError, match="non-finite velocity") as exc:
         iterate(bank64, u0, M, SolverConfig(dt=2e-3, T=4e-3, record_stride=1),
@@ -143,8 +143,8 @@ def test_short_ladder_bit_for_bit(grid64, bank64):
 
 def test_band_limited_data_saturates(grid64, bank64):
     x = grid64.meshes()
-    sh = VectorField((GridField(grid64, np.sin(x[1]), "physical", True),
-                      GridField(grid64, np.sin(x[0]), "physical", True)),
+    sh = VectorField((GridField(grid64, np.sin(x[1]), "physical"),
+                      GridField(grid64, np.sin(x[0]), "physical")),
                      div_free=True)
     lad = iterate(bank64, sh, 4, _cfg(), NormSpec(3, 1, 1))
     # the |k| = 1 shell is below every later cutoff: members 2+ change nothing

@@ -40,14 +40,14 @@ def test_dominates_pointwise(grid64):
 
 
 def test_constant_is_fixed_point(grid64):
-    c = GridField(grid64, np.full(grid64.shape, 3.0), "physical", True)
+    c = GridField(grid64, np.full(grid64.shape, 3.0), "physical")
     m = hl_maximal(c).values.real
     assert np.abs(m - 3.0).max() == 0.0
 
 
 def test_peak_value_preserved(grid64):
     x = grid64.meshes()
-    bump = GridField(grid64, np.exp(np.cos(x[0]) + np.cos(x[1])), "physical", True)
+    bump = GridField(grid64, np.exp(np.cos(x[0]) + np.cos(x[1])), "physical")
     m = hl_maximal(bump).values.real
     assert abs(m.max() - math.e**2) < 1e-13
 
@@ -62,9 +62,9 @@ def test_sublinear_and_monotone(grid64):
     f = scalar_sample(grid64, 5)
     g = scalar_sample(grid64, 6)
     mf, mg = hl_maximal(f).values.real, hl_maximal(g).values.real
-    fg = GridField(grid64, f.values + g.values, "physical", True)
+    fg = GridField(grid64, f.values + g.values, "physical")
     assert (hl_maximal(fg).values.real <= mf + mg + 1e-12).all()
-    half = GridField(grid64, 0.5 * f.values, "physical", True)
+    half = GridField(grid64, 0.5 * f.values, "physical")
     assert (hl_maximal(half).values.real <= mf + 1e-13).all()
 
 
@@ -87,14 +87,14 @@ def test_pointwise_bound_validation(grid64, bank64):
     wide = scalar_sample(grid64, 501, band=(1, 30))
     with pytest.raises(ValueError):
         verify_pointwise_bound(bank64, wide, j=2, k=2, theta=1.0, r=0.5)
-    zero = GridField(grid64, np.zeros(grid64.shape), "physical", True)
+    zero = GridField(grid64, np.zeros(grid64.shape), "physical")
     with pytest.raises(DegenerateInputError):
         verify_pointwise_bound(bank64, zero, j=4, k=2, theta=1.0, r=0.5)
 
 
 def test_bandlimited_shifted_sup(grid64):
     x = grid64.meshes()
-    f = GridField(grid64, 2.0 * np.cos(8 * x[0] + 1.0), "physical", True)
+    f = GridField(grid64, 2.0 * np.cos(8 * x[0] + 1.0), "physical")
     r = verify_bandlimited_sup(f, 3, 0.5)
     assert abs(r - BANDSUP_J3) < 1e-12
 

@@ -1,21 +1,24 @@
 """Dyadic-ladder norms against closed forms and frozen regression values."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpflow.norms
 
-from lpflow import (GridField, NormSpec, RepresentationError, VectorField, besov_norm,
+from lpflow import (Grid, GridField, NormSpec, RepresentationError, VectorField, besov_norm,
                     kernel_l1_bound, lp_norm, tl_norm, verify_embedding, verify_equivalence,
                     verify_lifting)
-from lpflow import commutator_sequence
+from lpflow import commutator_sequence, default_bank, interpolation_ratio
 from lpflow.bank import radial_cutoff
-from lpflow.corpus import scalar_sample, transport_pair
+from lpflow.corpus import divfree_sample, scalar_sample, transport_pair
 from lpflow.fields import as_physical, dft_forward, vector_as_physical
-from lpflow.norms import (_kernel_lattice, _kernel_scale_l1, field_norm, grad_sup_norm,
-                          kernel_l1_terms, sup_norm)
+from lpflow.norms import (_field_norms, _kernel_lattice, _kernel_scale_l1, field_norm,
+                          grad_sup_norm, kernel_l1_terms, sup_norm)
 from lpflow.paraproduct import _sequence_tl_norm
 
 # regression values computed on the 64^2 grid
@@ -52,7 +55,7 @@ def test_norm_spec_label():
 
 def test_lp_norm_quadrature(grid64):
     x = grid64.meshes()
-    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical", True)
+    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical")
     # |2cos|^2 is band-limited, so the trapezoid rule is exact for p = 2
     assert abs(lp_norm(f, 2.0) - 2.0 * math.sqrt(2.0) * math.pi) < 1e-12
     assert sup_norm(f) == 2.0
@@ -63,7 +66,7 @@ def test_pure_mode_single_block_norm(grid64, bank64):
     collapses to 2^{j0 s} times the L^p norm."""
     x = grid64.meshes()
     for j0 in (1, 2, 3):
-        f = GridField(grid64, 2.0 * np.cos(2**j0 * x[0]), "physical", True)
+        f = GridField(grid64, 2.0 * np.cos(2**j0 * x[0]), "physical")
         for (s, p, q) in ((3.0, 1.0, 1.0), (2.0, 2.0, 2.0)):
             oracle = 2.0 ** (j0 * s) * lp_norm(f, p)
             v_tl = tl_norm(bank64, f, NormSpec(s, p, q))
@@ -105,8 +108,8 @@ def test_sample_regression(grid64, bank64):
 def test_homogeneous_drops_low_part(grid64, bank64):
     x = grid64.meshes()
     # constant + mode: the homogeneous norm must not see the constant
-    f = GridField(grid64, 3.0 + 2.0 * np.cos(8 * x[0]), "physical", True)
-    g = GridField(grid64, 2.0 * np.cos(8 * x[0]), "physical", True)
+    f = GridField(grid64, 3.0 + 2.0 * np.cos(8 * x[0]), "physical")
+    g = GridField(grid64, 2.0 * np.cos(8 * x[0]), "physical")
     hn_f = tl_norm(bank64, f, NormSpec(2, 2, 2, homogeneous=True))
     hn_g = tl_norm(bank64, g, NormSpec(2, 2, 2, homogeneous=True))
     assert abs(hn_f - hn_g) / hn_g < 1e-12
@@ -136,7 +139,7 @@ def test_equivalence_ratio(grid64, bank64):
 
 def test_lifting_pure_mode_exact(grid64, bank64):
     x = grid64.meshes()
-    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical", True)
+    f = GridField(grid64, 2.0 * np.cos(4 * x[0]), "physical")
     r = verify_lifting(bank64, f, s=1.0, p=2.0, q=2.0, k=1.0)
     assert abs(r - 1.0) <= 1e-12
 
@@ -301,6 +304,36 @@ def test_engine_matches_decompose_oracle(grid, bank, request):
                 worst = max(worst, abs(field_norm(bank, form, spec) - ref) / ref)
     print("engine vs decompose oracle, worst relative", worst)
     assert worst <= 1e-13
+
+
+@lru_cache(maxsize=None)
+def _engine_fields(n, d):
+    """The oracle's three real fields and a divergence-free vector field."""
+    grid = Grid(n, d)
+    return (*_real_fields(grid), divfree_sample(grid, 9))
+
+
+@pytest.mark.parametrize("n, d", [(64, 2), (16, 3)])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(specs=st.lists(st.sampled_from(_ORACLE_SPECS), min_size=1, max_size=4),
+       which=st.integers(0, 3))
+def test_one_pass_gives_each_spec_its_value_alone(n, d, specs, which):
+    """Serving several specs from one pass over the blocks changes no value, bit for bit."""
+    bank, f = default_bank(n, d), _engine_fields(n, d)[which]
+    assert _field_norms(bank, f, tuple(specs)) == [field_norm(bank, f, spec) for spec in specs]
+
+
+def test_a_field_measured_in_several_specs_is_decomposed_once(grid64, bank64,
+                                                              inverse_transforms):
+    """One inverse per block at 64^2 (9 with the low block, 8 without), not one per block
+    and spec."""
+    f, u = scalar_sample(grid64, 5), divfree_sample(grid64, 9)
+    for run, inverses in [(lambda: verify_equivalence(bank64, f, 3, 1, 1), 9),
+                          (lambda: verify_embedding(bank64, f, (3.0, 1.0, 1.0), (2.0, 2.0)), 8),
+                          (lambda: interpolation_ratio(bank64, u, NormSpec(3, 1, 1)), 2 * 9)]:
+        inverse_transforms.clear()
+        run()
+        assert len(inverse_transforms) == inverses
 
 
 def _oracle_commutator_blocks(bank, u, g):

@@ -56,7 +56,7 @@ def test_bony_bilinear(grid64, bank64):
     f = scalar_sample(grid64, 5)
     fa = scalar_sample(grid64, 7)
     g = scalar_sample(grid64, 6)
-    joint = bony(bank64, GridField(grid64, f.values + fa.values, "physical", True), g)
+    joint = bony(bank64, GridField(grid64, f.values + fa.values, "physical"), g)
     parts = (bony(bank64, f, g), bony(bank64, fa, g))
     gap = np.abs(joint.low_high.values
                  - parts[0].low_high.values - parts[1].low_high.values).max()
@@ -65,8 +65,8 @@ def test_bony_bilinear(grid64, bank64):
 
 def test_bony_constant_times_mode(grid64, bank64):
     x = grid64.meshes()
-    c = GridField(grid64, np.full(grid64.shape, 2.5), "physical", True)
-    m = GridField(grid64, np.cos(16 * x[0]), "physical", True)
+    c = GridField(grid64, np.full(grid64.shape, 2.5), "physical")
+    m = GridField(grid64, np.cos(16 * x[0]), "physical")
     pieces = bony(bank64, c, m)
     # the constant sits below every annulus: all content is low-times-high
     assert np.abs(pieces.low_high.values - 2.5 * m.values).max() < 1e-12
@@ -83,7 +83,7 @@ def test_bony_grid_mismatch(grid64, bank64):
 
 def test_commutator_vanishes_for_constant_advection(grid64, bank64):
     u, g = transport_pair(grid64, 300)
-    c = VectorField(tuple(GridField(grid64, np.full(grid64.shape, v), "physical", True)
+    c = VectorField(tuple(GridField(grid64, np.full(grid64.shape, v), "physical")
                           for v in (0.7, -0.3)), div_free=True)
     cc = commutator(bank64, c, g, 3)
     assert np.abs(cc.values).max() < 1e-13
@@ -93,7 +93,7 @@ def test_commutator_linear_in_transported_factor(grid64, bank64):
     u, g = transport_pair(grid64, 300)
     g2 = scalar_sample(grid64, 77)
     joint = commutator(bank64, u,
-                       GridField(grid64, g.values + g2.values, "physical", True), 4)
+                       GridField(grid64, g.values + g2.values, "physical"), 4)
     split = commutator(bank64, u, g, 4).values + commutator(bank64, u, g2, 4).values
     scale = np.abs(split).max()
     assert np.abs(joint.values - split).max() / scale < 1e-11
@@ -119,7 +119,7 @@ def test_commutator_sequence_matches_definition(dim, grid64, bank64, grid16_3d, 
     def advect(h):
         return sum(c.values * derivative(h, a).values for a, c in enumerate(ud))
 
-    inner = GridField(grid, advect(gd), "physical", True)
+    inner = GridField(grid, advect(gd), "physical")
     refs = [advect(delta_j(bank, gd, j)) - delta_j(bank, inner, j).values
             for j in range(bank.j_max + 1)]
     scale = max(np.abs(r).max() for r in refs)
@@ -132,14 +132,14 @@ def test_commutator_sequence_matches_definition(dim, grid64, bank64, grid16_3d, 
 def test_requires_divergence_free(grid64, bank64):
     _, g = transport_pair(grid64, 300)
     x = grid64.meshes()
-    bad = VectorField((GridField(grid64, np.sin(x[0]), "physical", True),
-                       GridField(grid64, np.sin(x[1]), "physical", True)))
+    bad = VectorField((GridField(grid64, np.sin(x[0]), "physical"),
+                       GridField(grid64, np.sin(x[1]), "physical")))
     with pytest.raises(ValueError):
         verify_moser_transport(bank64, bad, g, NormSpec(0, 1, 2, homogeneous=True))
     # the divergence of a NaN field is NaN, which no "> tol" test catches
     ux = np.sin(x[0])
     ux[3, 3] = np.nan
-    nan_field = VectorField((GridField(grid64, ux, "physical", True), bad.components[1]))
+    nan_field = VectorField((GridField(grid64, ux, "physical"), bad.components[1]))
     with pytest.raises(ValueError, match="divergence-free"):
         commutator(bank64, nan_field, g, 2)
 
@@ -169,7 +169,7 @@ def test_moser_needs_positive_smoothness(grid64, bank64):
 
 
 def test_moser_degenerate_zero_input(grid64, bank64):
-    z = GridField(grid64, np.zeros(grid64.shape), "physical", True)
+    z = GridField(grid64, np.zeros(grid64.shape), "physical")
     f = scalar_sample(grid64, 5)
     with pytest.raises(DegenerateInputError):
         verify_moser(bank64, z, f, NormSpec(3, 1, 1, homogeneous=True))
