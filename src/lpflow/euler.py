@@ -4,7 +4,8 @@ Fixed-step RK4 on the projected form du/dt = -P(u . grad u), with 2/3-rule
 dealiasing of the quadratic term, re-projection after every full step, and a
 CFL guard that aborts the run rather than integrate an under-resolved state.
 The state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through
-real FFTs, one RK4 step and one CFL guard shared with the iteration ladder.
+real FFTs, one RK4 step and one CFL guard shared with the iteration ladder,
+and one advection kernel shared with the ladder and the commutator estimates.
 A trajectory stores only the half spectra it stepped; its physical float64
 states are made on first read, one batched inverse transform each.
 Also provides the pressure-gradient recovery, flow-map particle integration
@@ -22,10 +23,10 @@ import numpy as np
 
 from .bank import default_bank
 from .errors import StabilityError
-from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _freeze,
-                     _from_half_spectrum, _leray_spectra, _plane_weights, _require_divfree,
-                     _to_half_spectrum, as_physical, dealias_mask, vector_as_physical,
-                     vector_as_spectral, wavenumber_mesh)
+from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _derivative_symbol,
+                     _freeze, _from_half_spectrum, _leray_spectra, _plane_weights,
+                     _require_divfree, _to_half_spectrum, as_physical, dealias_mask,
+                     vector_as_physical, vector_as_spectral, wavenumber_mesh)
 from .norms import NormSpec, _half_norms
 
 CFL_GUARD = 0.5   # largest max|u| dt / dx a step may start from
@@ -135,7 +136,7 @@ class _RHS:
         self.grid = grid
         mesh, mask = wavenumber_mesh(grid.n, grid.d), dealias_mask(grid.n, grid.d)
         self.mask = mask if dealias else np.ones_like(mask)
-        self.grad = 1j * np.stack(mesh) * self.mask   # i k_m on the retained modes
+        self.grad = _derivative_symbol(grid.n, grid.d) * self.mask   # i k_m on the retained modes
         # A mode with a component at n/2 has no sign, so no real field there is
         # divergence-free; -P(u . grad u) keeps none of them (derivative drops them too).
         self.negate = np.where(np.all([np.abs(m) < grid.n / 2 for m in mesh], axis=0), -1.0, 0.0)
@@ -144,25 +145,27 @@ class _RHS:
         """Dealiased physical velocity samples (d, *shape)."""
         return _from_half_spectrum(spectra * self.mask, self.grid.d)
 
-    def advection(self, spectra: np.ndarray, vel=None) -> np.ndarray:
-        """Half spectra of (u . grad u), dealiased factors.
+    def advection(self, halves, vel=None) -> np.ndarray:
+        """Physical samples (c, *shape) of u . grad h for the c half spectra h in
+        ``halves``, u given by its d physical components ``vel``; by default u
+        is the dealiased velocity of ``halves`` themselves (the Euler term).
 
-        The gradient of one component at a time is one batched transform: at
-        256^2 and 32^3 that measured faster, and with a smaller resident set,
-        than transforming all d^2 entries at once.
+        The gradient of one h at a time is one batched transform: at 256^2 and
+        32^3 that measured faster, and with a smaller resident set, than
+        transforming all d^2 entries at once.
         """
         d = self.grid.d
-        vel = vel if vel is not None else self.velocity(spectra)
-        acc = np.empty_like(vel)
-        for l in range(d):
-            grad_l = _from_half_spectrum(self.grad * spectra[l], d)   # [m] = d_m u_l
-            acc[l] = vel[0] * grad_l[0]
+        vel = vel if vel is not None else self.velocity(halves)
+        acc = np.empty((len(halves),) + self.grid.shape)
+        for l, h in enumerate(halves):
+            grad = _from_half_spectrum(self.grad * h, d)   # [m] = d_m h
+            acc[l] = vel[0] * grad[0]
             for m in range(1, d):
-                acc[l] += vel[m] * grad_l[m]
-        return _to_half_spectrum(acc, d)
+                acc[l] += vel[m] * grad[m]
+        return acc
 
     def __call__(self, spectra: np.ndarray, vel=None) -> np.ndarray:
-        adv = self.advection(spectra, vel)
+        adv = _to_half_spectrum(self.advection(spectra, vel), self.grid.d)
         proj = _leray_spectra(adv)
         scale = np.abs(adv).max()
         if scale > 0:
@@ -189,7 +192,7 @@ def pressure_gradient(u: VectorField) -> VectorField:
     """grad of the pressure balancing u . grad u (zero-mean pressure)."""
     _require_divfree(u, "pressure_gradient")
     g = u.grid
-    adv = _RHS(g).advection(_spectra(u))
+    adv = _to_half_spectrum(_RHS(g).advection(_spectra(u)), g.d)
     return _wrap(g, _leray_spectra(adv) - adv, u.rep, div_free=False)
 
 
@@ -211,12 +214,10 @@ def _parseval_l2(grid: Grid, spectra) -> float:
 
 
 def _vorticity_spectra(grid: Grid, spectra) -> list[np.ndarray]:
-    k = wavenumber_mesh(grid.n, grid.d)
-    if grid.d == 2:
-        return [1j * (k[0] * spectra[1] - k[1] * spectra[0])]
-    return [1j * (k[1] * spectra[2] - k[2] * spectra[1]),
-            1j * (k[2] * spectra[0] - k[0] * spectra[2]),
-            1j * (k[0] * spectra[1] - k[1] * spectra[0])]
+    """Half spectra of the curl: d_a u_b - d_b u_a for each (a, b) in turn."""
+    sym = _derivative_symbol(grid.n, grid.d)
+    pairs = ((0, 1),) if grid.d == 2 else ((1, 2), (2, 0), (0, 1))
+    return [sym[a] * spectra[b] - sym[b] * spectra[a] for a, b in pairs]
 
 
 def vorticity(u: VectorField) -> GridField | VectorField:

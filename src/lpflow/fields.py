@@ -155,10 +155,10 @@ def dealias_mask(n: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _derivative_symbol(n: int, d: int, axis: int) -> np.ndarray:
-    """i*k_axis on the half lattice.  The axis's Nyquist plane is dropped: the
-    +/- n/2 mode has an ambiguous sign under i*k."""
-    k = wavenumber_mesh(n, d)[axis]
+def _derivative_symbol(n: int, d: int) -> np.ndarray:
+    """i*k_a for each axis a, stacked (d, *half): every derivative of the package.
+    Entry a drops axis a's Nyquist plane, where the +/- n/2 mode has no sign."""
+    k = np.stack(wavenumber_mesh(n, d))
     return _freeze(1j * k * (np.abs(k) < n / 2))
 
 
@@ -333,7 +333,7 @@ def derivative(f: GridField, axis: int) -> GridField:
     g = f.grid
     if not 0 <= axis < g.d:
         raise ValueError(f"axis {axis} out of range for dimension {g.d}")
-    return apply_multiplier(f, _derivative_symbol(g.n, g.d, axis))
+    return apply_multiplier(f, _derivative_symbol(g.n, g.d)[axis])
 
 
 def gradient(f: GridField) -> VectorField:

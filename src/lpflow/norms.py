@@ -81,11 +81,9 @@ def lp_norm(f: GridField | VectorField, p: float) -> float:
     return _lp_of_array(vals, p, f.grid.cell_volume)
 
 
-def _gradient_halves(f: GridField):
-    """Half spectra of the d partial derivatives of f."""
-    half, g = as_spectral(f).values, f.grid
-    for a in range(g.d):
-        yield half * _derivative_symbol(g.n, g.d, a)
+def _gradient_halves(f: GridField) -> np.ndarray:
+    """Half spectra of the d partial derivatives of f, stacked (d, *half)."""
+    return as_spectral(f).values * _derivative_symbol(f.grid.n, f.grid.d)
 
 
 def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
@@ -170,8 +168,7 @@ def grad_sup_norm(u: GridField | VectorField) -> float:
     comps = u.components if isinstance(u, VectorField) else (u,)
     acc = 0.0
     for c in comps:
-        for half in _gradient_halves(c):
-            g = _from_half_spectrum(half, c.grid.d)
+        for g in _from_half_spectrum(_gradient_halves(c), c.grid.d):
             acc = acc + g * g
     return float(np.sqrt(acc).max())
 

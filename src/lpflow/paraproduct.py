@@ -4,7 +4,8 @@ the ratio harnesses for the product/commutator inequalities.
 Offsets follow the usual convention: the low-by-three partial sum multiplies
 each block (low-high and high-low pieces), and block pairs within distance 3
 form the diagonal remainder.  All pointwise products are formed from 2/3-rule
-dealiased factors, so the three pieces sum to the dealiased product exactly.
+dealiased factors, so the three pieces sum to the dealiased product exactly;
+the transport terms are the solver's advection kernel.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 from .bank import LPFilterBank, decompose
 from .corpus import scalar_sample
 from .errors import DegenerateInputError
-from .euler import leray_project
-from .fields import (PHYSICAL, GridField, SpectrumSpec, VectorField, _derivative_symbol,
-                     _freeze, _from_half_spectrum, _require_divfree, _to_half_spectrum,
+from .euler import _RHS, leray_project
+from .fields import (PHYSICAL, GridField, SpectrumSpec, VectorField, _freeze,
+                     _from_half_spectrum, _require_divfree, _to_half_spectrum,
                      as_physical, as_spectral, dealias_field, random_divergence_free)
 from .norms import (NormSpec, _gradient_halves, _half_norms, _ladder_norms,
                     field_norm, grad_sup_norm, sup_norm)
@@ -74,13 +75,6 @@ def bony(bank: LPFilterBank, f: GridField, g: GridField) -> BonyPieces:
 # transport commutator
 
 
-def _advect(u_comps: list[np.ndarray], half: np.ndarray, d: int) -> np.ndarray:
-    """Physical samples of sum_l u_l * d_l g from g's half spectrum (factors already dealiased)."""
-    n = u_comps[0].shape[0]
-    return sum(ul * _from_half_spectrum(half * _derivative_symbol(n, d, a), d)
-               for a, ul in enumerate(u_comps))
-
-
 def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorField, GridField]:
     """The 2/3-rule dealiased f (physical samples) and g (spectrum) of a commutator."""
     _require_divfree(f, who)
@@ -93,23 +87,23 @@ def _dealiased_factors(f: VectorField, g: GridField, who: str) -> tuple[VectorFi
 def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     """Real samples of f.grad(block_j g) - block_j(f.grad g), j in ``js``, one by one.
 
-    ``fd`` and ``gs`` come from :func:`_dealiased_factors`.  Each block takes
-    d + 1 real inverses of half spectra; the inner advection f.grad g is
-    formed once for every j.
+    ``fd`` and ``gs`` come from :func:`_dealiased_factors`; the advection is
+    the solver's, unmasked, as the factors are dealiased already.  Each block
+    makes two real inverse calls: the d gradient entries of block_j g batched,
+    then block_j of the inner advection f.grad g, which is formed once for
+    every j.
     """
     d = gs.grid.d
-    fv = [c.values for c in fd.components]
+    rhs, fv = _RHS(gs.grid, dealias=False), [c.values for c in fd.components]
     half = gs.values
-    inner = _to_half_spectrum(_advect(fv, half, d), d)
+    inner = _to_half_spectrum(rhs.advection([half], fv)[0], d)
     for j in js:
         psi = bank.psi[j]
-        yield _advect(fv, half * psi, d) - _from_half_spectrum(inner * psi, d)
+        yield rhs.advection([half * psi], fv)[0] - _from_half_spectrum(inner * psi, d)
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:
-    """f.grad(block_j g) - block_j(f.grad g) with dealiased products.
-
-    """
+    """f.grad(block_j g) - block_j(f.grad g) with dealiased products."""
     if not 0 <= j <= bank.j_max:
         raise ValueError(f"block index {j} outside [0, {bank.j_max}]")
     blocks = _commutator_blocks(bank, *_dealiased_factors(f, g, "commutator"), (j,))
@@ -182,8 +176,9 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
         raise ValueError(f"the transport estimate needs s > -1, got s={spec.s}")
     ud, gs = _dealiased_factors(u, v, "verify_moser_transport")
     vd = as_physical(gs)
-    adv = GridField(v.grid, _freeze(_advect([c.values for c in ud.components],
-                                            as_spectral(vd).values, v.grid.d)), PHYSICAL)
+    adv = _RHS(v.grid, dealias=False).advection([as_spectral(vd).values],
+                                                 [c.values for c in ud.components])[0]
+    adv = GridField(v.grid, adv, PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
     gv_norm = _half_norms(bank, _gradient_halves(vd), (spec,))[0]

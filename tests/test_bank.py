@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpflow import (DegenerateInputError, GridField, SpectrumSpec, decompose,
-                    default_bank, delta_j, p_le, random_band_limited, recompose,
+from lpflow import (DegenerateInputError, Grid, GridField, SpectrumSpec, decompose,
+                    default_bank, delta_j, derivative, p_le, random_band_limited, recompose,
                     verify_low_freq_bound)
 from lpflow.bank import low_pass_multiplier, max_block_index
 from lpflow.fields import apply_multiplier
@@ -146,3 +148,19 @@ def test_low_freq_bound_rejects_bad_input(grid64, bank64):
     zero = GridField(grid64, np.zeros(grid64.shape), "physical")
     with pytest.raises(DegenerateInputError):
         verify_low_freq_bound(bank64, zero, 1.0, 2.0, 2.0, 3, 1.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([8, 16, 32]), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_derivatives_commute_with_the_bank(n, d, seed, data):
+    """delta_j d_a f = d_a delta_j f on white noise, which fills the Nyquist
+    planes: the derivative symbol is a real operator's there too."""
+    bank = default_bank(n, d)
+    j = data.draw(st.integers(0, bank.j_max), label="j")
+    a = data.draw(st.integers(0, d - 1), label="axis")
+    grid = Grid(n, d)
+    f = GridField(grid, np.random.default_rng(seed).standard_normal(grid.shape), "physical")
+    lhs = delta_j(bank, derivative(f, a), j).values
+    rhs = derivative(delta_j(bank, f, j), a).values
+    assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()

@@ -159,6 +159,18 @@ def test_solve_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_solve_refuses_snapshots_that_share_a_file_name(tmp_path, capsys):
+    """A snapshot's file name keeps 6 decimals of its time, so times closer than
+    that would overwrite each other: the run exits 2, names them, writes nothing."""
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"solver": {"record_stride": 1}}))
+    out = tmp_path / "o"
+    assert main(["solve", "--n", "16", "--dt", "1e-7", "--T", "1e-6", "--config", str(cfgf),
+                 "--out", str(out)]) == 2
+    assert "t = 0.0, 1e-07, 2e-07," in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_iterate_manifest(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig,
-                    StabilityError, Trajectory, VectorField, energy, euler_rhs, flow_map,
-                    jacobian_determinant, pressure_gradient, solve, taylor_green,
-                    vorticity)
+                    StabilityError, Trajectory, VectorField, derivative, energy, euler_rhs,
+                    flow_map, jacobian_determinant, leray_project, pressure_gradient, solve,
+                    taylor_green, vorticity)
 from lpflow.corpus import divfree_sample
 from lpflow.euler import (_RHS, _eval_velocity, _spectra, default_seed_grid,
                           steady_trajectory, stream_values, taylor_green_stream)
@@ -192,6 +192,44 @@ def test_half_spectrum_rhs_matches_complex_path(n, d, dealias):
     assert not got[:, nyquist].any()
     err = np.abs(got - want[..., :n // 2 + 1])[:, ~nyquist].max() / np.abs(want).max()
     print("half vs complex path", err)
+    assert err <= 1e-14
+
+
+def _white_divfree(grid, seed):
+    """Leray-projected white noise: every mode filled, the Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    return leray_project(VectorField(tuple(
+        GridField(grid, rng.standard_normal(grid.shape), "physical") for _ in range(grid.d))))
+
+
+@pytest.mark.parametrize("n,d", [(16, 2), (8, 3)])
+def test_vorticity_is_the_curl_of_derivative(n, d):
+    """vorticity and derivative read one derivative symbol, Nyquist modes included."""
+    u = _white_divfree(Grid(n, d), 31)
+    c = u.components
+    du = lambda l, a: derivative(c[l], a).values   # d_a u_l
+    if d == 2:
+        want = [du(1, 0) - du(0, 1)]
+        got = [vorticity(u).values]
+    else:
+        want = [du(2, 1) - du(1, 2), du(0, 2) - du(2, 0), du(1, 0) - du(0, 1)]
+        got = [w.values for w in vorticity(u).components]
+    err = max(np.abs(g - w).max() for g, w in zip(got, want))
+    scale = max(np.abs(w).max() for w in want)
+    print("curl vs derivative", err / scale)
+    assert err <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n,d", [(16, 2), (8, 3)])
+def test_advection_is_the_sum_of_derivative_products(n, d):
+    """The undealiased advection u . grad u_l is sum_m u_m d_m u_l with derivative's symbol."""
+    u = _white_divfree(Grid(n, d), 32)
+    c = u.components
+    want = np.stack([sum(c[m].values * derivative(c[l], m).values for m in range(d))
+                     for l in range(d)])
+    got = _RHS(u.grid, dealias=False).advection(_spectra(u))
+    err = np.abs(got - want).max() / np.abs(want).max()
+    print("advection vs derivative products", err)
     assert err <= 1e-14
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpflow
 import lpflow.fields
@@ -142,8 +144,11 @@ def test_leray_annihilates_gradients(grid64):
     assert max(np.abs(c.values).max() for c in proj.components) < 1e-13
 
 
-def test_leray_idempotent(grid64):
-    u = random_divergence_free(grid64, SpectrumSpec(2.0, (1, 8), 9))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([8, 16, 32]), d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_leray_idempotent(n, d, seed):
+    grid = Grid(n, d)
+    u = random_divergence_free(grid, SpectrumSpec(2.0, (1, min(8, n // 2 - 1)), seed))
     up = vector_as_physical(u)
     again = leray_project(up)
     diff = max(np.abs(a.values - b.values).max()
@@ -286,10 +291,9 @@ def test_transform_results_are_read_only(grid64):
             out.values[0, 0] = 1.0
 
 
-def _transform_calls(path: Path) -> set[str]:
-    """Functions (``Class.method`` or ``function``) of a module that call an FFT."""
-    names = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
-             "rfftn", "irfftn"}
+def _scopes_where(path: Path, hit) -> set[str]:
+    """Functions (``Class.method`` or ``function``) of a module with a node for
+    which ``hit`` holds."""
     hits = set()
 
     def visit(node, scope):
@@ -297,13 +301,20 @@ def _transform_calls(path: Path) -> set[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in names):
+            if hit(child):
                 hits.add(scope or "<module>")
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), "")
     return hits
+
+
+def _transform_calls(path: Path) -> set[str]:
+    """Functions of a module that call an FFT."""
+    names = {"fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft",
+             "rfftn", "irfftn"}
+    return _scopes_where(path, lambda node: isinstance(node, ast.Call) and isinstance(
+        node.func, ast.Attribute) and node.func.attr in names)
 
 
 def test_torus_transforms_live_in_fields():
@@ -315,3 +326,15 @@ def test_torus_transforms_live_in_fields():
     assert outside == {"norms._kernel_scale_l1"}
     assert _transform_calls(Path(lpflow.fields.__file__)) == {
         "_to_half_spectrum", "_from_half_spectrum"}
+
+
+def test_derivative_symbol_lives_in_fields():
+    """Every i*k (derivatives, curl, advection) is read from the one symbol in
+    lpflow.fields.  The one other imaginary unit is the flow map's phase table."""
+    def imaginary(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, complex)
+
+    outside = {f"{path.stem}.{name}"
+               for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
+               if path.name != "fields.py" for name in _scopes_where(path, imaginary)}
+    assert outside == {"euler._phase_table"}
