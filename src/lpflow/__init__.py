@@ -11,9 +11,9 @@ from .bank import (DyadicDecomposition, LPFilterBank, build_filter_bank,
                    verify_low_freq_bound)
 from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound, lp_norm,
                     tl_norm, verify_embedding, verify_equivalence, verify_lifting)
-from .maximal import (MaximalConfig, RadialProfile, default_config, hl_maximal,
-                      verify_bandlimited_sup, verify_fefferman_stein,
-                      verify_pointwise_bound, verify_radial_majorant)
+from .maximal import (RadialProfile, hl_maximal, verify_bandlimited_sup,
+                      verify_fefferman_stein, verify_pointwise_bound,
+                      verify_radial_majorant)
 from .paraproduct import (BonyPieces, CommutatorSequence, bony, commutator,
                           commutator_sequence, counterexample_scan,
                           verify_commutator_estimate, verify_moser,
@@ -40,7 +40,7 @@ __all__ = [
     "default_bank", "delta_j", "p_le", "recompose", "verify_low_freq_bound",
     "NormSpec", "besov_norm", "field_norm", "kernel_l1_bound", "lp_norm",
     "tl_norm", "verify_embedding", "verify_equivalence", "verify_lifting",
-    "MaximalConfig", "RadialProfile", "default_config", "hl_maximal",
+    "RadialProfile", "hl_maximal",
     "verify_bandlimited_sup", "verify_fefferman_stein",
     "verify_pointwise_bound", "verify_radial_majorant",
     "BonyPieces", "CommutatorSequence", "bony", "commutator",

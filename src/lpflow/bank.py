@@ -59,7 +59,8 @@ class DyadicDecomposition:
 
 
 def max_block_index(grid: Grid) -> int:
-    """Smallest shell count making the dyadic partition exact on the lattice."""
+    """Index of the top block: phi(|k| / 2^{j_max}) is already 1 on the whole
+    lattice, so the top block psi_{j_max} is identically zero."""
     return math.ceil(math.log2(math.sqrt(grid.d) * grid.n / 2.0)) + 1
 
 

@@ -55,7 +55,6 @@ def _report_base(cfg: DependenceConfig, grid: Grid) -> dict:
 def boundedness_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentReport:
     """sup over recorded times of ||u(t)|| / ||u0|| in the configured norm."""
     grid = u0.grid
-    bank = default_bank(grid.n, grid.d)
     traj = solve(u0, cfg, record=(cfg.norm_spec,))
     hist = traj.diagnostics[cfg.norm_spec.label]
     if hist[0] == 0.0:

@@ -1,9 +1,9 @@
 """Hardy-Littlewood maximal function on the torus and its companion bounds.
 
-The maximal function is approximated by the maximum of local averages over a
-dyadic ladder of window radii (periodic wraparound, axis-aligned cube windows
-by default).  The single-cell window is always included so that Mf >= |f|
-pointwise.
+The maximal function is approximated by the maximum of |f| and its periodic
+means over axis-aligned cubes of half-width 1, 2, 4, ..., n/2 cells: one fixed
+dyadic ladder, with no settings.  Taking |f| itself in the maximum keeps
+Mf >= |f| pointwise.
 """
 
 from __future__ import annotations
@@ -20,75 +20,20 @@ from .fields import (PHYSICAL, Grid, GridField, _from_half_spectrum, _to_half_sp
                      as_physical, as_spectral, wavenumber_norm)
 from .norms import NormSpec, _ladder_norms
 
-_WINDOWS = ("cube", "ball")
 
-
-@dataclass(frozen=True)
-class MaximalConfig:
-    """Window ladder for the discrete maximal function.
-
-    ``radii`` must be ascending; radii below one grid spacing are meaningless
-    (the single-cell window is always included regardless).
-    """
-
-    radii: tuple[float, ...]
-    window: str = "cube"
-
-    def __post_init__(self):
-        if self.window not in _WINDOWS:
-            raise ValueError(f"unknown window {self.window!r}; expected one of {_WINDOWS}")
-        r = tuple(float(x) for x in self.radii)
-        if not r:
-            raise ValueError("need at least one window radius")
-        if any(x <= 0 for x in r) or any(a >= b for a, b in zip(r, r[1:])):
-            raise ValueError(f"radii must be positive and strictly ascending, got {r}")
-        object.__setattr__(self, "radii", r)
-
-
-def default_config(grid: Grid, window: str = "cube") -> MaximalConfig:
-    """Dyadic radii pi * 2^-j from one grid spacing up to pi."""
-    j_top = int(math.log2(grid.n / 2.0))
-    radii = tuple(math.pi * 2.0**(-j) for j in range(j_top, -1, -1))
-    return MaximalConfig(radii, window)
-
-
-def _cube_average(a: np.ndarray, half_cells: int) -> np.ndarray:
-    return uniform_filter(a, size=2 * half_cells + 1, mode="wrap")
-
-
-def _ball_average(half: np.ndarray, radius: float, grid: Grid) -> np.ndarray:
-    x = grid.axis_coordinates()
-    dist = np.minimum(x, 2.0 * np.pi - x)
-    mesh = np.meshgrid(*([dist] * grid.d), indexing="ij")
-    mask = (sum(m * m for m in mesh) <= radius * radius).astype(float)
-    # the cyclic convolution has coefficients n^d * A(k) * M(k)
-    d = grid.d
-    conv = _from_half_spectrum(half * _to_half_spectrum(mask, d) * mask.size, d)
-    return conv / mask.sum()
-
-
-def _maximal_array(absvals: np.ndarray, grid: Grid, cfg: MaximalConfig) -> np.ndarray:
+def _maximal_array(absvals: np.ndarray, grid: Grid) -> np.ndarray:
+    """Pointwise max of |f| and its periodic cube means of half-width 1, 2, 4, ..., n/2 cells."""
     out = absvals.copy()
-    half = _to_half_spectrum(absvals, grid.d) if cfg.window == "ball" else None
-    for r in cfg.radii:
-        if cfg.window == "cube":
-            w = int(r / grid.spacing)
-            if w == 0:
-                continue
-            avg = _cube_average(absvals, w)
-        else:
-            avg = _ball_average(half, r, grid)
-        np.maximum(out, avg, out=out)
+    for j in range(grid.n.bit_length() - 1):
+        np.maximum(out, uniform_filter(absvals, size=2 * 2**j + 1, mode="wrap"), out=out)
     return out
 
 
-def hl_maximal(f: GridField, cfg: MaximalConfig | None = None) -> GridField:
+def hl_maximal(f: GridField) -> GridField:
     """Discrete Hardy-Littlewood maximal function of |f| (physical fields only)."""
     if f.rep != PHYSICAL:
         raise RepresentationError("hl_maximal expects a physical-representation field")
-    cfg = cfg or default_config(f.grid)
-    out = _maximal_array(np.abs(f.values), f.grid, cfg)
-    return GridField(f.grid, out, PHYSICAL)
+    return GridField(f.grid, _maximal_array(np.abs(f.values), f.grid), PHYSICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +67,13 @@ def verify_pointwise_bound(bank: LPFilterBank, f: GridField, j: int, k: int,
     if band_edge(f) > 2.0**j + 1e-9:
         raise ValueError(f"field has content beyond |k| = 2^{j}")
     g = f.grid
-    cfg = default_config(g)
     absf = np.abs(as_physical(f).values)
     if absf.max() == 0.0:
         raise DegenerateInputError("zero field in pointwise maximal bound")
     lhs = np.abs(as_physical(delta_j(bank, f, k)).values)
     m_low = (np.ones(g.shape) if theta == 1.0
-             else _maximal_array(absf ** (1.0 - theta), g, cfg))
-    m_r = _maximal_array(absf**r, g, cfg)
+             else _maximal_array(absf ** (1.0 - theta), g))
+    m_r = _maximal_array(absf**r, g)
     rhs = 2.0 ** ((j - k) * theta * g.d / r) * m_low * m_r ** (theta / r)
     return float((lhs / rhs).max())
 
@@ -156,7 +100,7 @@ def verify_bandlimited_sup(f: GridField, j: int, r: float) -> float:
     for offset in np.ndindex(*g.shape):
         shifted = np.roll(absf, shift=offset, axis=tuple(range(g.d)))
         np.maximum(lhs, shifted / weight[offset], out=lhs)
-    rhs = _maximal_array(absf**r, g, default_config(g)) ** (1.0 / r)
+    rhs = _maximal_array(absf**r, g) ** (1.0 / r)
     return float((lhs / rhs).max())
 
 
@@ -251,6 +195,6 @@ def verify_fefferman_stein(fields, p: float, q: float) -> float:
     stack = np.stack([np.abs(as_physical(f).values) for f in fields])
     if stack.max() == 0.0:
         raise DegenerateInputError("zero family in vector-valued maximal ratio")
-    cfg, spec = default_config(g), NormSpec(0.0, p, q, homogeneous=True)  # a ladder at s = 0
-    num = _ladder_norms((_maximal_array(a, g, cfg) for a in stack), (spec,), g.cell_volume, False)
+    spec = NormSpec(0.0, p, q, homogeneous=True)  # a ladder at s = 0
+    num = _ladder_norms((_maximal_array(a, g) for a in stack), (spec,), g.cell_volume, False)
     return num[0] / _ladder_norms(stack, (spec,), g.cell_volume, False)[0]   # overwrites stack

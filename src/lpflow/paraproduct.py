@@ -261,7 +261,7 @@ def _modulated_pair(grid, s: float, top: int):
 
 def _random_pair(grid, s: float, top: int):
     lo = max(1, 2 ** (top - 1))
-    hi = min(grid.n // 3, 2**top)
+    hi = 2**top
     u = random_divergence_free(grid, SpectrumSpec(s, (lo, hi), seed=900 + top))
     g = scalar_sample(grid, 950 + top, decay=s, band=(lo, hi))
     return u, g
@@ -281,8 +281,9 @@ def counterexample_scan(bank: LPFilterBank, family: str, s: float, p: float,
     grid = bank.grid
     if not scales or any(N < 1 for N in scales):
         raise ValueError("scale_list must contain levels >= 1")
-    if max(scales) > bank.j_max - 2:
-        raise ValueError(f"scales beyond {bank.j_max - 2} exceed the resolved band")
+    if 2 ** max(scales) > grid.n // 3:
+        raise ValueError(f"scale {max(scales)} puts content at 2^{max(scales)}, above the "
+                         f"2/3-rule band n//3 = {grid.n // 3} the dealiased factors keep")
     spec = NormSpec(s, p, q, homogeneous=True)
     builders = {"lacunary": _lacunary_pair, "modulated-bump": _modulated_pair,
                 "random": _random_pair}

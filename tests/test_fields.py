@@ -338,3 +338,9 @@ def test_derivative_symbol_lives_in_fields():
                for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
                if path.name != "fields.py" for name in _scopes_where(path, imaginary)}
     assert outside == {"euler._phase_table"}
+
+
+def test_public_names_are_exported_once_and_resolve():
+    names = lpflow.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(lpflow, n)] == []

@@ -12,7 +12,7 @@ import pytest
 
 from lpflow import (DegenerateInputError, GridField, NormSpec, VectorField,
                     bony, commutator, commutator_sequence, counterexample_scan,
-                    delta_j,
+                    default_bank, delta_j,
                     verify_commutator_estimate, verify_moser,
                     verify_moser_transport)
 from lpflow import calibration
@@ -231,6 +231,15 @@ def test_counterexample_scan_validation(bank64):
         counterexample_scan(bank64, "lacunary", 2.0, 2.0, 2.0, [0])
     with pytest.raises(ValueError):
         counterexample_scan(bank64, "lacunary", 2.0, 2.0, 2.0, [bank64.j_max])
+
+
+@pytest.mark.parametrize("family", ["lacunary", "modulated-bump", "random"])
+@pytest.mark.parametrize("n,d,top", [(64, 2, 5), (32, 3, 4), (256, 2, 7)])
+def test_counterexample_scan_stays_inside_the_dealiased_band(n, d, top, family):
+    """At 2^N above n//3 the dealiased factors drop the pair's top content
+    (the modulated bump to zero), so such a scale is refused."""
+    with pytest.raises(ValueError, match=f"n//3 = {n // 3}"):
+        counterexample_scan(default_bank(n, d), family, 2.0, 2.0, 2.0, [2, top])
 
 
 def test_counterexample_families_all_run(bank64):
