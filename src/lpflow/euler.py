@@ -30,6 +30,7 @@ from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _derivati
 from .norms import NormSpec, _half_norms
 
 CFL_GUARD = 0.5   # largest max|u| dt / dx a step may start from
+_BLOCK = 1024     # flow-map particles per block (a power of two: blocks start on BLAS tiles)
 
 # ---------------------------------------------------------------------------
 # configuration and trajectory containers
@@ -345,22 +346,25 @@ def _eval_velocity(spectra, xs, grid: Grid, tables) -> np.ndarray:
     dense sum runs over per-axis phase tables from :func:`_phase_table`: one
     complex exponential per particle and axis, the other n - 1 phases by a
     power recurrence whose roundoff stays under (n/2) eps per phase.
-    ``tables``, d complex arrays of shape (n, P), the last (n/2 + 1, P) for
-    k_last = 0 .. n/2 - 1 and -n/2, are refilled in place.
+    ``tables``, d complex arrays of shape (n, W), the last (n/2 + 1, W) for
+    k_last = 0 .. n/2 - 1 and -n/2, W >= min(P, _BLOCK + 1), are refilled in
+    place for each block of particles in turn.  A lone last particle joins the
+    block before it: BLAS rounds a one-column product differently.
     """
     n, d = grid.n, grid.d
-    phases = [_phase_table(xs[a], n, tables[a]) for a in range(d)]
     out = np.empty((d, xs.shape[1]))
-    for l in range(d):
-        U = spectra[l]
-        if d == 2:
-            tmp = U @ phases[1]                       # (n, P)
-            vals = np.einsum("kp,kp->p", phases[0], tmp)
-        else:
-            tmp = np.tensordot(U, phases[2], axes=([2], [0]))     # (n, n, P)
-            tmp = np.einsum("kp,kqp->qp", phases[0], tmp)          # (n, P) over k1
-            vals = np.einsum("kp,kp->p", phases[1], tmp)
-        out[l] = vals.real
+    edges = [*range(0, max(xs.shape[1] - 1, 1), _BLOCK), xs.shape[1]]
+    for lo, hi in zip(edges, edges[1:]):
+        phases = [_phase_table(xs[a, lo:hi], n, tables[a][:, :hi - lo]) for a in range(d)]
+        for l in range(d):
+            U = spectra[l]
+            if d == 2:
+                vals = np.einsum("kp,kp->p", phases[0], U @ phases[1])   # (n, B) product
+            else:
+                tmp = np.tensordot(U, phases[2], axes=([2], [0]))     # (n, n, B)
+                tmp = np.einsum("kp,kqp->qp", phases[0], tmp)          # (n, B) over k1
+                vals = np.einsum("kp,kp->p", phases[1], tmp)
+            out[l, lo:hi] = vals.real
     return out
 
 
@@ -396,6 +400,8 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim < 2 or seeds.shape[0] != grid.d:
         raise ValueError(f"seeds must be component-first, shape (d, ...); got {seeds.shape}")
+    if not np.isfinite(seeds).all():
+        raise ValueError("seeds must be finite")
     seed_shape = seeds.shape[1:]
     xs = seeds.reshape(grid.d, -1).copy()
 
@@ -408,7 +414,8 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
 
     pos = xs
     step = 0
-    tables = [np.empty((grid.n if a < grid.d - 1 else grid.n // 2 + 1, xs.shape[1]), complex)
+    tables = [np.empty((grid.n if a < grid.d - 1 else grid.n // 2 + 1,
+                        min(xs.shape[1], _BLOCK + 1)), complex)
               for a in range(grid.d)]
     for t_target in t_req:
         target_steps = round(t_target / h)

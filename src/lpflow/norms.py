@@ -87,8 +87,10 @@ def _gradient_halves(f: GridField) -> np.ndarray:
 
 
 def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
-    """|P_0 f| (if ``low``), then |block_j f| for j = 0..j_max: one real inverse each."""
-    for m in (bank.phi_0, *bank.psi) if low else bank.psi:
+    """|P_0 f| (if ``low``), then |block_j f| for j = 0..j_max - 1: one real inverse
+    each.  The top block psi_{j_max} is zero on the whole lattice, and a zero
+    block adds nothing to any ladder, so it is left out."""
+    for m in (bank.phi_0, *bank.psi[:-1]) if low else bank.psi[:-1]:
         b = _from_half_spectrum(half * m, bank.grid.d)
         yield np.abs(b, out=b)
 
@@ -243,7 +245,8 @@ def verify_lifting(bank: LPFilterBank, f: GridField, s: float, p: float, q: floa
 
 
 def _kernel_lattice(refinement: int, d: int):
-    """Dual-lattice meshes of the auxiliary box and the annulus bump on them."""
+    """The annulus box of the auxiliary dual lattice: its meshes, the annulus
+    bump on them, its indices on each axis and the lattice's points per axis."""
     box = 2.0**refinement
     dxi = 2.0 * np.pi / box
     if dxi > 0.5:
@@ -255,7 +258,10 @@ def _kernel_lattice(refinement: int, d: int):
     m_pts = 1
     while m_pts * dxi / 2.0 < 8.0:
         m_pts *= 2
-    xi_1d = np.fft.fftfreq(m_pts, d=1.0 / m_pts) * dxi
+    # psi's support |xi| < 2 lies in the box of FFT-order indices |i| <= r.
+    r = math.ceil(2.0 / dxi)
+    box = np.r_[0:r + 1, m_pts - r:m_pts]
+    xi_1d = np.fft.fftfreq(m_pts, d=1.0 / m_pts)[box] * dxi
     mesh = np.meshgrid(*([xi_1d] * d), indexing="ij")
     rho = np.sqrt(sum(m * m for m in mesh))
     # psi vanishes off the open annulus 1/2 < rho < 2, exactly: the cutoff
@@ -263,11 +269,13 @@ def _kernel_lattice(refinement: int, d: int):
     ann = (rho > 0.5) & (rho < 2.0)
     psi = np.zeros_like(rho)
     psi[ann] = radial_cutoff(rho[ann] / 2.0) - radial_cutoff(rho[ann])
-    return mesh, psi
+    return mesh, psi, box, m_pts
 
 
-def _kernel_scale_l1(mesh, psi: np.ndarray, l: int, k: int, i: int, j: int) -> float:
-    """|| F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}, evaluated explicitly at scale j."""
+def _kernel_scale_l1(lattice, l: int, k: int, i: int, j: int) -> float:
+    """|| F^{-1}( m(2^j .) psi * xi_i ) ||_{L^1}, evaluated explicitly at scale j
+    on ``lattice``, a box from :func:`_kernel_lattice`."""
+    mesh, psi, box, m_pts = lattice
     # Only psi's support is evaluated: every other entry is multiplied by psi = 0.
     ann = psi != 0
     scaled = [2.0**j * m[ann] for m in mesh]
@@ -278,7 +286,15 @@ def _kernel_scale_l1(mesh, psi: np.ndarray, l: int, k: int, i: int, j: int) -> f
     # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
     # This is the one FFT outside lpflow.fields: it acts on the auxiliary box,
     # not on a torus field, so the torus normalization does not apply.
-    return float(np.abs(np.fft.ifftn(ssym * psi * mesh[i])).sum())
+    # numpy's ifftn passes, last axis first, skipping the lines that are all
+    # zeros at their pass (not through the box): the l1 sum is the same to the bit.
+    full = np.zeros((m_pts,) * psi.ndim, complex)
+    full[np.ix_(*[box] * psi.ndim)] = ssym * psi * mesh[i]
+    for a in range(psi.ndim - 1, 0, -1):
+        lines = np.ix_(*[box] * a)
+        full[lines] = np.fft.ifft(full[lines], axis=a)
+    full = np.fft.ifft(full, axis=0)
+    return float(np.abs(full).sum())
 
 
 def kernel_l1_terms(l: int = 0, k: int = 0, i: int = 0, refinement: int = 7, d: int = 2,
@@ -304,12 +320,12 @@ def kernel_l1_terms(l: int = 0, k: int = 0, i: int = 0, refinement: int = 7, d: 
     for name, ax in (("l", l), ("k", k), ("i", i)):
         if not 0 <= ax < d:
             raise ValueError(f"axis {name}={ax} out of range for dimension {d}")
-    mesh, psi = _kernel_lattice(refinement, d)
+    lattice = _kernel_lattice(refinement, d)
 
     terms = []
     for j in range(0, -60, -1):
         if j >= -2:  # below j = -2 the sum is frozen at its j = -2 value
-            l1 = _kernel_scale_l1(mesh, psi, l, k, i, j)
+            l1 = _kernel_scale_l1(lattice, l, k, i, j)
         term = 2.0**j * l1
         terms.append((j, term))
         # The prefactor halves per scale while the symbol freezes, so the

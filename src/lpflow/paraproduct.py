@@ -91,7 +91,7 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     the solver's, unmasked, as the factors are dealiased already.  Each block
     makes two real inverse calls: the d gradient entries of block_j g batched,
     then block_j of the inner advection f.grad g, which is formed once for
-    every j.
+    every j.  The top block, psi_{j_max} = 0, is zeros and makes none.
     """
     d = gs.grid.d
     rhs, fv = _RHS(gs.grid, dealias=False), [c.values for c in fd.components]
@@ -99,7 +99,8 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     inner = _to_half_spectrum(rhs.advection([half], fv)[0], d)
     for j in js:
         psi = bank.psi[j]
-        yield rhs.advection([half * psi], fv)[0] - _from_half_spectrum(inner * psi, d)
+        yield (np.zeros(gs.grid.shape) if j == bank.j_max else
+               rhs.advection([half * psi], fv)[0] - _from_half_spectrum(inner * psi, d))
 
 
 def commutator(bank: LPFilterBank, f: VectorField, g: GridField, j: int) -> GridField:

@@ -1,6 +1,7 @@
 """Dyadic-ladder norms against closed forms and frozen regression values."""
 
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -184,6 +185,48 @@ def test_kernel_terms_decay_and_total():
     assert abs(total - sum(t for _, t in terms)) < 1e-12
 
 
+def _full_kernel_lattice(refinement, d):
+    """The kernel quadrature's whole dual lattice: its meshes and the annulus bump,
+    as evaluated before the annulus box."""
+    dxi = 2.0 * np.pi / 2.0**refinement
+    m_pts = 1
+    while m_pts * dxi / 2.0 < 8.0:
+        m_pts *= 2
+    xi_1d = np.fft.fftfreq(m_pts, d=1.0 / m_pts) * dxi
+    mesh = np.meshgrid(*([xi_1d] * d), indexing="ij")
+    rho = np.sqrt(sum(m * m for m in mesh))
+    ann = (rho > 0.5) & (rho < 2.0)
+    psi = np.zeros_like(rho)
+    psi[ann] = radial_cutoff(rho[ann] / 2.0) - radial_cutoff(rho[ann])
+    return mesh, psi
+
+
+def _full_kernel_scale_l1(mesh, psi, l, k, i, j):
+    """One kernel term's l1 sum by numpy's ifftn over the whole dual lattice."""
+    ann = psi != 0
+    scaled = [2.0**j * m[ann] for m in mesh]
+    srho2 = sum(m * m for m in scaled)
+    ssym = np.zeros_like(psi)
+    ssym[ann] = radial_cutoff(np.sqrt(srho2)) * scaled[l] * scaled[k] / srho2
+    return float(np.abs(np.fft.ifftn(ssym * psi * mesh[i])).sum())
+
+
+_KERNEL_CASES = [(0, 0, 0, 7, 2), (1, 0, 1, 7, 2), (0, 0, 0, 8, 2), (2, 1, 0, 4, 3),
+                 (0, 2, 2, 4, 3), (0, 0, 0, 5, 3)]
+
+
+@pytest.mark.parametrize("l, k, i, refinement, d", _KERNEL_CASES)
+def test_kernel_box_equals_full_lattice(l, k, i, refinement, d):
+    """Transforming only the lines through the annulus box changes no bit of a
+    term: every other line is zero when its pass comes."""
+    box = _kernel_lattice(refinement, d)
+    full = _full_kernel_lattice(refinement, d)
+    full_l1 = [_full_kernel_scale_l1(*full, l, k, i, j) for j in (0, -1, -2)]
+    assert [_kernel_scale_l1(box, l, k, i, j) for j in (0, -1, -2)] == full_l1
+    terms = kernel_l1_terms(l, k, i, refinement, d)
+    assert terms == [(j, 2.0**j * full_l1[min(-j, 2)]) for j, _ in terms]
+
+
 @pytest.mark.parametrize("d, refinement, axes", [
     (2, 7, (0, 0, 0)), (2, 7, (1, 0, 1)), (3, 4, (2, 1, 0)), (3, 4, (0, 2, 2))])
 def test_kernel_tail_equals_explicit_terms(d, refinement, axes):
@@ -192,30 +235,47 @@ def test_kernel_tail_equals_explicit_terms(d, refinement, axes):
     l, k, i = axes
     terms = dict(kernel_l1_terms(l, k, i, refinement, d, tail_tol=1e-12))
     assert min(terms) <= -25
-    mesh, psi = _kernel_lattice(refinement, d)
+    lattice = _kernel_lattice(refinement, d)
     for j in range(-2, -26, -1):
-        assert terms[j] == 2.0**j * _kernel_scale_l1(mesh, psi, l, k, i, j)
+        assert terms[j] == 2.0**j * _kernel_scale_l1(lattice, l, k, i, j)
 
 
 def _full_lattice_bump(refinement, d):
-    """psi evaluated on the whole dual lattice, as before the annulus restriction."""
-    mesh, _ = _kernel_lattice(refinement, d)
+    """psi evaluated on the whole dual lattice, as before the annulus restriction,
+    as a lattice for :func:`_kernel_scale_l1` whose box is the whole lattice."""
+    mesh, _ = _full_kernel_lattice(refinement, d)
     rho = np.sqrt(sum(m * m for m in mesh))
-    return mesh, radial_cutoff(rho / 2.0) - radial_cutoff(rho)
+    return mesh, radial_cutoff(rho / 2.0) - radial_cutoff(rho), np.arange(len(rho)), len(rho)
 
 
 @pytest.mark.parametrize("refinement, d", [(7, 2), (8, 2), (5, 3)])
 def test_kernel_bump_is_evaluated_on_its_annulus_only(refinement, d):
     """Restricting psi to 1/2 < |xi| < 2 changes no bit: the cutoff is
     exactly 1 below radius 1/2 and exactly 0 from radius 1 on."""
-    _, psi = _kernel_lattice(refinement, d)
-    assert np.array_equal(psi, _full_lattice_bump(refinement, d)[1])
+    _, psi, box, m_pts = _kernel_lattice(refinement, d)
+    embedded = np.zeros((m_pts,) * d)
+    embedded[np.ix_(*[box] * d)] = psi
+    assert np.array_equal(embedded, _full_lattice_bump(refinement, d)[1])
 
 
 def test_kernel_terms_unchanged_by_the_annulus(monkeypatch):
     terms = kernel_l1_terms(1, 0, 1, refinement=7)
     monkeypatch.setattr(lpflow.norms, "_kernel_lattice", _full_lattice_bump)
     assert kernel_l1_terms(1, 0, 1, refinement=7) == terms
+
+
+def test_kernel_series_working_set():
+    """The kernel series holds one complex lattice and its transform at a time,
+    not the whole lattice's meshes: 73.4 MiB before the annulus box."""
+    kernel_l1_terms(refinement=8)
+    tracemalloc.start()
+    try:
+        kernel_l1_bound(refinement=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print("kernel_l1_bound(8) peak MiB", peak / 2**20)
+    assert peak <= 36 * 2**20
 
 
 def test_kernel_refinement_stability():
@@ -325,12 +385,12 @@ def test_one_pass_gives_each_spec_its_value_alone(n, d, specs, which):
 
 def test_a_field_measured_in_several_specs_is_decomposed_once(grid64, bank64,
                                                               inverse_transforms):
-    """One inverse per block at 64^2 (9 with the low block, 8 without), not one per block
-    and spec."""
+    """One inverse per block at 64^2 (8 with the low block, 7 without: the top block
+    psi_7 is zero and is not transformed), not one per block and spec."""
     f, u = scalar_sample(grid64, 5), divfree_sample(grid64, 9)
-    for run, inverses in [(lambda: verify_equivalence(bank64, f, 3, 1, 1), 9),
-                          (lambda: verify_embedding(bank64, f, (3.0, 1.0, 1.0), (2.0, 2.0)), 8),
-                          (lambda: interpolation_ratio(bank64, u, NormSpec(3, 1, 1)), 2 * 9)]:
+    for run, inverses in [(lambda: verify_equivalence(bank64, f, 3, 1, 1), 8),
+                          (lambda: verify_embedding(bank64, f, (3.0, 1.0, 1.0), (2.0, 2.0)), 7),
+                          (lambda: interpolation_ratio(bank64, u, NormSpec(3, 1, 1)), 2 * 8)]:
         inverse_transforms.clear()
         run()
         assert len(inverse_transforms) == inverses
