@@ -1,7 +1,7 @@
 """Dyadic frequency analysis on the torus with a spectral Euler solver."""
 
 from .errors import (DegenerateInputError, FieldFormatError, RepresentationError,
-                     ResolutionError, StabilityError)
+                     ResolutionError, StabilityError, WeightOverflowError)
 from .fields import (Grid, GridField, SpectrumSpec, VectorField, as_physical,
                      as_spectral, dealias_field, derivative, dft_forward,
                      dft_inverse, gradient, random_band_limited,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateInputError", "FieldFormatError", "RepresentationError",
-    "ResolutionError", "StabilityError",
+    "ResolutionError", "StabilityError", "WeightOverflowError",
     "Grid", "GridField", "SpectrumSpec", "VectorField",
     "as_physical", "as_spectral", "dealias_field", "derivative",
     "dft_forward", "dft_inverse", "gradient", "random_band_limited",

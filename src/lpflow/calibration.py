@@ -30,7 +30,7 @@ from .corpus import (scalar_pairs, scalar_sample, scalar_samples, solution_map_d
                      transport_pair)
 from .fields import as_physical
 from .maximal import hl_maximal, verify_pointwise_bound
-from .norms import NormSpec, verify_lifting
+from .norms import NormSpec, _half_norms, verify_lifting
 from .paraproduct import verify_commutator_estimate, verify_moser, verify_moser_transport
 from .reports import dump_json
 
@@ -86,6 +86,20 @@ def _boundedness(bank, count, seed0, seed, T, dt, s, p, q, amplitude):
     return [boundedness_experiment(solution_map_datum(bank.grid, seed, amplitude), cfg).max]
 
 
+def _motion(bank, count, seed0, seed, T, dt, s, p, q, amplitude):
+    """sup over recorded times of ||u(t) - u0|| / ||u0|| along the solve of the datum
+    ``seed``: how far the solution map moves it (a map that returns its data reads 0)."""
+    from .euler import solve
+    from .experiments import DependenceConfig
+
+    spec = NormSpec(s, p, q)
+    cfg = DependenceConfig(norm_spec=spec, T=T, dt=dt)
+    spectra = solve(solution_map_datum(bank.grid, seed, amplitude), cfg).spectra
+    (norm0,) = _half_norms(bank, spectra[0], (spec,))
+    return [float(np.max([_half_norms(bank, h - spectra[0], (spec,))[0] for h in spectra]))
+            / norm0]
+
+
 def _max(ratios, count):
     return {"max": float(np.max(ratios))}
 
@@ -136,6 +150,8 @@ _TABLE = {
     "solution_map_boundedness": _Entry(_boundedness, None, None,
                                        dict(seed=21, T=0.2, dt=1e-3, s=3, p=1, q=1,
                                             amplitude=0.5), summary=_max),
+    "solution_map_motion": _Entry(_motion, None, None,
+                                  dict(seed=21, T=0.2, dt=1e-3, s=3, p=1, q=1, amplitude=0.5)),
 }
 
 

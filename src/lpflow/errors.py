@@ -13,6 +13,11 @@ class DegenerateInputError(ValueError):
     """A ratio verifier received input with a vanishing denominator."""
 
 
+class WeightOverflowError(ValueError):
+    """A dyadic norm's block weight 2^{js}, or its q-th power, exceeds float64 at
+    the top block of the ladder."""
+
+
 class StabilityError(RuntimeError):
     """Time integration tripped the CFL guard.
 

@@ -196,5 +196,6 @@ def verify_fefferman_stein(fields, p: float, q: float) -> float:
     if stack.max() == 0.0:
         raise DegenerateInputError("zero family in vector-valued maximal ratio")
     spec = NormSpec(0.0, p, q, homogeneous=True)  # a ladder at s = 0
-    num = _ladder_norms((_maximal_array(a, g) for a in stack), (spec,), g.cell_volume, False)
-    return num[0] / _ladder_norms(stack, (spec,), g.cell_volume, False)[0]   # overwrites stack
+    top = len(stack) - 1
+    num = _ladder_norms((_maximal_array(a, g) for a in stack), (spec,), g.cell_volume, False, top)
+    return num[0] / _ladder_norms(stack, (spec,), g.cell_volume, False, top)[0]  # overwrites stack

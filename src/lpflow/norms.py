@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bank import LPFilterBank, radial_cutoff
-from .errors import DegenerateInputError, ResolutionError
+from .errors import DegenerateInputError, ResolutionError, WeightOverflowError
 from .fields import (GridField, VectorField, _derivative_symbol, _from_half_spectrum,
                      apply_multiplier, as_physical, as_spectral, wavenumber_norm)
 
@@ -95,12 +95,23 @@ def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
         yield np.abs(b, out=b)
 
 
-def _ladder_norms(mags, specs, cell_volume: float, low: bool) -> list[float]:
+def _ladder_norms(mags, specs, cell_volume: float, low: bool, top: int) -> list[float]:
     """The dyadic norms ``specs`` from one pass over the block magnitudes ``mags``:
     |P_0 f| first if ``low`` (homogeneous specs skip it), then |block_j f|, j >= 0.
     A Besov spec keeps 2^{js}||block_j||_{L^p}; a Triebel-Lizorkin spec adds
     (2^{js}|block_j|)^q to its pointwise ladder (a running max for q = inf), in
-    place if it is the block's last reader and on a copy before that."""
+    place if it is the block's last reader and on a copy before that.
+
+    ``top`` is the index of the last block in ``mags``.  A spec whose weight there,
+    2^{top s} raised to q (q = inf reads the weight alone), is past the float64
+    range raises :class:`WeightOverflowError` before any block is read.
+    """
+    for spec in specs:
+        power = 1.0 if math.isinf(spec.q) else float(spec.q)
+        if top * float(spec.s) * power >= 1024.0:       # 2.0 ** 1024 overflows float64
+            raise WeightOverflowError(
+                f"the dyadic weight 2^(j s) to the power q overflows float64 at the top "
+                f"block j = {top} (s = {float(spec.s)!r}, q = {float(spec.q)!r})")
     order = sorted(range(len(specs)), key=lambda k: specs[k].flavor == "tl")  # Besov reads first
     accs = [[] if spec.flavor == "besov" else None for spec in specs]
     for j, b in enumerate(mags, -1 if low else 0):
@@ -132,8 +143,8 @@ def _half_norms(bank: LPFilterBank, halves, specs) -> list[float]:
     """The norms ``specs`` of the real field with component half spectra ``halves``,
     several in quadrature (little-l2); |P_0 f| is made only if a spec reads it."""
     low = not all(spec.homogeneous for spec in specs)
-    per = [_ladder_norms(_block_magnitudes(bank, h, low), specs, bank.grid.cell_volume, low)
-           for h in halves]
+    per = [_ladder_norms(_block_magnitudes(bank, h, low), specs, bank.grid.cell_volume, low,
+                         bank.j_max - 1) for h in halves]
     return per[0] if len(per) == 1 else [math.sqrt(sum(v**2 for v in vs)) for vs in zip(*per)]
 
 

@@ -129,10 +129,11 @@ def commutator_sequence(bank: LPFilterBank, f: VectorField, g: GridField) -> Com
                                     _commutator_blocks(bank, fd, gs, range(bank.j_max + 1))))
 
 
-def _sequence_tl_norm(blocks, spec: NormSpec, cell_volume: float) -> float:
-    """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block samples ``blocks``."""
+def _sequence_tl_norm(blocks, spec: NormSpec, cell_volume: float, top: int) -> float:
+    """|| (sum_j (2^{js}|c_j|)^q)^{1/q} ||_{L^p} over the block samples ``blocks``,
+    c_0 .. c_top."""
     spec = replace(spec, homogeneous=True, flavor="tl")
-    return _ladder_norms(map(np.abs, blocks), (spec,), cell_volume, low=False)[0]
+    return _ladder_norms(map(np.abs, blocks), (spec,), cell_volume, False, top)[0]
 
 
 def _jacobian_tl_norm(bank: LPFilterBank, u: VectorField, spec: NormSpec) -> float:
@@ -213,7 +214,7 @@ def verify_commutator_estimate(bank: LPFilterBank, f: VectorField, g: GridField,
         raise ValueError(f"form esti2 needs s > -1, got s={spec.s}")
     fd, gs = _dealiased_factors(f, g, "verify_commutator_estimate")
     lhs = _sequence_tl_norm(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)),
-                            spec, g.grid.cell_volume)
+                            spec, g.grid.cell_volume, bank.j_max)
     if lhs == 0.0:
         return 0.0
     gd = as_physical(gs)
@@ -293,7 +294,7 @@ def counterexample_scan(bank: LPFilterBank, family: str, s: float, p: float,
         u, v = builders[family](grid, s, N)
         fd, gs = _dealiased_factors(u, v, "commutator")
         lhs = _sequence_tl_norm(_commutator_blocks(bank, fd, gs, range(bank.j_max + 1)),
-                                spec, grid.cell_volume)
+                                spec, grid.cell_volume, bank.j_max)
         rhs = field_norm(bank, u, spec) * field_norm(bank, v, spec)
         if rhs == 0.0:
             raise DegenerateInputError(f"degenerate pair at scale {N}")

@@ -20,10 +20,8 @@ from lpflow import calibration
 from lpflow.corpus import (divfree_sample, scalar_sample, scalar_samples, scale_to_peak,
                            solution_map_datum, transport_pair)
 from lpflow.euler import steady_trajectory
-from lpflow.experiments import (DependenceConfig, bona_smith_experiment,
-                                boundedness_experiment, continuity_assembly,
-                                lipschitz_lowernorm_experiment)
-from lpflow.fields import vector_as_physical
+from lpflow.experiments import DependenceConfig, boundedness_experiment
+from lpflow.fields import vector_as_physical, wavenumber_mesh
 from lpflow.iteration import iterate, ladder_vs_solve
 from lpflow.norms import field_norm, kernel_l1_bound, kernel_l1_terms, sup_norm
 from lpflow.paraproduct import commutator
@@ -43,6 +41,25 @@ CORPUS_MAX_MIN = {
 def _matches_pin(name, ratios):
     want_max, want_min = CORPUS_MAX_MIN[name]
     return abs(max(ratios) - want_max) < 1e-12 and abs(min(ratios) - want_min) < 1e-12
+
+
+def _translation_error(v, U, T, dt):
+    """Relative spectral error at T of the solve of v + U, v a steady flow and U a
+    constant velocity, against the exact v(x - Ut) + U: each mode k turns by e^{-ik.UT}."""
+    grid = v.grid
+    const = VectorField(tuple(GridField(grid, np.full(grid.shape, c), "physical") for c in U),
+                        div_free=True)
+    traj = solve(v + const, SolverConfig(dt=dt, T=T, record_stride=10**6))
+    k = wavenumber_mesh(grid.n, grid.d)
+    exact = traj.spectra[0] * np.exp(-1j * T * sum(c * kc for c, kc in zip(U, k)))
+    return float(np.abs(traj.spectra[-1] - exact).max() / np.abs(exact).max())
+
+
+def _abc_flow(grid):
+    """The Arnold-Beltrami-Childress flow with A = B = C = 1: curl u = u, so it is steady."""
+    x, y, z = grid.meshes()
+    comps = (np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x))
+    return VectorField(tuple(GridField(grid, c, "physical") for c in comps), div_free=True)
 
 
 def _sup_diff(u, v):
@@ -100,12 +117,12 @@ def test_criterion_03_equivalence_and_embedding_chain():
     assert violations == 0
 
 
-def test_criterion_04_lifting():
+def test_criterion_04_lifting(calibrated_ratios):
     x = GRID.meshes()
     pure = GridField(GRID, 2.0 * np.cos(4 * x[0]), "physical")
     r_pure = verify_lifting(BANK, pure, s=1.0, p=2.0, q=2.0, k=1.0)
     lo, hi = calibration.bracket("lifting_s1_order1")
-    corpus = calibration.ratios("lifting_s1_order1")
+    corpus = calibrated_ratios("lifting_s1_order1")
     print(f"criterion 04: pure-mode ratio {r_pure!r}, corpus "
           f"[{min(corpus):.4f}, {max(corpus):.4f}] in bracket [{lo:.4f}, {hi:.4f}] "
           f"-> PASS")
@@ -126,7 +143,7 @@ def test_criterion_05_kernel_l1_series():
     assert change <= 0.01
 
 
-def test_criterion_06_maximal_estimates():
+def test_criterion_06_maximal_estimates(calibrated_ratios):
     violations = 0
     for f, mf, sublinearity_fails in calibration.sublinearity(GRID):
         violations += sublinearity_fails
@@ -135,10 +152,10 @@ def test_criterion_06_maximal_estimates():
             violations += 1
 
     key_bound = calibration.regression_bound("pointwise_block_maximal")
-    key_worst = max(calibration.ratios("pointwise_block_maximal"))
+    key_worst = max(calibrated_ratios("pointwise_block_maximal"))
 
     fs_bound = calibration.regression_bound("vector_maximal_p2_q2")
-    fs_worst = max(calibration.ratios("vector_maximal_p2_q2"))
+    fs_worst = max(calibrated_ratios("vector_maximal_p2_q2"))
 
     print(f"criterion 06: violations {violations}, keyesti {key_worst:.4f} <= "
           f"{key_bound:.4f}, F-S {fs_worst:.4f} <= {fs_bound:.4f} -> PASS")
@@ -147,9 +164,9 @@ def test_criterion_06_maximal_estimates():
     assert fs_worst <= fs_bound
 
 
-def test_criterion_07_product_endpoint():
+def test_criterion_07_product_endpoint(calibrated_ratios):
     spec = NormSpec(3, 1, 1, homogeneous=True)
-    ratios = calibration.ratios("product_endpoint_s3_p1_q1")
+    ratios = calibrated_ratios("product_endpoint_s3_p1_q1")
     bound = calibration.regression_bound("product_endpoint_s3_p1_q1")
 
     f, g = scalar_sample(GRID, 100), scalar_sample(GRID, 101)
@@ -157,8 +174,8 @@ def test_criterion_07_product_endpoint():
     r_scaled = verify_moser(BANK, f * 17.0, g * 0.003, spec)
     scale_dev = abs(r - r_scaled) / r
 
-    p2 = calibration.ratios("transport_prod2_s0_p1_q2")
-    p3 = calibration.ratios("transport_prod3_s0_p1_q2")
+    p2 = calibrated_ratios("transport_prod2_s0_p1_q2")
+    p3 = calibrated_ratios("transport_prod3_s0_p1_q2")
     b2 = calibration.regression_bound("transport_prod2_s0_p1_q2")
     b3 = calibration.regression_bound("transport_prod3_s0_p1_q2")
 
@@ -173,9 +190,9 @@ def test_criterion_07_product_endpoint():
     assert _matches_pin("transport_prod3_s0_p1_q2", p3)
 
 
-def test_criterion_08_commutator_estimates():
-    e1 = calibration.ratios("commutator_esti1_s3_p1_q1")
-    e2 = calibration.ratios("commutator_esti2_s3_p1_q1")
+def test_criterion_08_commutator_estimates(calibrated_ratios):
+    e1 = calibrated_ratios("commutator_esti1_s3_p1_q1")
+    e2 = calibrated_ratios("commutator_esti2_s3_p1_q1")
     b1 = calibration.regression_bound("commutator_esti1_s3_p1_q1")
     b2 = calibration.regression_bound("commutator_esti2_s3_p1_q1")
 
@@ -185,7 +202,7 @@ def test_criterion_08_commutator_estimates():
     const_max = max(float(np.abs(commutator(BANK, const, g, j).values).max())
                     for j in range(BANK.j_max + 1))
 
-    non = calibration.ratios("commutator_esti1_s2p5_p2_q2")
+    non = calibrated_ratios("commutator_esti1_s2p5_p2_q2")
     bn = calibration.regression_bound("commutator_esti1_s2p5_p2_q2")
 
     print(f"criterion 08: esti1 {max(e1):.4f} <= {b1:.4f}, esti2 {max(e2):.4f} "
@@ -200,7 +217,7 @@ def test_criterion_08_commutator_estimates():
     assert _matches_pin("commutator_esti1_s2p5_p2_q2", non)
 
 
-def test_criterion_09_solver_correctness():
+def test_criterion_09_solver_correctness(halving_solves):
     tg = taylor_green(GRID)
     traj = solve(tg, SolverConfig(dt=1e-3, T=1.0, record_stride=1000))
     u0, uT = traj.states[0], traj.states[-1]
@@ -211,14 +228,12 @@ def test_criterion_09_solver_correctness():
     e = traj.diagnostics["energy"]
     drift = abs(e[-1] - e[0]) / e[0]
 
-    pert = divfree_sample(GRID, 77, decay=2.0, band=(1, 6))
-    u0p = tg + scale_to_peak(pert, 0.1) * 1.0
+    ref = halving_solves.reference
+    order_ratio = _sup_diff(halving_solves.coarse, ref) / _sup_diff(halving_solves.fine, ref)
 
-    def final(dt):
-        return solve(u0p, SolverConfig(dt=dt, T=0.1, record_stride=10**6)).states[-1]
-
-    ref = final(5e-4)
-    order_ratio = _sup_diff(final(4e-3), ref) / _sup_diff(final(2e-3), ref)
+    # Galilean translation: the sign of the Euler term decides where the flow goes
+    tg_shift = _translation_error(tg, (0.5, 0.25), 1.0, 5e-3)
+    abc_shift = _translation_error(_abc_flow(Grid(16, 3)), (0.3, 0.2, 0.1), 0.5, 5e-3)
 
     u0j = scale_to_peak(divfree_sample(GRID, 42, decay=2.0, band=(1, 4)), 0.4)
     trj = solve(u0j, SolverConfig(dt=5e-3, T=1.0, record_stride=1))
@@ -226,30 +241,27 @@ def test_criterion_09_solver_correctness():
     jac_dev = float(np.abs(det - 1.0).max())
 
     print(f"criterion 09: steadiness {steady:.2e}, energy drift {drift:.2e}, "
-          f"halving ratio {order_ratio:.1f}, jacobian dev {jac_dev:.2e} -> PASS")
+          f"halving ratio {order_ratio:.1f}, jacobian dev {jac_dev:.2e}, translation "
+          f"error 2D {tg_shift:.2e} 3D {abc_shift:.2e} -> PASS")
     assert steady <= 1e-6
     assert drift <= 1e-6
     assert order_ratio >= 8.0
     assert jac_dev <= 1e-4
+    assert tg_shift <= 1e-11
+    assert abc_shift <= 1e-11
 
 
-def test_criterion_10_iteration_ladder():
+def test_criterion_10_iteration_ladder(ladder_m12, shell_ladder):
     spec = NormSpec(3, 1, 1)
-    cfg = SolverConfig(dt=2e-3, T=0.1, record_stride=1)
-    u0 = scale_to_peak(divfree_sample(GRID, 11, decay=2.0, band=(1, 4)), 0.5)
+    u0, cfg = ladder_m12.datum, ladder_m12.cfg
     lad = iterate(BANK, u0, 6, cfg, spec)
     ratios = lad.decay_ratios()
     tail = ratios[2:]            # delta_4/delta_3 onward
 
-    x = GRID.meshes()
-    shell = VectorField((GridField(GRID, np.sin(x[1]), "physical"),
-                         GridField(GRID, np.sin(x[0]), "physical")),
-                        div_free=True)
-    sat = iterate(BANK, shell, 4, cfg, spec).decay_table[1:]
+    sat = shell_ladder.decay_table[1:]
 
-    lad12 = iterate(BANK, u0, 12, cfg, spec)
-    ref = solve(u0, cfg)
-    gap = ladder_vs_solve(BANK, lad12, ref)
+    ref = ladder_m12.reference
+    gap = ladder_vs_solve(BANK, ladder_m12.ladder, ref)
     fine = solve(u0, SolverConfig(dt=1e-3, T=0.1, record_stride=2))
     low = NormSpec(spec.s - 1, spec.p, spec.q)
     floor = max(field_norm(BANK, vector_as_physical(a) - vector_as_physical(b), low)
@@ -263,36 +275,36 @@ def test_criterion_10_iteration_ladder():
     assert gap <= 10.0 * floor
 
 
-def test_criterion_11_solution_map_experiments():
-    u0 = solution_map_datum(GRID, 21)
-    cfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.2, dt=1e-3,
-                           N_list=(3, 4, 5), eps_list=(1e-1, 1e-2, 1e-3, 1e-4))
+def test_criterion_11_solution_map_experiments(solution_map_reports, calibrated_ratios):
+    reports = solution_map_reports
+    bounded = reports.boundedness.max
 
-    bounded = boundedness_experiment(u0, cfg).max
-
-    w = divfree_sample(GRID, 22, decay=2.0, band=(1, 8))
-    lip = lipschitz_lowernorm_experiment(u0, w, cfg).ratios
+    lip = reports.lipschitz.ratios
     lip_var = max(lip) / min(lip)
 
-    bs = bona_smith_experiment(u0, cfg)
+    bs = reports.bona_smith
     rho_var = max(bs.ratios) / min(bs.ratios)
     sigma = dict((int(N), v) for N, v in bs.tables["sigma"])
 
     chain_ok = []
-    for seed, eps in ((22, 1e-3), (23, 1e-2), (24, 1e-3)):
-        wdir = divfree_sample(GRID, seed, decay=2.0, band=(1, 8))
-        psi = u0 + wdir * (eps / field_norm(BANK, wdir, cfg.norm_spec))
-        pieces = dict(continuity_assembly(u0, psi, cfg).tables["pieces"])
+    for rep in reports.continuity:
+        pieces = dict(rep.tables["pieces"])
         chain_ok.append(pieces["direct"] <= 1.05 * pieces["chain"])
+
+    # the map must move the data: the identity map meets every bound above
+    (motion,) = calibrated_ratios("solution_map_motion")
+    motion_lo, motion_hi = calibration.bracket("solution_map_motion")
 
     print(f"criterion 11: boundedness {bounded:.4f}, L(eps) variation "
           f"{lip_var:.4f}, rho variation {rho_var:.4f}, sigma(5)/sigma(3) "
-          f"{sigma[5] / sigma[3]:.4f}, chain dominates {chain_ok} -> PASS")
+          f"{sigma[5] / sigma[3]:.4f}, chain dominates {chain_ok}, motion {motion:.3e} in "
+          f"[{motion_lo:.3e}, {motion_hi:.3e}] -> PASS")
     assert bounded <= 2.0
     assert lip_var <= 2.0
     assert rho_var <= 3.0
     assert sigma[5] <= 2.0 * sigma[3]
     assert all(chain_ok)
+    assert motion_lo <= motion <= motion_hi
 
 
 def test_criterion_12_determinism():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpflow import (DegenerateInputError, Grid, GridField, SpectrumSpec, decompose,
-                    default_bank, delta_j, derivative, p_le, random_band_limited, recompose,
-                    verify_low_freq_bound)
+from lpflow import (DegenerateInputError, Grid, GridField, SpectrumSpec, build_filter_bank,
+                    decompose, default_bank, delta_j, derivative, p_le, random_band_limited,
+                    recompose, verify_low_freq_bound)
 from lpflow.bank import low_pass_multiplier, max_block_index
 from lpflow.fields import apply_multiplier
 from lpflow.corpus import scalar_sample
@@ -164,3 +164,14 @@ def test_derivatives_commute_with_the_bank(n, d, seed, data):
     lhs = delta_j(bank, derivative(f, a), j).values
     rhs = derivative(delta_j(bank, f, j), a).values
     assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(grid=st.one_of(st.builds(Grid, st.sampled_from([8, 16, 32, 64, 128, 256]), st.just(2)),
+                      st.builds(Grid, st.sampled_from([8, 16, 32]), st.just(3))))
+def test_partition_of_unity_on_every_grid(grid):
+    """phi_0 + sum psi_j = 1 on the whole half lattice, and the top block psi_{j_max}
+    is exactly zero there, which is why no norm transforms it."""
+    bank = build_filter_bank(grid)
+    assert np.abs(bank.phi_0 + sum(bank.psi) - 1.0).max() <= 1e-14
+    assert not bank.psi[bank.j_max].any()

@@ -101,10 +101,10 @@ def test_every_entry_with_a_suite_is_listed():
 
 
 @pytest.mark.parametrize("name", sorted(CALIBRATED_SUITES))
-def test_verify_defaults_remeasure_the_calibrated_entry(name, capsys):
+def test_verify_defaults_remeasure_the_calibrated_entry(name, capsys, calibrated_ratios):
     assert main(["verify", *CALIBRATED_SUITES[name]]) == 0
     out = json.loads(capsys.readouterr().out)
-    want = calibration.ratios(name)
+    want = calibrated_ratios(name)
     assert out["ratios"] == want
     if "max" in out:                            # lifting reports a bracket instead
         assert out["max"] == max(want)
@@ -495,3 +495,10 @@ def test_norm_besov_at_p_infinity(scalar_file, capsys):
     assert out["spec"] == "B1_inf_2"
     assert out["value"] == besov_norm(default_bank(64, 2), read_field(scalar_file),
                                       NormSpec(1, math.inf, 2, flavor="besov"))
+
+
+def test_norm_with_an_overflowing_weight_is_a_usage_error(scalar_file, capsys):
+    assert main(["norm", str(scalar_file), "--s", "171", "--p", "2", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows float64 at the top block j = 6 (s = 171.0, q = 2.0)" in captured.err

@@ -3,14 +3,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from lpflow import (DegenerateInputError, NormSpec, bona_smith_experiment,
-                    continuity_assembly, interpolation_ratio,
+from lpflow import (DegenerateInputError, NormSpec, interpolation_ratio,
                     lipschitz_lowernorm_experiment)
-from lpflow.corpus import divfree_sample, scalar_sample, solution_map_datum
-from lpflow.experiments import DependenceConfig, boundedness_experiment
-from lpflow.norms import field_norm
+from lpflow.corpus import scalar_sample, solution_map_datum
+from lpflow.experiments import DependenceConfig
 
 BOUNDEDNESS_MAX = 1.0005057465427485
 # RHO_N345[2] and CONTINUITY_RATIO re-pinned for the float64 field format (CHANGES.md has
@@ -85,18 +84,24 @@ def test_level_check(grid64):
         cfg.check_levels(grid64)
 
 
-def test_boundedness(grid64):
-    rep = boundedness_experiment(_calibrated_data(grid64), _cfg())
+def test_shared_reports_are_of_this_datum_and_config(solution_map_reports, grid64):
+    """The session's criterion-11 reports, read by the tests below, are of
+    _calibrated_data and _cfg."""
+    assert solution_map_reports.cfg == _cfg()
+    assert all(np.array_equal(a.values, b.values) for a, b in
+               zip(solution_map_reports.datum.components, _calibrated_data(grid64).components))
+
+
+def test_boundedness(solution_map_reports):
+    rep = solution_map_reports.boundedness
     assert rep.estimate_id == "solution_map_boundedness"
     assert rep.ratios[0] == 1.0
     assert abs(rep.max - BOUNDEDNESS_MAX) < 1e-9
     assert rep.max <= 2.0
 
 
-def test_lipschitz_modulus_stable_in_eps(grid64):
-    u0 = _calibrated_data(grid64)
-    w = divfree_sample(grid64, 22, decay=2.0, band=(1, 8))
-    rep = lipschitz_lowernorm_experiment(u0, w, _cfg())
+def test_lipschitz_modulus_stable_in_eps(solution_map_reports):
+    rep = solution_map_reports.lipschitz                # direction: seed 22
     assert rep.estimate_id == "lipschitz_lower_norm"
     assert len(rep.ratios) == 4
     assert max(rep.ratios) / min(rep.ratios) <= 2.0
@@ -111,8 +116,8 @@ def test_lipschitz_rejects_zero_direction(grid64):
         lipschitz_lowernorm_experiment(u0, zero, _cfg())
 
 
-def test_bona_smith_profile(grid64):
-    rep = bona_smith_experiment(_calibrated_data(grid64), _cfg())
+def test_bona_smith_profile(solution_map_reports):
+    rep = solution_map_reports.bona_smith
     assert rep.estimate_id == "mollified_data_continuity"
     for got, want in zip(rep.ratios, RHO_N345):
         assert got == pytest.approx(want, rel=1e-9)
@@ -123,11 +128,8 @@ def test_bona_smith_profile(grid64):
     assert sigma[5] <= 2.0 * sigma[3]
 
 
-def test_continuity_chain_dominates(grid64, bank64):
-    u0 = _calibrated_data(grid64)
-    w = divfree_sample(grid64, 22, decay=2.0, band=(1, 8))
-    psi = u0 + w * (1e-3 / field_norm(bank64, w, NormSpec(3, 1, 1)))
-    rep = continuity_assembly(u0, psi, _cfg())
+def test_continuity_chain_dominates(solution_map_reports):
+    rep = solution_map_reports.continuity[0]            # psi: seed 22 at eps = 1e-3
     assert rep.estimate_id == "continuity_chain_assembly"
     (ratio,) = rep.ratios
     assert ratio == pytest.approx(CONTINUITY_RATIO, rel=1e-9)

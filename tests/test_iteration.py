@@ -141,12 +141,8 @@ def test_short_ladder_bit_for_bit(grid64, bank64):
     assert lad.decay_table == DELTA_M4_3STEPS
 
 
-def test_band_limited_data_saturates(grid64, bank64):
-    x = grid64.meshes()
-    sh = VectorField((GridField(grid64, np.sin(x[1]), "physical"),
-                      GridField(grid64, np.sin(x[0]), "physical")),
-                     div_free=True)
-    lad = iterate(bank64, sh, 4, _cfg(), NormSpec(3, 1, 1))
+def test_band_limited_data_saturates(shell_ladder):
+    lad = shell_ladder          # M = 4 from sin(y), sin(x) on _cfg(), at (3, 1, 1)
     # the |k| = 1 shell is below every later cutoff: members 2+ change nothing
     for d in lad.decay_table[1:]:
         assert d <= 1e-8
@@ -178,11 +174,14 @@ def test_member_norm_history(grid64, bank64):
     assert all(h > 0 for h in hist)
 
 
-def test_ladder_converges_to_solver(grid64, bank64):
+def test_ladder_converges_to_solver(grid64, bank64, ladder_m12):
     u0 = _data(grid64)
     cfg = _cfg()
-    lad = iterate(bank64, u0, 12, cfg, NormSpec(3, 1, 1))
-    ref = solve(u0, cfg)
+    # the session's M = 12 ladder and reference solve are of this data and config
+    assert ladder_m12.cfg == cfg
+    assert all(np.array_equal(a.values, b.values)
+               for a, b in zip(u0.components, ladder_m12.datum.components))
+    lad, ref = ladder_m12.ladder, ladder_m12.reference
     gap = ladder_vs_solve(bank64, lad, ref)
     print("ladder-vs-solver gap", gap)
     # the M = 12 ladder reaches the solver to roundoff

@@ -423,8 +423,9 @@ def test_commutator_sequence_matches_oracle(grid, bank, request):
     assert max(np.abs(a.values - b).max() for a, b in zip(seq.blocks, ref)) <= 1e-13 * scale
     for q in (1.0, 2.0, math.inf):
         spec = NormSpec(2.5, 2.0, q, homogeneous=True)
-        want = _sequence_tl_norm(ref, spec, grid.cell_volume)
-        got = _sequence_tl_norm([b.values for b in seq.blocks], spec, grid.cell_volume)
+        want = _sequence_tl_norm(ref, spec, grid.cell_volume, bank.j_max)
+        got = _sequence_tl_norm([b.values for b in seq.blocks], spec, grid.cell_volume,
+                                bank.j_max)
         assert abs(got - want) <= 1e-13 * want
 
 
@@ -471,3 +472,27 @@ def test_nan_field_norm_is_not_finite(grid64, bank64):
         for form in (f, dft_forward(f)):
             assert not math.isfinite(field_norm(bank64, form, spec))
     assert not math.isfinite(grad_sup_norm(f))
+
+
+@pytest.mark.parametrize("s", [171.0, np.float64(171.0)], ids=["float", "float64"])
+def test_overflowing_weight_is_one_typed_error(grid64, bank64, s):
+    """2^{js} overflows float64 at the top block read, j = 6 at 64^2: a Python float
+    s used to raise a bare OverflowError, a numpy one to give inf, and the
+    commutator ladder NaN.  Every flavor, and the commutator ladder, raise one
+    typed ValueError that names s, q and the block; weights in range are finite."""
+    from lpflow import WeightOverflowError, verify_commutator_estimate
+
+    f = scalar_sample(grid64, 5)
+    for flavor in ("tl", "besov"):
+        with pytest.raises(WeightOverflowError, match=r"j = 6 \(s = 171.0, q = 2.0\)"):
+            field_norm(bank64, f, NormSpec(s, 2, 2, flavor=flavor))
+        with pytest.raises(WeightOverflowError, match=r"j = 6 \(s = 171.0, q = inf\)"):
+            field_norm(bank64, f, NormSpec(s, 2, math.inf, flavor=flavor))
+        assert math.isfinite(field_norm(bank64, f, NormSpec(s / 4, 2, 2, flavor=flavor)))
+    with pytest.raises(WeightOverflowError, match=r"j = 7 \(s = 171.0, q = 2.0\)"):
+        verify_commutator_estimate(bank64, *transport_pair(grid64, 300),
+                                   NormSpec(s, 2, 2, homogeneous=True))
+    vals = f.values.copy()
+    vals[3, 4] = np.nan
+    assert math.isnan(field_norm(bank64, GridField(grid64, vals, "physical"),
+                                 NormSpec(s / 4, 2, 2)))

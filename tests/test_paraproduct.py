@@ -265,4 +265,5 @@ def test_sequence_tl_norm_is_the_homogeneous_ladder(grid64, bank64, q):
     ref = float((grid64.cell_volume * (env**p).sum()) ** (1.0 / p))
     for hom in (True, False):
         assert _sequence_tl_norm([b.values for b in seq.blocks],
-                                 NormSpec(s, p, q, homogeneous=hom), grid64.cell_volume) == ref
+                                 NormSpec(s, p, q, homogeneous=hom), grid64.cell_volume,
+                                 bank64.j_max) == ref
