@@ -95,6 +95,15 @@ def _block_magnitudes(bank: LPFilterBank, half: np.ndarray, low: bool):
         yield np.abs(b, out=b)
 
 
+def _power(t: float, q: float) -> float:
+    """t**q for a float t >= 0, inf where Python's float power would raise
+    OverflowError (numpy's rule, so a Besov ladder overflows as a TL one does)."""
+    try:
+        return t**q
+    except OverflowError:
+        return math.inf
+
+
 def _ladder_norms(mags, specs, cell_volume: float, low: bool, top: int) -> list[float]:
     """The dyadic norms ``specs`` from one pass over the block magnitudes ``mags``:
     |P_0 f| first if ``low`` (homogeneous specs skip it), then |block_j f|, j >= 0.
@@ -135,7 +144,8 @@ def _ladder_norms(mags, specs, cell_volume: float, low: bool, top: int) -> list[
         if spec.flavor == "tl":
             out.append(_lp_of_array(acc if math.isinf(q) else acc ** (1.0 / q), p, cell_volume))
         else:
-            out.append(max(acc) if math.isinf(q) else float(sum(t**q for t in acc) ** (1.0 / q)))
+            out.append(max(acc) if math.isinf(q)
+                       else float(sum(_power(t, q) for t in acc) ** (1.0 / q)))
     return out
 
 
@@ -145,7 +155,9 @@ def _half_norms(bank: LPFilterBank, halves, specs) -> list[float]:
     low = not all(spec.homogeneous for spec in specs)
     per = [_ladder_norms(_block_magnitudes(bank, h, low), specs, bank.grid.cell_volume, low,
                          bank.j_max - 1) for h in halves]
-    return per[0] if len(per) == 1 else [math.sqrt(sum(v**2 for v in vs)) for vs in zip(*per)]
+    if len(per) == 1:
+        return per[0]
+    return [math.sqrt(sum(_power(v, 2) for v in vs)) for vs in zip(*per)]
 
 
 def _field_norms(bank: LPFilterBank, f: GridField | VectorField, specs) -> list[float]:
@@ -254,6 +266,8 @@ def verify_lifting(bank: LPFilterBank, f: GridField, s: float, p: float, q: floa
 # ---------------------------------------------------------------------------
 # L^1 kernel bound for the projected second-order symbol
 
+_SLAB_BYTES = 1 << 20  # complex bytes per column slab of the kernel's final transform pass
+
 
 def _kernel_lattice(refinement: int, d: int):
     """The annulus box of the auxiliary dual lattice: its meshes, the annulus
@@ -297,15 +311,25 @@ def _kernel_scale_l1(lattice, l: int, k: int, i: int, j: int) -> float:
     # the weights collapse, so the L^1 norm is the l1 norm of the inverse DFT.
     # This is the one FFT outside lpflow.fields: it acts on the auxiliary box,
     # not on a torus field, so the torus normalization does not apply.
-    # numpy's ifftn passes, last axis first, skipping the lines that are all
-    # zeros at their pass (not through the box): the l1 sum is the same to the bit.
-    full = np.zeros((m_pts,) * psi.ndim, complex)
-    full[np.ix_(*[box] * psi.ndim)] = ssym * psi * mesh[i]
-    for a in range(psi.ndim - 1, 0, -1):
-        lines = np.ix_(*[box] * a)
-        full[lines] = np.fft.ifft(full[lines], axis=a)
-    full = np.fft.ifft(full, axis=0)
-    return float(np.abs(full).sum())
+    # The passes of a full-lattice ifftn, last axis first, on the lines through
+    # the box only (every other line is zero at its pass): axes d-1 .. 1 on the
+    # box rows, then axis 0 on slabs of columns, each embedded in zeros.  Each
+    # column's values and the sum over one contiguous real buffer of the whole
+    # lattice are the ifftn's, so the l1 sum is the same to the bit.
+    d, rows = psi.ndim, len(box)
+    part = np.zeros((rows,) + (m_pts,) * (d - 1), complex)
+    part[np.ix_(range(rows), *[box] * (d - 1))] = ssym * psi * mesh[i]
+    for a in range(d - 1, 0, -1):
+        lines = np.ix_(range(rows), *[box] * (a - 1))
+        part[lines] = np.fft.ifft(part[lines], axis=a)
+    part = part.reshape(rows, -1)
+    mag = np.empty((m_pts, part.shape[1]))
+    width = max(1, _SLAB_BYTES // (16 * m_pts))
+    for c in range(0, part.shape[1], width):
+        slab = np.zeros((m_pts, min(width, part.shape[1] - c)), complex)
+        slab[box] = part[:, c:c + width]
+        np.abs(np.fft.ifft(slab, axis=0), out=mag[:, c:c + width])
+    return float(mag.sum())
 
 
 def kernel_l1_terms(l: int = 0, k: int = 0, i: int = 0, refinement: int = 7, d: int = 2,

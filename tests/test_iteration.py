@@ -150,7 +150,13 @@ def test_band_limited_data_saturates(shell_ladder):
     assert lad.decay_table[3] <= SHELL_DELTA_2ON * (1 + 2 * SHELL_PROBE_SPREAD)
 
 
-def test_cauchy_report(grid64, bank64):
+@pytest.fixture(scope="session")
+def ladder_m3(grid64, bank64, _shared):
+    """The M = 3 ladder of :func:`_data` on :func:`_cfg`, at (3, 1, 1)."""
+    return _shared("ladder_m3", iterate(bank64, _data(grid64), 3, _cfg(), NormSpec(3, 1, 1)))
+
+
+def test_cauchy_report(grid64, bank64, ladder_m3):
     u0 = _data(grid64)
     lad = iterate(bank64, u0, 5, _cfg(), NormSpec(3, 1, 1))
     rep = cauchy_report(lad)
@@ -159,14 +165,12 @@ def test_cauchy_report(grid64, bank64):
     assert rep.ratios == lad.decay_table
     consec = rep.tables["consecutive_ratios"]
     assert len(consec) == 4
-    short = iterate(bank64, u0, 3, _cfg(), NormSpec(3, 1, 1))
     with pytest.raises(ValueError):
-        cauchy_report(short)
+        cauchy_report(ladder_m3)
 
 
-def test_member_norm_history(grid64, bank64):
-    u0 = _data(grid64)
-    lad = iterate(bank64, u0, 3, _cfg(), NormSpec(3, 1, 1))
+def test_member_norm_history(bank64, ladder_m3):
+    lad = ladder_m3
     zero_hist = member_norm_history(bank64, lad, 0)
     assert all(h == 0.0 for h in zero_hist)
     hist = member_norm_history(bank64, lad, 2)

@@ -28,6 +28,9 @@ EQUIV_SAMPLE5 = 0.9971290692396236
 LIFT_SAMPLE5 = 1.0211962624742474
 EMBED_SAMPLE5 = 0.016370062469317485
 KERNEL_TOTAL_REF7 = 2.372394281563495
+# ||scalar_sample(64^2, 5) x 1e150|| at (3, 1, 2), Besov and Triebel-Lizorkin
+LARGE_BESOV_SAMPLE5 = 1.0640700309902943e+154
+LARGE_TL_SAMPLE5 = 1.1352569311985718e+154
 
 
 def test_norm_spec_validation():
@@ -265,17 +268,22 @@ def test_kernel_terms_unchanged_by_the_annulus(monkeypatch):
 
 
 def test_kernel_series_working_set():
-    """The kernel series holds one complex lattice and its transform at a time,
-    not the whole lattice's meshes: 73.4 MiB before the annulus box."""
-    kernel_l1_terms(refinement=8)
-    tracemalloc.start()
-    try:
-        kernel_l1_bound(refinement=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    print("kernel_l1_bound(8) peak MiB", peak / 2**20)
-    assert peak <= 36 * 2**20
+    """The kernel series holds the box rows, one column slab and the real
+    magnitudes of the dual lattice, never a complex array of the lattice's size:
+    that alone is 16 MiB at 1024^2 (2D, refinement 8) and 32 MiB at 128^3
+    (3D, refinement 5)."""
+    for name, series, bound_mib in (
+            ("kernel_l1_bound(8)", lambda: kernel_l1_bound(refinement=8), 16),
+            ("3D refinement 5", lambda: kernel_l1_terms(refinement=5, d=3), 28)):
+        series()
+        tracemalloc.start()
+        try:
+            series()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(name, "peak MiB", peak / 2**20)
+        assert peak <= bound_mib * 2**20
 
 
 def test_kernel_refinement_stability():
@@ -461,6 +469,22 @@ def test_norm_measures_the_real_part(grid64, bank64):
         want = field_norm(bank64, real, spec)
         for form in (f, dft_forward(f)):
             assert field_norm(bank64, form, spec) == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_large_data_overflow_to_inf_in_both_flavors(grid64, bank64):
+    """Weights in range, data past it: a Besov ladder overflows to inf, not to
+    an OverflowError, as a Triebel-Lizorkin one does, and so does a vector
+    field's quadrature of finite component norms.  At 1e150 both flavors keep
+    their finite values, bit for bit."""
+    f = scalar_sample(grid64, 5)
+    besov, tl = NormSpec(3, 1, 2, flavor="besov"), NormSpec(3, 1, 2)
+    assert field_norm(bank64, f * 1e160, besov) == math.inf
+    assert field_norm(bank64, f * 1e160, tl) == math.inf
+    assert field_norm(bank64, f * 1e150, besov) == LARGE_BESOV_SAMPLE5
+    assert field_norm(bank64, f * 1e150, tl) == LARGE_TL_SAMPLE5
+    u = divfree_sample(grid64, 9) * 1e160
+    assert field_norm(bank64, u, NormSpec(3, 1, math.inf, flavor="besov")) == math.inf
 
 
 def test_nan_field_norm_is_not_finite(grid64, bank64):

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpflow import (DegenerateInputError, GridField, NormSpec, VectorField,
+from lpflow import (DegenerateInputError, Grid, GridField, NormSpec, VectorField,
                     bony, commutator, commutator_sequence, counterexample_scan,
                     default_bank, delta_j,
                     verify_commutator_estimate, verify_moser,
@@ -41,6 +43,20 @@ def test_bony_pieces_resum_to_product(grid64, bank64):
     rel = np.abs(pieces.total().values - prod).max() / np.abs(prod).max()
     print("splitting identity rel", rel)
     assert rel <= 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(grid=st.one_of(st.builds(Grid, st.sampled_from([8, 16, 32, 64]), st.just(2)),
+                      st.builds(Grid, st.sampled_from([8, 16]), st.just(3))),
+       seed=st.integers(0, 2**32 - 1))
+def test_bony_pieces_resum_on_random_pairs(grid, seed):
+    """On white-noise pairs, which fill every shell up to the Nyquist planes, the
+    three pieces re-sum to the product of the 2/3-rule dealiased factors."""
+    f, g = (GridField(grid, a, "physical")
+            for a in np.random.default_rng(seed).standard_normal((2,) + grid.shape))
+    prod = dealias_field(f).values * dealias_field(g).values
+    total = bony(default_bank(grid.n, grid.d), f, g).total().values
+    assert np.abs(total - prod).max() <= 1e-12 * np.abs(prod).max()
 
 
 def test_bony_swap_symmetry(grid64, bank64):
