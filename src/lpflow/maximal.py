@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
@@ -23,6 +22,8 @@ from .norms import NormSpec, _ladder_norms
 
 def _maximal_array(absvals: np.ndarray, grid: Grid) -> np.ndarray:
     """Pointwise max of |f| and its periodic cube means of half-width 1, 2, 4, ..., n/2 cells."""
+    from scipy.ndimage import uniform_filter  # here, so only a maximal ladder loads scipy
+
     out = absvals.copy()
     for j in range(grid.n.bit_length() - 1):
         np.maximum(out, uniform_filter(absvals, size=2 * 2**j + 1, mode="wrap"), out=out)

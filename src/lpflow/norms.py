@@ -64,7 +64,8 @@ def _fmt(x: float) -> str:
 def _lp_of_array(a: np.ndarray, p: float, cell_volume: float) -> float:
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float((cell_volume * (a**p).sum()) ** (1.0 / p))
+    with np.errstate(over="ignore"):                    # data past float64 reads inf
+        return float((cell_volume * (a**p).sum()) ** (1.0 / p))
 
 
 def lp_norm(f: GridField | VectorField, p: float) -> float:
@@ -131,13 +132,14 @@ def _ladder_norms(mags, specs, cell_volume: float, low: bool, top: int) -> list[
                 acc.append(2.0 ** (max(j, 0) * spec.s) * _lp_of_array(b, spec.p, cell_volume))
                 continue
             c = b if k == readers[-1] else b.copy()
-            if j > 0:
-                c *= 2.0 ** (j * spec.s)
-            if math.isinf(spec.q):
-                accs[k] = c if acc is None else np.maximum(acc, c, out=acc)
-            else:
-                c **= spec.q
-                accs[k] = c if acc is None else np.add(acc, c, out=acc)
+            with np.errstate(over="ignore"):            # data past float64 reads inf
+                if j > 0:
+                    c *= 2.0 ** (j * spec.s)
+                if math.isinf(spec.q):
+                    accs[k] = c if acc is None else np.maximum(acc, c, out=acc)
+                else:
+                    c **= spec.q
+                    accs[k] = c if acc is None else np.add(acc, c, out=acc)
     out = []
     for spec, acc in zip(specs, accs):
         p, q = spec.p, spec.q

@@ -1,6 +1,10 @@
 """Cube-averaged maximal operator and its pointwise/vector-valued bounds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,26 @@ GAUSS_RATIO = 1.0174483513847195
 POWER_RATIO = 1.3231591217647758
 POWER_MAJORANT_L1 = 1.6755160819145567
 FS_22 = 1.1362062475049897
+
+
+def test_only_a_maximal_ladder_imports_scipy():
+    """``import lpflow``, ``import lpflow.cli`` and a 16^2 solve load no scipy
+    module; the first maximal ladder loads scipy.ndimage.  It runs in a fresh
+    interpreter, because this module has imported scipy already."""
+    script = (
+        "import sys\n"
+        "import lpflow, lpflow.cli\n"
+        "from lpflow import Grid, SolverConfig, hl_maximal, solve, taylor_green\n"
+        "u0 = taylor_green(Grid(16, 2))\n"
+        "solve(u0, SolverConfig(dt=1e-2, T=2e-2))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "hl_maximal(u0.components[0])\n"
+        "print('scipy.ndimage' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True"]
 
 
 @pytest.mark.parametrize("n,d", [(8, 2), (16, 2), (8, 3), (16, 3)])

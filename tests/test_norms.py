@@ -471,16 +471,18 @@ def test_norm_measures_the_real_part(grid64, bank64):
             assert field_norm(bank64, form, spec) == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_data_overflow_to_inf_in_both_flavors(grid64, bank64):
     """Weights in range, data past it: a Besov ladder overflows to inf, not to
     an OverflowError, as a Triebel-Lizorkin one does, and so does a vector
-    field's quadrature of finite component norms.  At 1e150 both flavors keep
-    their finite values, bit for bit."""
+    field's quadrature of finite component norms, all with no numpy overflow
+    warning, at p = 1, p = 2 and q = inf.  At 1e150 both flavors keep their
+    finite values, bit for bit."""
     f = scalar_sample(grid64, 5)
     besov, tl = NormSpec(3, 1, 2, flavor="besov"), NormSpec(3, 1, 2)
-    assert field_norm(bank64, f * 1e160, besov) == math.inf
-    assert field_norm(bank64, f * 1e160, tl) == math.inf
+    for spec in (besov, tl, NormSpec(3, 2, 2, flavor="besov"), NormSpec(3, 2, 2),
+                 NormSpec(3, 3, math.inf)):
+        assert field_norm(bank64, f * 1e160, spec) == math.inf
     assert field_norm(bank64, f * 1e150, besov) == LARGE_BESOV_SAMPLE5
     assert field_norm(bank64, f * 1e150, tl) == LARGE_TL_SAMPLE5
     u = divfree_sample(grid64, 9) * 1e160
