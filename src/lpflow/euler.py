@@ -1,12 +1,17 @@
 """Pseudo-spectral incompressible Euler solver on the torus.
 
-Fixed-step RK4 on the projected form du/dt = -P(u . grad u), with 2/3-rule
-dealiasing of the quadratic term, re-projection after every full step, and a
-CFL guard that aborts the run rather than integrate an under-resolved state.
-The state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through
-real FFTs, one RK4 step and one CFL guard shared with the iteration ladder,
-and one advection kernel shared with the ladder and the commutator estimates.
-A trajectory stores only the half spectra it stepped; its physical float64
+Fixed-step RK4 on the Galerkin-truncated projected dynamics: the quadratic
+term is cut to the 2/3-rule modes (Orszag's rule) on its input and its
+output, so the modes outside the mask keep their initial values.  The solver
+steps the rotational form -P(omega x u), which equals -P(u . grad u) on the
+retained modes to roundoff and takes d + 1 inverse transforms per stage in
+2D (2d in 3D) instead of d + d^2.  Each full step is re-projected, and a CFL
+guard aborts the run rather than integrate an under-resolved state.  The
+state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through real
+FFTs, with one RK4 step and one CFL guard shared with the iteration ladder.
+The advective kernel u . grad h, which the ladder's linear term needs, stays
+the one shared with the pressure gradient and the commutator estimates.  A
+trajectory stores only the half spectra it stepped; its physical float64
 states are made on first read, one batched inverse transform each.
 Also provides the pressure-gradient recovery, flow-map particle integration
 with trigonometric velocity interpolation, and the standard 2D benchmark
@@ -26,7 +31,7 @@ from .errors import StabilityError
 from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _derivative_symbol,
                      _freeze, _from_half_spectrum, _leray_spectra, _plane_weights,
                      _require_divfree, _to_half_spectrum, as_physical, dealias_mask,
-                     vector_as_physical, vector_as_spectral, wavenumber_mesh)
+                     vector_as_physical, vector_as_spectral)
 from .norms import NormSpec, _half_norms
 
 CFL_GUARD = 0.5   # largest max|u| dt / dx a step may start from
@@ -131,16 +136,16 @@ def _wrap(grid: Grid, half: np.ndarray, rep: str, div_free: bool = True) -> Vect
 
 
 class _RHS:
-    """Euler right-hand side acting on stacked half spectra (d, *half)."""
+    """Galerkin-truncated Euler right-hand sides acting on stacked half spectra
+    (d, *half): the 2/3-rule mask cuts the velocity, every derivative and the
+    output, so a stage changes only the retained modes."""
 
     def __init__(self, grid: Grid, dealias: bool = True):
         self.grid = grid
-        mesh, mask = wavenumber_mesh(grid.n, grid.d), dealias_mask(grid.n, grid.d)
+        mask = dealias_mask(grid.n, grid.d)
         self.mask = mask if dealias else np.ones_like(mask)
         self.grad = _derivative_symbol(grid.n, grid.d) * self.mask   # i k_m on the retained modes
-        # A mode with a component at n/2 has no sign, so no real field there is
-        # divergence-free; -P(u . grad u) keeps none of them (derivative drops them too).
-        self.negate = np.where(np.all([np.abs(m) < grid.n / 2 for m in mesh], axis=0), -1.0, 0.0)
+        self.negate = np.where(self.mask, -1.0, 0.0)
 
     def velocity(self, spectra: np.ndarray) -> np.ndarray:
         """Dealiased physical velocity samples (d, *shape)."""
@@ -149,7 +154,7 @@ class _RHS:
     def advection(self, halves, vel=None) -> np.ndarray:
         """Physical samples (c, *shape) of u . grad h for the c half spectra h in
         ``halves``, u given by its d physical components ``vel``; by default u
-        is the dealiased velocity of ``halves`` themselves (the Euler term).
+        is the dealiased velocity of ``halves`` themselves.
 
         The gradient of one h at a time is one batched transform: at 256^2 and
         32^3 that measured faster, and with a smaller resident set, than
@@ -165,15 +170,46 @@ class _RHS:
                 acc[l] += vel[m] * grad[m]
         return acc
 
-    def __call__(self, spectra: np.ndarray, vel=None) -> np.ndarray:
-        adv = _to_half_spectrum(self.advection(spectra, vel), self.grid.d)
+    def lamb(self, spectra: np.ndarray, vel=None) -> np.ndarray:
+        """Physical samples (d, *shape) of the Lamb vector omega x u =
+        u . grad u - grad |u|^2 / 2, u the dealiased velocity of ``spectra``
+        (samples ``vel`` where passed in).  omega takes 1 inverse component
+        transform in 2D and 3 in 3D, where grad u takes d^2."""
+        d = self.grid.d
+        vel = vel if vel is not None else self.velocity(spectra)
+        omega = _from_half_spectrum(_curl_spectra(self.grad, spectra), d)
+        if d == 2:   # omega x u = (-omega u_1, omega u_0)
+            out = omega * vel[::-1]
+            out[0] *= -1.0
+            return out
+        out = np.empty_like(vel)
+        for a in range(3):   # (omega x u)_a = omega_b u_c - omega_c u_b, (a, b, c) cyclic
+            b, c = (a + 1) % 3, (a + 2) % 3
+            np.multiply(omega[b], vel[c], out=out[a])
+            out[a] -= omega[c] * vel[b]
+        return out
+
+    def _project(self, samples: np.ndarray) -> np.ndarray:
+        """-P of the half spectra of ``samples`` on the retained modes, 0 elsewhere."""
+        adv = _to_half_spectrum(samples, self.grid.d)
         proj = _leray_spectra(adv)
         scale = np.abs(adv).max()
         if scale > 0:
             mean = np.abs(proj[(slice(None),) + (0,) * self.grid.d]).max()
             if mean > 1e-12 * scale:
-                raise RuntimeError("advection term acquired a mean component")
+                raise RuntimeError("quadratic term acquired a mean component")
         return np.multiply(proj, self.negate, out=proj)
+
+    def __call__(self, spectra: np.ndarray, vel=None) -> np.ndarray:
+        """-P(u . grad h) for the half spectra h, u as in :meth:`advection`: the
+        ladder's linear term when ``vel`` is another field's velocity."""
+        return self._project(self.advection(spectra, vel))
+
+    def rotational(self, spectra: np.ndarray, vel=None) -> np.ndarray:
+        """-P(omega x u), the Euler term the solver steps.  On the retained modes
+        it equals ``self(spectra, vel)`` to roundoff: the two products differ by a
+        gradient, and the 2/3 rule keeps the aliases of both off those modes."""
+        return self._project(self.lamb(spectra, vel))
 
 
 def _sup_gap(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
@@ -198,9 +234,10 @@ def pressure_gradient(u: VectorField) -> VectorField:
 
 
 def euler_rhs(u: VectorField) -> VectorField:
-    """-P(u . grad u); divergence-free by construction."""
+    """-P(omega x u), the solver's Galerkin-truncated right-hand side; on the
+    2/3-rule modes it is -P(u . grad u), and it is zero elsewhere."""
     _require_divfree(u, "euler_rhs")
-    return _wrap(u.grid, _RHS(u.grid)(_spectra(u)), u.rep)
+    return _wrap(u.grid, _RHS(u.grid).rotational(_spectra(u)), u.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +251,22 @@ def _parseval_l2(grid: Grid, spectra) -> float:
     return math.sqrt(w * sum(float((np.abs(s) ** 2 * planes).sum()) for s in spectra))
 
 
-def _vorticity_spectra(grid: Grid, spectra) -> list[np.ndarray]:
-    """Half spectra of the curl: d_a u_b - d_b u_a for each (a, b) in turn."""
-    sym = _derivative_symbol(grid.n, grid.d)
-    pairs = ((0, 1),) if grid.d == 2 else ((1, 2), (2, 0), (0, 1))
-    return [sym[a] * spectra[b] - sym[b] * spectra[a] for a, b in pairs]
+def _curl_spectra(sym: np.ndarray, spectra) -> np.ndarray:
+    """Half spectra of the curl, stacked (1 or 3, *half): d_a u_b - d_b u_a for
+    each (a, b) in turn, with the derivative symbol ``sym``."""
+    pairs = ((0, 1),) if len(spectra) == 2 else ((1, 2), (2, 0), (0, 1))
+    out = np.empty((len(pairs),) + spectra[0].shape, complex)
+    for w, (a, b) in zip(out, pairs):
+        np.multiply(sym[a], spectra[b], out=w)
+        w -= sym[b] * spectra[a]
+    return out
 
 
 def vorticity(u: VectorField) -> GridField | VectorField:
     """Curl of u: scalar in 2D, vector in 3D (representation preserved)."""
     g = u.grid
-    ws = tuple(GridField(g, _freeze(w), SPECTRAL) for w in _vorticity_spectra(g, _spectra(u)))
+    ws = tuple(GridField(g, w, SPECTRAL)
+               for w in _curl_spectra(_derivative_symbol(g.n, g.d), _spectra(u)))
     if g.d == 2:
         return ws[0] if u.rep == SPECTRAL else as_physical(ws[0])
     out = VectorField(ws)
@@ -243,7 +285,7 @@ def energy(u: VectorField) -> float:
 def _record_norms(grid: Grid, half: np.ndarray, record, diagnostics) -> None:
     diagnostics.setdefault("energy", []).append(_parseval_l2(grid, half))
     diagnostics.setdefault("enstrophy", []).append(
-        _parseval_l2(grid, _vorticity_spectra(grid, half)))
+        _parseval_l2(grid, _curl_spectra(_derivative_symbol(grid.n, grid.d), half)))
     if record:
         bank = default_bank(grid.n, grid.d)
         for spec, value in zip(record, _half_norms(bank, half, record)):
@@ -258,9 +300,10 @@ def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:
         raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
 
 
-def _rk4_step(rhs: _RHS, w, dt: float, vel0, velm=None, vel1=None) -> np.ndarray:
-    """One projected RK4 step of half spectra w at stage velocities vel0, velm,
-    vel1; a stage velocity not given is the stage state's own."""
+def _rk4_step(rhs, w, dt: float, vel0, velm=None, vel1=None) -> np.ndarray:
+    """One projected RK4 step of half spectra w for the stage function
+    ``rhs(state, vel)`` at stage velocities vel0, velm, vel1; a stage velocity
+    not given is the stage state's own."""
     k1 = rhs(w, vel0)
     k2 = rhs(w + 0.5 * dt * k1, velm)
     k3 = rhs(w + 0.5 * dt * k2, velm)
@@ -288,7 +331,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
     for step in range(cfg.steps):
         vel = rhs.velocity(state)
         _check_cfl(vel, dt, g, step * dt)
-        state = _rk4_step(rhs, state, dt, vel)
+        state = _rk4_step(rhs.rotational, state, dt, vel)
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
             spectra.append(state)

@@ -369,7 +369,9 @@ def _leray_spectra(spectra) -> np.ndarray:
     """Project d half spectra onto divergence-free fields, stacked (d, ...).
 
     ``spectra`` is a stacked array or a sequence of d arrays.  The k = 0 mode
-    is left unchanged.
+    is left unchanged.  A mode with a component at n/2 is dropped: that
+    component has no sign, so no real field with content there is
+    divergence-free (the derivative symbol drops these modes too).
     """
     d, n = len(spectra), spectra[0].shape[0]
     mesh, inv_k2 = wavenumber_mesh(n, d), _inverse_k2(n, d)
@@ -379,6 +381,8 @@ def _leray_spectra(spectra) -> np.ndarray:
         np.multiply(mesh[a], kdotu, out=out[a])
         out[a] *= inv_k2
         np.subtract(spectra[a], out[a], out=out[a])
+    for b in range(d):   # axis b's Nyquist plane, at index n/2 on the half lattice too
+        out[(slice(None),) * (b + 1) + (n // 2,)] = 0.0
     return out
 
 

@@ -12,8 +12,9 @@ scheme's full fourth order without storing integrator stages.  The slope and
 the velocity at the end of one step are carried forward as those at the start
 of the next; the velocities of member m-1, made while stepping member m,
 give member m+1 its slopes, so none is synthesized twice.  The linear
-right-hand side is the solver's own half-spectrum kernel with the advecting
-velocity passed in, and each step is the solver's RK4 step and CFL guard.
+right-hand side is the solver's truncated advective kernel with the
+advecting velocity passed in (v . grad w has no rotational form), and each
+step is the solver's RK4 step and CFL guard.
 Members are trajectories like the solver's: half spectra only, physical
 states made on first read.
 """

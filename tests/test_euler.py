@@ -10,14 +10,15 @@ import pytest
 import lpflow.euler
 from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig,
                     StabilityError, Trajectory, VectorField, derivative, energy, euler_rhs,
-                    flow_map, jacobian_determinant, leray_project, pressure_gradient, solve,
-                    taylor_green, vorticity)
+                    default_bank, flow_map, iterate, jacobian_determinant, leray_project,
+                    pressure_gradient, read_field, solve, taylor_green, vorticity, write_field)
 from lpflow.corpus import divfree_sample
 from lpflow.euler import (_BLOCK, _RHS, _eval_velocity, _phase_table, _spectra,
                           default_seed_grid, steady_trajectory, stream_values,
                           taylor_green_stream)
-from lpflow.fields import (SpectrumSpec, _from_half_spectrum, _plane_weights,
-                           random_divergence_free, vector_as_physical, wavenumber_mesh)
+from lpflow.fields import (SpectrumSpec, _from_half_spectrum, _plane_weights, dealias_mask,
+                           max_spectral_divergence, random_divergence_free, vector_as_physical,
+                           vector_as_spectral, wavenumber_mesh)
 
 TG_ENERGY = 4.442882938158366
 TG_ENSTROPHY = 6.283185307179586
@@ -163,7 +164,8 @@ def _full_mesh(n, d):
 
 def _complex_path_rhs(spectra, grid, dealias):
     """Oracle: -P(u . grad u) on full spectra through complex FFTs, one
-    transform per component and per gradient entry."""
+    transform per component and per gradient entry; with ``dealias`` it is
+    truncated to the 2/3-rule modes, as the solver's term is."""
     n, d = grid.n, grid.d
     mesh = _full_mesh(n, d)
     mask = np.all([np.abs(m) <= n // 3 for m in mesh], axis=0) if dealias else 1.0
@@ -176,7 +178,7 @@ def _complex_path_rhs(spectra, grid, dealias):
         adv.append(np.fft.fftn(acc) / n**d)
     k2 = sum(m * m for m in mesh)
     kdotu_k2 = sum(mesh[a] * adv[a] for a in range(d)) / np.where(k2 > 0, k2, 1.0)
-    return np.stack([-(adv[a] - mesh[a] * kdotu_k2) for a in range(d)])
+    return np.stack([-(adv[a] - mesh[a] * kdotu_k2) for a in range(d)]) * mask
 
 
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
@@ -198,17 +200,95 @@ def test_half_spectrum_rhs_matches_complex_path(n, d, dealias):
     assert err <= 1e-14
 
 
-def _white_divfree(grid, seed):
-    """Leray-projected white noise: every mode filled, the Nyquist planes included."""
+def _white(grid, seed):
+    """White noise: every mode filled, the Nyquist planes included."""
     rng = np.random.default_rng(seed)
-    return leray_project(VectorField(tuple(
-        GridField(grid, rng.standard_normal(grid.shape), "physical") for _ in range(grid.d))))
+    return VectorField(tuple(
+        GridField(grid, rng.standard_normal(grid.shape), "physical") for _ in range(grid.d)))
+
+
+def _white_divfree(grid, seed):
+    """Leray-projected white noise: every mode filled but the sign-less Nyquist ones."""
+    return leray_project(_white(grid, seed))
+
+
+def test_leray_drops_signless_nyquist_modes(tmp_path):
+    """A mode with a component at n/2 has no sign, so k . u_hat = 0 there does not
+    make the real field solenoidal: the projection drops those modes, and its
+    output measures divergence-free, also when read back from a file."""
+    grid = Grid(16, 2)
+    u = leray_project(_white(grid, 0))
+    assert u.div_free
+    assert max_spectral_divergence(u) <= 1e-12
+    write_field(u, tmp_path / "u.lpf")
+    back = read_field(tmp_path / "u.lpf")
+    assert back.div_free                          # re-derived from the samples
+    traj = solve(back, SolverConfig(dt=1e-3, T=2e-3))
+    assert len(traj.spectra) == 3
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (256, 2), (16, 3), (32, 3)])
+def test_rotational_rhs_is_the_advective_rhs(n, d):
+    """-P(omega x u) and -P(u . grad u) agree on the retained modes, and both are
+    zero outside them."""
+    grid = Grid(n, d)
+    spectra = _spectra(_white_divfree(grid, 40 + n + d))
+    rhs = _RHS(grid)
+    rot, adv = rhs.rotational(spectra), rhs(spectra)
+    mask = dealias_mask(n, d)
+    assert not rot[:, ~mask].any() and not adv[:, ~mask].any()
+    err = np.abs(rot - adv).max() / np.abs(adv).max()
+    print("rotational vs advective", err)
+    assert err <= 1e-14
+
+
+def test_truncated_dynamics_keep_the_data_outside_the_mask():
+    """With dealias=True a stage changes only the 2/3-rule modes: every recorded
+    solve and ladder spectrum equals its t = 0 spectrum outside the mask (up to
+    the re-projection after each step), though the data fill every mode."""
+    grid = Grid(32, 2)
+    u0 = _white_divfree(grid, 50) * 0.3
+    cfg = SolverConfig(dt=2e-3, T=1e-2, record_stride=1)
+    outside = ~dealias_mask(grid.n, grid.d)
+    ladder = iterate(default_bank(grid.n, grid.d), u0, 3, cfg, NormSpec(3, 1, 1))
+    trajectories = [solve(u0, cfg)] + list(ladder.members)
+    for traj in trajectories:
+        s0 = traj.spectra[0]
+        scale = np.abs(s0).max()
+        for s in traj.spectra:
+            assert np.abs(s - s0)[:, outside].max() <= 1e-15 * scale
+    # while the retained modes of the solution move
+    sol = trajectories[0].spectra
+    assert np.abs(sol[-1] - sol[0])[:, ~outside].max() > 1e-3 * np.abs(sol[0]).max()
+
+
+@pytest.mark.parametrize("d,inverse,forward", [(2, 12, 8), (3, 24, 12)])
+def test_solve_step_transform_budget(monkeypatch, d, inverse, forward):
+    """One RK4 step of the rotational form: 4 stages of d velocity components
+    plus 1 (2D) or 3 (3D) vorticity components inverse-transformed, and d
+    product components transformed forward."""
+    grid = Grid(16 if d == 2 else 8, d)
+    u0 = vector_as_spectral(_white_divfree(grid, 60) * 0.1)
+    counts = {"inverse": 0, "forward": 0}
+
+    def counted(name, fn):
+        def call(a, dims):
+            counts[name] += math.prod(a.shape[:-dims])
+            return fn(a, dims)
+        return call
+
+    monkeypatch.setattr(lpflow.euler, "_from_half_spectrum",
+                        counted("inverse", lpflow.euler._from_half_spectrum))
+    monkeypatch.setattr(lpflow.euler, "_to_half_spectrum",
+                        counted("forward", lpflow.euler._to_half_spectrum))
+    solve(u0, SolverConfig(dt=1e-3, T=1e-3))
+    assert counts == {"inverse": inverse, "forward": forward}
 
 
 @pytest.mark.parametrize("n,d", [(16, 2), (8, 3)])
 def test_vorticity_is_the_curl_of_derivative(n, d):
     """vorticity and derivative read one derivative symbol, Nyquist modes included."""
-    u = _white_divfree(Grid(n, d), 31)
+    u = _white(Grid(n, d), 31)
     c = u.components
     du = lambda l, a: derivative(c[l], a).values   # d_a u_l
     if d == 2:
@@ -226,7 +306,7 @@ def test_vorticity_is_the_curl_of_derivative(n, d):
 @pytest.mark.parametrize("n,d", [(16, 2), (8, 3)])
 def test_advection_is_the_sum_of_derivative_products(n, d):
     """The undealiased advection u . grad u_l is sum_m u_m d_m u_l with derivative's symbol."""
-    u = _white_divfree(Grid(n, d), 32)
+    u = _white(Grid(n, d), 32)
     c = u.components
     want = np.stack([sum(c[m].values * derivative(c[l], m).values for m in range(d))
                      for l in range(d)])
