@@ -42,8 +42,7 @@ _CONFIG = {
     "grid": {"n": (_INT, None), "dim": (_INT, None)},
     "norm": {"s": (_REAL, None), "p": (_INDEX, None), "q": (_INDEX, None),
              "homogeneous": (_BOOL, False)},
-    "solver": {"T": (_REAL, None), "dt": (_REAL, None), "dealias": (_BOOL, True),
-               "record_stride": (_INT, 20)},
+    "solver": {"T": (_REAL, None), "dt": (_REAL, None), "record_stride": (_INT, 20)},
     "experiment": {"members": (_INT, None), "N_list": (_INTS, (3, 4, 5)),
                    "eps_list": (_REALS, (1e-1, 1e-2, 1e-3, 1e-4)), "seed": (_INT, None)},
     "initial": {"kind": (_STR, "random"), "seed": (_INT, None), "band": (_PAIR, (1, 4)),

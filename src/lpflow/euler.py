@@ -50,7 +50,6 @@ class SolverConfig:
 
     dt: float
     T: float
-    dealias: bool = True
     record_stride: int = 1
 
     def __post_init__(self):
@@ -137,14 +136,13 @@ def _wrap(grid: Grid, half: np.ndarray, rep: str, div_free: bool = True) -> Vect
 
 class _RHS:
     """Galerkin-truncated Euler right-hand sides acting on stacked half spectra
-    (d, *half): the 2/3-rule mask cuts the velocity, every derivative and the
-    output, so a stage changes only the retained modes."""
+    (d, *half): the 2/3-rule mask cuts every spectrum differentiated or made a
+    velocity, and the output, so a stage changes only the retained modes."""
 
-    def __init__(self, grid: Grid, dealias: bool = True):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        mask = dealias_mask(grid.n, grid.d)
-        self.mask = mask if dealias else np.ones_like(mask)
-        self.grad = _derivative_symbol(grid.n, grid.d) * self.mask   # i k_m on the retained modes
+        self.mask = dealias_mask(grid.n, grid.d)
+        self.sym = _derivative_symbol(grid.n, grid.d)
         self.negate = np.where(self.mask, -1.0, 0.0)
 
     def velocity(self, spectra: np.ndarray) -> np.ndarray:
@@ -161,10 +159,11 @@ class _RHS:
         transforming all d^2 entries at once.
         """
         d = self.grid.d
-        vel = vel if vel is not None else self.velocity(halves)
+        kept = np.multiply(halves, self.mask)
+        vel = vel if vel is not None else _from_half_spectrum(kept, d)
         acc = np.empty((len(halves),) + self.grid.shape)
-        for l, h in enumerate(halves):
-            grad = _from_half_spectrum(self.grad * h, d)   # [m] = d_m h
+        for l, h in enumerate(kept):
+            grad = _from_half_spectrum(self.sym * h, d)   # [m] = d_m h
             acc[l] = vel[0] * grad[0]
             for m in range(1, d):
                 acc[l] += vel[m] * grad[m]
@@ -177,7 +176,8 @@ class _RHS:
         transform in 2D and 3 in 3D, where grad u takes d^2."""
         d = self.grid.d
         vel = vel if vel is not None else self.velocity(spectra)
-        omega = _from_half_spectrum(_curl_spectra(self.grad, spectra), d)
+        curl = _curl_spectra(self.sym, spectra)   # masked in place: no masked copy of the input
+        omega = _from_half_spectrum(np.multiply(curl, self.mask, out=curl), d)
         if d == 2:   # omega x u = (-omega u_1, omega u_0)
             out = omega * vel[::-1]
             out[0] *= -1.0
@@ -320,7 +320,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
     """
     _require_divfree(u0, "solve")
     g = u0.grid
-    rhs = _RHS(g, cfg.dealias)
+    rhs = _RHS(g)
     state = _leray_spectra(_spectra(u0))
     dt = cfg.dt
 
@@ -518,30 +518,3 @@ def taylor_green(grid: Grid) -> VectorField:
                  -np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2]),
                  np.zeros(grid.shape))
     return VectorField(tuple(GridField(grid, c, PHYSICAL) for c in comps), div_free=True)
-
-
-def taylor_green_stream(grid: Grid) -> GridField:
-    """Stream function of the 2D cellular vortex.
-
-    The flow is steady, so particle paths stay on its level sets exactly;
-    near a cell center the linearized flow is a unit-rate rotation with
-    period 2 pi.  This is the flow-map orbit oracle.
-    """
-    if grid.d != 2:
-        raise ValueError("the stream-function oracle is 2D")
-    x = grid.meshes()
-    return GridField(grid, np.sin(x[0]) * np.sin(x[1]), PHYSICAL)
-
-
-def stream_values(points: np.ndarray) -> np.ndarray:
-    """sin(x) sin(y) evaluated at points of shape (2, ...)."""
-    return np.sin(points[0]) * np.sin(points[1])
-
-
-def steady_trajectory(u: VectorField, T: float, cadence: float) -> Trajectory:
-    """A constant-in-time trajectory (for kinematic flow-map studies)."""
-    steps = round(T / cadence)
-    if abs(steps * cadence - T) > 1e-9 * max(1.0, T):
-        raise ValueError("T must be an integer number of cadence intervals")
-    times = tuple(i * cadence for i in range(steps + 1))
-    return Trajectory(times, (_spectra(u),) * (steps + 1))

@@ -69,7 +69,7 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
     if cfg.record_stride != 1:
         raise ValueError("the ladder needs record_stride=1 (members advect each other)")
     g = u0.grid
-    rhs = _RHS(g, cfg.dealias)
+    rhs = _RHS(g)
     dt, steps = cfg.dt, cfg.steps
     times = tuple(i * dt for i in range(steps + 1))
     down = replace(norm_spec, s=norm_spec.s - 1.0)
@@ -106,11 +106,6 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         decay.append(_sup_gap(bank, members[m], members[m - 1], down))
         before_vel, prev = vel, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
-
-
-def member_norm_history(bank: LPFilterBank, ladder: IterationLadder, m: int) -> tuple[float, ...]:
-    """||member m (t)|| in the ladder's norm at every recorded time."""
-    return tuple(_half_norms(bank, s, (ladder.norm_spec,))[0] for s in ladder.members[m].spectra)
 
 
 def cauchy_report(ladder: IterationLadder) -> ExperimentReport:

@@ -88,13 +88,13 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     """Real samples of f.grad(block_j g) - block_j(f.grad g), j in ``js``, one by one.
 
     ``fd`` and ``gs`` come from :func:`_dealiased_factors`; the advection is
-    the solver's, unmasked, as the factors are dealiased already.  Each block
-    makes two real inverse calls: the d gradient entries of block_j g batched,
-    then block_j of the inner advection f.grad g, which is formed once for
-    every j.  The top block, psi_{j_max} = 0, is zeros and makes none.
+    the solver's, with the solver's mask, a no-op on factors already dealiased.
+    Each block makes two real inverse calls: the d gradient entries of block_j g
+    batched, then block_j of the inner advection f.grad g, which is formed once
+    for every j.  The top block, psi_{j_max} = 0, is zeros and makes none.
     """
     d = gs.grid.d
-    rhs, fv = _RHS(gs.grid, dealias=False), [c.values for c in fd.components]
+    rhs, fv = _RHS(gs.grid), [c.values for c in fd.components]
     half = gs.values
     inner = _to_half_spectrum(rhs.advection([half], fv)[0], d)
     for j in js:
@@ -178,8 +178,7 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
         raise ValueError(f"the transport estimate needs s > -1, got s={spec.s}")
     ud, gs = _dealiased_factors(u, v, "verify_moser_transport")
     vd = as_physical(gs)
-    adv = _RHS(v.grid, dealias=False).advection([as_spectral(vd).values],
-                                                 [c.values for c in ud.components])[0]
+    adv = _RHS(v.grid).advection([as_spectral(vd).values], [c.values for c in ud.components])[0]
     adv = GridField(v.grid, adv, PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 

@@ -19,7 +19,6 @@ from lpflow import (Grid, GridField, NormSpec, SolverConfig, VectorField,
 from lpflow import calibration
 from lpflow.corpus import (divfree_sample, scalar_sample, scalar_samples, scale_to_peak,
                            solution_map_datum, transport_pair)
-from lpflow.euler import steady_trajectory
 from lpflow.experiments import DependenceConfig, boundedness_experiment
 from lpflow.fields import vector_as_physical, wavenumber_mesh
 from lpflow.iteration import iterate, ladder_vs_solve

@@ -234,13 +234,15 @@ def test_unknown_solver_setting(tmp_path, capsys):
     assert "'cfl'" in capsys.readouterr().err
 
 
-# one small solve; each case adds one misspelt block or key, as in a hand-written config
+# one small solve; each case adds one misspelt block or key, as in a hand-written config,
+# or solver.dealias, which older configs set: the solver is always the 2/3-rule truncation
 _TINY = {"grid": {"n": 16, "dim": 2}, "solver": {"T": 0.002, "dt": 0.001},
          "initial": {"kind": "taylor-green"}}
 
 
 @pytest.mark.parametrize("block, key", [("grid", "N"), ("norm", "P"), ("experiment", "eps_List"),
-                                        ("initial", "amplitud"), (None, "solvr")])
+                                        ("initial", "amplitud"), (None, "solvr"),
+                                        ("solver", "dealias")])
 def test_unknown_config_key(tmp_path, block, key, capsys):
     cfg = json.loads(json.dumps(_TINY))
     if block is None:
@@ -268,7 +270,7 @@ def test_one_config_serves_every_command(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({
         **_TINY, "norm": {"s": 3, "p": 1, "q": 1, "homogeneous": False},
-        "solver": {"T": 0.002, "dt": 0.001, "dealias": True, "record_stride": 1},
+        "solver": {"T": 0.002, "dt": 0.001, "record_stride": 1},
         "experiment": {"members": 4, "N_list": [1, 2], "eps_list": [0.1], "seed": 0},
         "initial": {"kind": "random", "seed": 3, "band": [1, 4], "decay": 2.0,
                     "amplitude": 0.5}}))
@@ -303,8 +305,8 @@ def test_continuity_command(tmp_path, capsys):
     assert pieces["direct"] <= 1.05 * pieces["chain"]
 
 
-def test_lipschitz_command_honours_solver_block(tmp_path, capsys):
-    from lpflow import NormSpec, lipschitz_lowernorm_experiment
+def test_lipschitz_command_honours_solver_block(tmp_path, capsys, monkeypatch):
+    from lpflow import NormSpec, experiments, lipschitz_lowernorm_experiment
     from lpflow.experiments import DependenceConfig
     from lpflow.fields import SpectrumSpec, random_divergence_free
     from lpflow.reports import dump_json
@@ -312,12 +314,16 @@ def test_lipschitz_command_honours_solver_block(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({
         "grid": {"n": 32, "dim": 2},
-        "solver": {"T": 0.07, "dt": 0.001, "dealias": False, "record_stride": 7},
+        "solver": {"T": 0.07, "dt": 0.001, "record_stride": 7},
         "experiment": {"eps_list": [0.1, 0.01], "seed": 0},
         "initial": {"kind": "random", "seed": 3, "band": [1, 12], "amplitude": 0.5},
     }))
     out = tmp_path / "lip"
+    strides, real = [], experiments.solve
+    monkeypatch.setattr(experiments, "solve",
+                        lambda u, cfg: strides.append(cfg.record_stride) or real(u, cfg))
     assert main(["lipschitz", "--config", str(cfgf), "--out", str(out)]) == 0
+    assert strides == [7] * 3                   # the block's stride, not the default 20
     rep = json.loads((out / "report.json").read_text())
     assert rep.pop("pass") is True
 
@@ -325,13 +331,10 @@ def test_lipschitz_command_honours_solver_block(tmp_path, capsys):
     u0 = random_divergence_free(grid, SpectrumSpec(2.0, (1, 12), 3))
     u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
     w = divfree_sample(grid, 22, decay=2.0, band=(1, 8))
-    dcfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, dealias=False,
-                            record_stride=7, eps_list=(0.1, 0.01))
+    dcfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, record_stride=7,
+                            eps_list=(0.1, 0.01))
     want = lipschitz_lowernorm_experiment(u0, w, dcfg)
     assert rep == json.loads(dump_json(want.to_json_dict()))
-    dealiased = lipschitz_lowernorm_experiment(u0, w, DependenceConfig(
-        norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, record_stride=7, eps_list=(0.1, 0.01)))
-    assert dealiased.ratios != want.ratios      # the setting reaches the solver
 
 
 def test_bad_config_json(tmp_path):
@@ -390,8 +393,9 @@ def argv_of(tmp_path, scalar_file):
     base, other = tmp_path / "base.json", tmp_path / "other.json"
     levels = {"N_list": [1], "eps_list": [0.1]}
     base.write_text(json.dumps({"experiment": levels}))
-    other.write_text(json.dumps({"experiment": levels, "norm": {"homogeneous": True},
-                                 "solver": {"dealias": False}}))
+    # mean-zero data measure the same in both norm flavors, so the datum's seed moves too
+    other.write_text(json.dumps({"experiment": {**levels, "seed": 1},
+                                 "norm": {"homogeneous": True}}))
     paths = {"{file}": str(scalar_file), "{base}": str(base), "{other}": str(other)}
     return lambda argv: [paths.get(a, a) for a in argv]
 
@@ -408,7 +412,8 @@ def _outcome(argv, where, monkeypatch, capsys):
 @pytest.mark.parametrize("command", sorted(_READS))
 def test_every_flag_a_command_takes_changes_its_run(command, argv_of, tmp_path, monkeypatch,
                                                     capsys):
-    """Its exit code, stdout or files differ from the run without the flag."""
+    """Its exit code, stdout or files differ from the run without the flag, and
+    the flag is no usage error, which would differ from any run."""
     from functools import lru_cache
 
     from lpflow import cli
@@ -420,6 +425,7 @@ def test_every_flag_a_command_takes_changes_its_run(command, argv_of, tmp_path, 
     assert want[0] == 0
     for flag in reads.split():
         got = _outcome(argv_of(base + [flag, *_OTHER[flag]]), tmp_path / flag, monkeypatch, capsys)
+        assert got[0] != 2, flag
         assert got != want, flag
 
 
@@ -446,7 +452,7 @@ def test_settings_nothing_reads_are_refused(argv, argv_of, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("block, key, value", [
-    ("initial", "band", 5), ("solver", "dealias", "false"), ("norm", "homogeneous", "false"),
+    ("initial", "band", 5), ("solver", "dt", "0.001"), ("norm", "homogeneous", "false"),
     ("experiment", "N_list", "34"), ("solver", "record_stride", "1"), ("grid", "n", "16"),
     ("solver", "record_stride", True), ("norm", "q", "two"),
     ("initial", "band", [1, 2, 3]), ("initial", "band", [4])])

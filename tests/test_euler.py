@@ -13,12 +13,12 @@ from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig
                     default_bank, flow_map, iterate, jacobian_determinant, leray_project,
                     pressure_gradient, read_field, solve, taylor_green, vorticity, write_field)
 from lpflow.corpus import divfree_sample
-from lpflow.euler import (_BLOCK, _RHS, _eval_velocity, _phase_table, _spectra,
-                          default_seed_grid, steady_trajectory, stream_values,
-                          taylor_green_stream)
-from lpflow.fields import (SpectrumSpec, _from_half_spectrum, _plane_weights, dealias_mask,
-                           max_spectral_divergence, random_divergence_free, vector_as_physical,
-                           vector_as_spectral, wavenumber_mesh)
+from lpflow.euler import _BLOCK, _RHS, _eval_velocity, _phase_table, _spectra, default_seed_grid
+from lpflow.fields import (SpectrumSpec, _derivative_symbol, _from_half_spectrum, _plane_weights,
+                           dealias_field, dealias_mask, max_spectral_divergence,
+                           random_divergence_free, vector_as_physical, vector_as_spectral,
+                           wavenumber_mesh)
+from oracles import steady_trajectory, stream_values, taylor_green_stream
 
 TG_ENERGY = 4.442882938158366
 TG_ENSTROPHY = 6.283185307179586
@@ -162,13 +162,13 @@ def _full_mesh(n, d):
     return np.meshgrid(*([k] * d), indexing="ij")
 
 
-def _complex_path_rhs(spectra, grid, dealias):
+def _complex_path_rhs(spectra, grid):
     """Oracle: -P(u . grad u) on full spectra through complex FFTs, one
-    transform per component and per gradient entry; with ``dealias`` it is
-    truncated to the 2/3-rule modes, as the solver's term is."""
+    transform per component and per gradient entry, truncated to the 2/3-rule
+    modes, as the solver's term is."""
     n, d = grid.n, grid.d
     mesh = _full_mesh(n, d)
-    mask = np.all([np.abs(m) <= n // 3 for m in mesh], axis=0) if dealias else 1.0
+    mask = np.all([np.abs(m) <= n // 3 for m in mesh], axis=0)
     vel = [np.fft.ifftn(s * mask).real * n**d for s in spectra]
     adv = []
     for l in range(d):
@@ -182,15 +182,14 @@ def _complex_path_rhs(spectra, grid, dealias):
 
 
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_half_spectrum_rhs_matches_complex_path(n, d, dealias):
+def test_half_spectrum_rhs_matches_complex_path(n, d):
     # Data reaching past the 2/3 cutoff, so the dealiasing mask matters and the
     # product reaches the Nyquist planes.
     grid = Grid(n, d)
     u = random_divergence_free(grid, SpectrumSpec(1.0, (1, n // 2 - 1), 5))
     full = [np.fft.fftn(c.values) / n**d for c in u.components]
-    want = _complex_path_rhs(full, grid, dealias)
-    got = _RHS(grid, dealias)(_spectra(u))
+    want = _complex_path_rhs(full, grid)
+    got = _RHS(grid)(_spectra(u))
     # Modes with a component at n/2 are dropped: there the complex path's
     # projection is not the spectrum of a real field.
     nyquist = (np.abs(np.stack(wavenumber_mesh(n, d))) == n // 2).any(axis=0)
@@ -243,9 +242,9 @@ def test_rotational_rhs_is_the_advective_rhs(n, d):
 
 
 def test_truncated_dynamics_keep_the_data_outside_the_mask():
-    """With dealias=True a stage changes only the 2/3-rule modes: every recorded
-    solve and ladder spectrum equals its t = 0 spectrum outside the mask (up to
-    the re-projection after each step), though the data fill every mode."""
+    """A stage changes only the 2/3-rule modes: every recorded solve and ladder
+    spectrum equals its t = 0 spectrum outside the mask (up to the
+    re-projection after each step), though the data fill every mode."""
     grid = Grid(32, 2)
     u0 = _white_divfree(grid, 50) * 0.3
     cfg = SolverConfig(dt=2e-3, T=1e-2, record_stride=1)
@@ -305,15 +304,34 @@ def test_vorticity_is_the_curl_of_derivative(n, d):
 
 @pytest.mark.parametrize("n,d", [(16, 2), (8, 3)])
 def test_advection_is_the_sum_of_derivative_products(n, d):
-    """The undealiased advection u . grad u_l is sum_m u_m d_m u_l with derivative's symbol."""
+    """The advection u . grad u_l is sum_m u_m d_m u_l over the 2/3-rule dealiased
+    components u_m, with derivative's symbol: the path paraproduct reads."""
     u = _white(Grid(n, d), 32)
-    c = u.components
+    c = [dealias_field(comp) for comp in u.components]
     want = np.stack([sum(c[m].values * derivative(c[l], m).values for m in range(d))
                      for l in range(d)])
-    got = _RHS(u.grid, dealias=False).advection(_spectra(u))
+    got = _RHS(u.grid).advection(_spectra(u))
     err = np.abs(got - want).max() / np.abs(want).max()
     print("advection vs derivative products", err)
     assert err <= 1e-14
+
+
+def test_rhs_holds_no_copy_of_the_derivative_symbol():
+    """An _RHS reads the cached mask and derivative symbol: once they are built,
+    it holds less than one (2, 256, 129) complex table of its own at 256^2."""
+    grid = Grid(256, 2)
+    dealias_mask(grid.n, grid.d)
+    table = _derivative_symbol(grid.n, grid.d).nbytes
+    tracemalloc.start()
+    try:
+        rhs = _RHS(grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    print("one _RHS at 256^2 holds B", held)
+    assert rhs.mask is dealias_mask(grid.n, grid.d)
+    assert table == 1_056_768
+    assert held < table
 
 
 def test_trajectory_validation(grid64):

@@ -46,23 +46,27 @@ def test_config_is_a_validated_solver_config():
     from lpflow import SolverConfig
     cfg = _cfg()
     assert isinstance(cfg, SolverConfig)
-    assert (cfg.record_stride, cfg.dealias, cfg.steps) == (20, True, 200)
+    assert (cfg.record_stride, cfg.steps) == (20, 200)
     with pytest.raises(ValueError, match="integer number of steps"):
         DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=0.03)
 
 
 def test_config_fields_are_the_settings_in_use():
-    """The CFL guard is the constant euler.CFL_GUARD and the dependence seed is
-    the CLI's, so neither is a config field."""
+    """The CFL guard is the constant euler.CFL_GUARD, the dependence seed is the
+    CLI's and the solver is always the 2/3-rule Galerkin truncation, so none of
+    them is a config field."""
     from lpflow import SolverConfig
     from lpflow.euler import CFL_GUARD
     assert CFL_GUARD == 0.5
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "dt", "T", "dealias", "record_stride"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["dt", "T", "record_stride"]
     assert [f.name for f in dataclasses.fields(DependenceConfig)] == [
-        "dt", "T", "dealias", "record_stride", "norm_spec", "N_list", "eps_list"]
+        "dt", "T", "record_stride", "norm_spec", "N_list", "eps_list"]
     with pytest.raises(TypeError):
         SolverConfig(dt=1e-3, T=0.1, cfl_guard=0.5)
+    with pytest.raises(TypeError):
+        SolverConfig(dt=1e-3, T=0.1, dealias=True)
+    with pytest.raises(TypeError):
+        DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, dealias=True)
     with pytest.raises(TypeError):
         DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.1, dt=1e-3, cfl_guard=0.5)
     with pytest.raises(TypeError):

@@ -11,7 +11,7 @@ from lpflow import (DegenerateInputError, GridField, NormSpec, RepresentationErr
 from lpflow.corpus import divfree_sample
 from lpflow.euler import _RHS
 from lpflow.fields import vector_as_physical
-from lpflow.iteration import member_norm_history
+from oracles import member_norm_history
 
 # band-(1,4) data, amp 0.5, seed 11, dt 2e-3, T = 0.1, norms at (3,1,1)
 # DELTA_M6[5] re-pinned for float64 samples and the real forward transform of the
