@@ -214,7 +214,8 @@ class _RHS:
 
 def _sup_gap(bank, ta: Trajectory, tb: Trajectory, spec: NormSpec) -> float:
     """sup over recorded times of ||ta(t) - tb(t)||; np.max keeps a NaN that builtin max drops."""
-    if len(ta.times) != len(tb.times):
+    if len(ta.times) != len(tb.times) or any(abs(a - b) > 1e-9 * max(1.0, abs(a))
+                                             for a, b in zip(ta.times, tb.times)):
         raise ValueError("trajectories recorded on different time lattices")
     return float(np.max([_half_norms(bank, a - b, (spec,))[0]
                          for a, b in zip(ta.spectra, tb.spectra)]))
@@ -300,11 +301,10 @@ def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:
         raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
 
 
-def _rk4_step(rhs, w, dt: float, vel0, velm=None, vel1=None) -> np.ndarray:
+def _rk4_step(rhs, w, dt: float, k1, velm=None, vel1=None) -> np.ndarray:
     """One projected RK4 step of half spectra w for the stage function
-    ``rhs(state, vel)`` at stage velocities vel0, velm, vel1; a stage velocity
-    not given is the stage state's own."""
-    k1 = rhs(w, vel0)
+    ``rhs(state, vel)``, given its first stage k1; the later stages take the
+    stage velocities velm, velm, vel1, and one not given is the stage state's own."""
     k2 = rhs(w + 0.5 * dt * k1, velm)
     k3 = rhs(w + 0.5 * dt * k2, velm)
     k4 = rhs(w + dt * k3, vel1)
@@ -331,7 +331,7 @@ def solve(u0: VectorField, cfg: SolverConfig,
     for step in range(cfg.steps):
         vel = rhs.velocity(state)
         _check_cfl(vel, dt, g, step * dt)
-        state = _rk4_step(rhs.rotational, state, dt, vel)
+        state = _rk4_step(rhs.rotational, state, dt, rhs.rotational(state, vel))
         if (step + 1) % cfg.record_stride == 0 or step + 1 == cfg.steps:
             times.append((step + 1) * dt)
             spectra.append(state)

@@ -7,11 +7,10 @@ Member m solves the LINEAR advection problem
 with member 0 identically zero, so member 1 is frozen at its initial data
 and is not stepped.  The advecting field is taken from the previous member's
 history; its RK4 midpoint values come from cubic Hermite dense output whose
-endpoint slopes come from the pair (member m-2, member m-1), which keeps the
-scheme's full fourth order without storing integrator stages.  The slope and
-the velocity at the end of one step are carried forward as those at the start
-of the next; the velocities of member m-1, made while stepping member m,
-give member m+1 its slopes, so none is synthesized twice.  The linear
+endpoint slopes are member m-1's own right-hand side, which keeps the
+scheme's full fourth order.  Each member's first RK4 stages are the next
+member's slopes, so no right-hand side is formed twice; the velocity at the
+end of one step is carried forward as that at the start of the next.  The linear
 right-hand side is the solver's truncated advective kernel with the
 advecting velocity passed in (v . grad w has no rotational form), and each
 step is the solver's RK4 step and CFL guard.
@@ -80,31 +79,29 @@ def iterate(bank: LPFilterBank, u0: VectorField, M: int, cfg: SolverConfig,
         raise StabilityError("non-finite velocity in the ladder data at t=0", time=0.0)
     w1 = u0_spec * low_pass_multiplier(bank, 1)
     prev = [w1] * (steps + 1)   # member 1 in half form: frozen
-    before_vel = None   # member m-2's velocities, read only once m > 2
+    slopes = None   # member m-1's first RK4 stages and final-time slope, read once m > 2
     members = [Trajectory(times, (np.zeros_like(u0_spec),) * (steps + 1)), Trajectory(times, prev)]
     decay = [_half_norms(bank, w1, (down,))[0]]   # member 1 - member 0, at any time
     for m in range(2, M + 1):
         w = u0_spec * low_pass_multiplier(bank, m)
-        history = [w]
-        vel = [rhs.velocity(prev[0])]   # member m-1's velocity at every time, for member m+1
-        if m > 2:
-            d0 = rhs(prev[0], before_vel[0])
+        history, ks = [w], []
+        vel1 = rhs.velocity(prev[0])   # member m-1's velocity at the step's end
         for i in range(steps):
-            vel0 = vel[i]
+            vel0 = vel1
             if m == 2:   # member 1 is frozen: constant velocity, midpoint included
-                velm = vel1 = vel0
+                velm = vel0
             else:
-                d1 = rhs(prev[i + 1], before_vel[i + 1])
-                vm = _hermite_midpoint(prev[i], prev[i + 1], d0, d1, dt)
-                d0 = d1
+                vm = _hermite_midpoint(prev[i], prev[i + 1], slopes[i], slopes[i + 1], dt)
                 velm, vel1 = rhs.velocity(vm), rhs.velocity(prev[i + 1])
-            vel.append(vel1)
             _check_cfl(vel0, dt, g, i * dt, f" in ladder member {m}")
-            w = _rk4_step(rhs, w, dt, vel0, velm, vel1)
+            ks.append(rhs(w, vel0))
+            w = _rk4_step(rhs, w, dt, ks[-1], velm, vel1)
             history.append(w)
+        if m < M:   # member m+1 also needs this member's slope at the final time
+            ks.append(rhs(w, vel1))
         members.append(Trajectory(times, history))
         decay.append(_sup_gap(bank, members[m], members[m - 1], down))
-        before_vel, prev = vel, history
+        slopes, prev = ks, history
     return IterationLadder(tuple(members), norm_spec, tuple(decay))
 
 

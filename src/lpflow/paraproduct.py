@@ -177,17 +177,16 @@ def verify_moser_transport(bank: LPFilterBank, u: VectorField, v: GridField,
     if spec.s <= -1:
         raise ValueError(f"the transport estimate needs s > -1, got s={spec.s}")
     ud, gs = _dealiased_factors(u, v, "verify_moser_transport")
-    vd = as_physical(gs)
-    adv = _RHS(v.grid).advection([as_spectral(vd).values], [c.values for c in ud.components])[0]
+    adv = _RHS(v.grid).advection([gs.values], [c.values for c in ud.components])[0]
     adv = GridField(v.grid, adv, PHYSICAL)
     lhs = field_norm(bank, adv, spec)
 
-    gv_norm = _half_norms(bank, _gradient_halves(vd), (spec,))[0]
+    gv_norm = _half_norms(bank, _gradient_halves(gs), (spec,))[0]
     u_sup = sup_norm(ud)
     if form == "prod2":
-        rhs = u_sup * gv_norm + grad_sup_norm(vd) * field_norm(bank, ud, spec)
+        rhs = u_sup * gv_norm + grad_sup_norm(gs) * field_norm(bank, ud, spec)
     else:
-        rhs = u_sup * gv_norm + sup_norm(vd) * _jacobian_tl_norm(bank, ud, spec)
+        rhs = u_sup * gv_norm + sup_norm(gs) * _jacobian_tl_norm(bank, ud, spec)
     if lhs == 0.0:
         return 0.0
     if rhs == 0.0:
@@ -216,12 +215,11 @@ def verify_commutator_estimate(bank: LPFilterBank, f: VectorField, g: GridField,
                             spec, g.grid.cell_volume, bank.j_max)
     if lhs == 0.0:
         return 0.0
-    gd = as_physical(gs)
     gf_sup = grad_sup_norm(fd)
     if form == "esti1":
-        rhs = gf_sup * field_norm(bank, gd, spec) + grad_sup_norm(gd) * field_norm(bank, fd, spec)
+        rhs = gf_sup * field_norm(bank, gs, spec) + grad_sup_norm(gs) * field_norm(bank, fd, spec)
     else:
-        rhs = gf_sup * field_norm(bank, gd, spec) + sup_norm(gd) * _jacobian_tl_norm(bank, fd, spec)
+        rhs = gf_sup * field_norm(bank, gs, spec) + sup_norm(gs) * _jacobian_tl_norm(bank, fd, spec)
     if rhs == 0.0:
         raise DegenerateInputError("degenerate right-hand side in commutator estimate")
     return lhs / rhs

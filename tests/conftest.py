@@ -53,15 +53,25 @@ def bank16_3d(grid16_3d):
 @pytest.fixture()
 def inverse_transforms(monkeypatch) -> list:
     """One entry per real inverse transform, counted under every lpflow import of it."""
-    calls, real = [], fields._from_half_spectrum
+    return _count_calls(monkeypatch, "_from_half_spectrum")
+
+
+@pytest.fixture()
+def forward_transforms(monkeypatch) -> list:
+    """One entry per real forward transform, counted under every lpflow import of it."""
+    return _count_calls(monkeypatch, "_to_half_spectrum")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    calls, real = [], getattr(fields, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("lpflow") and getattr(mod, "_from_half_spectrum", None) is real:
-            monkeypatch.setattr(mod, "_from_half_spectrum", spy)
+        if mod.__name__.startswith("lpflow") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
     return calls
 
 

@@ -116,16 +116,21 @@ def test_iterate_is_deterministic(grid64, bank64):
 
 
 def test_decay_table_frozen(grid64, bank64, monkeypatch):
-    """Member m-1's velocities, made while stepping member m, are member m+1's
-    slope velocities; member 1 is frozen, so its velocity is made once, and
-    the zero member's is never made.  That leaves 1 + 4 * (1 + 2 * 50) = 405
-    syntheses on this ladder, where stepping each velocity anew took 760."""
-    calls = []
-    velocity = _RHS.velocity
+    """Each member's first RK4 stages are the next member's Hermite slopes, so a
+    member steps with 4 right-hand sides a step and, unless it is the last, adds
+    one at the final time: 4 * 50 * 5 + 4 = 1004 on this ladder, where forming
+    the slopes anew took 1204.  Member m-1's velocity at a step's end is reused
+    at the next step's start; member 1 is frozen, so its velocity is made once,
+    and the zero member's is never made.  That leaves 1 + 4 * (1 + 2 * 50) = 405
+    syntheses, where stepping each velocity anew took 760."""
+    calls, rhs_calls = [], []
+    velocity, rhs = _RHS.velocity, _RHS.__call__
     monkeypatch.setattr(_RHS, "velocity", lambda self, s: calls.append(1) or velocity(self, s))
+    monkeypatch.setattr(_RHS, "__call__", lambda self, s, v: rhs_calls.append(1) or rhs(self, s, v))
     u0 = _data(grid64)
     lad = iterate(bank64, u0, 6, _cfg(), NormSpec(3, 1, 1))
     assert len(calls) == 405
+    assert len(rhs_calls) == 1004
     assert lad.M == 6
     for got, want in zip(lad.decay_table, DELTA_M6):
         assert abs(got - want) / want < 1e-9
@@ -133,6 +138,17 @@ def test_decay_table_frozen(grid64, bank64, monkeypatch):
     print("consecutive ratios", [round(r, 5) for r in ratios])
     # geometric contraction from the third difference on
     assert all(r <= 0.75 for r in ratios[2:])
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_right_hand_sides_per_ladder(grid64, bank64, monkeypatch, M):
+    """4 a step for members 2..M, and one at the final time for members 2..M-1,
+    whose first stages then serve as the next member's slopes."""
+    calls, rhs = [], _RHS.__call__
+    monkeypatch.setattr(_RHS, "__call__", lambda self, s, v: calls.append(1) or rhs(self, s, v))
+    iterate(bank64, _data(grid64), M, SolverConfig(dt=2e-3, T=6e-3, record_stride=1),
+            NormSpec(3, 1, 1))
+    assert len(calls) == 4 * 3 * (M - 1) + max(M - 2, 0)
 
 
 def test_short_ladder_bit_for_bit(grid64, bank64):
@@ -193,6 +209,23 @@ def test_ladder_converges_to_solver(grid64, bank64, ladder_m12):
     other = solve(u0, SolverConfig(dt=1e-3, T=0.1, record_stride=1))
     with pytest.raises(ValueError):
         ladder_vs_solve(bank64, lad, other)     # cadence mismatch
+
+
+def test_ladder_vs_solve_compares_states_at_equal_times(grid64, bank64):
+    """Equal record counts are not enough: a reference at twice the step holds
+    as many states, at other times."""
+    u0 = _data(grid64)
+    lad = iterate(bank64, u0, 4, SolverConfig(dt=2e-3, T=0.01, record_stride=1),
+                  NormSpec(3, 1, 1))
+    coarse = solve(u0, SolverConfig(dt=4e-3, T=0.02, record_stride=1))
+    assert len(coarse.times) == len(lad.members[-1].times)
+    with pytest.raises(ValueError, match="different time lattices"):
+        ladder_vs_solve(bank64, lad, coarse)
+    # a finer solve recorded on the ladder's lattice compares, and agrees with
+    # one at the ladder's own step
+    fine = ladder_vs_solve(bank64, lad, solve(u0, SolverConfig(dt=1e-3, T=0.01, record_stride=2)))
+    same = ladder_vs_solve(bank64, lad, solve(u0, SolverConfig(dt=2e-3, T=0.01, record_stride=1)))
+    assert fine == pytest.approx(same, rel=1e-6)
 
 
 def test_ladder_vs_nan_reference_is_not_finite(grid64, bank64):

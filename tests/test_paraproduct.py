@@ -209,6 +209,18 @@ def test_commutator_estimates_frozen(grid64, bank64):
     assert abs(r - ESTI1_NONENDPOINT) < 1e-12
 
 
+@pytest.mark.parametrize("harness, form, forwards", [
+    (verify_moser_transport, "prod2", 6), (verify_moser_transport, "prod3", 6),
+    (verify_commutator_estimate, "esti1", 8), (verify_commutator_estimate, "esti2", 8)])
+def test_harnesses_read_the_dealiased_spectrum_they_hold(grid64, bank64, forward_transforms,
+                                                         harness, form, forwards):
+    """The dealiased spectrum of the transported factor is measured as it is,
+    not re-made by forward transforms of its samples (9, 8, 10 and 9 did that)."""
+    u, g = transport_pair(grid64, 300)
+    harness(bank64, u, g, NormSpec(3, 1, 1, homogeneous=True), form)
+    assert len(forward_transforms) == forwards
+
+
 def test_commutator_estimate_index_ranges(grid64, bank64):
     u, g = transport_pair(grid64, 300)
     with pytest.raises(ValueError):
