@@ -33,4 +33,4 @@ class StabilityError(RuntimeError):
 
 
 class ResolutionError(ValueError):
-    """An auxiliary grid is too coarse to resolve the requested multiplier support."""
+    """A grid is too coarse for its input: a multiplier support, or data past the 2/3-rule modes."""

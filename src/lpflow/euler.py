@@ -1,8 +1,8 @@
 """Pseudo-spectral incompressible Euler solver on the torus.
 
-Fixed-step RK4 on the Galerkin-truncated projected dynamics: the quadratic
-term is cut to the 2/3-rule modes (Orszag's rule) on its input and its
-output, so the modes outside the mask keep their initial values.  The solver
+Fixed-step RK4 on the Galerkin-truncated projected dynamics: the data are cut
+once to the 2/3-rule modes (Orszag's rule), and each right-hand side cuts its
+output to them, so every state lives on those modes.  The solver
 steps the rotational form -P(omega x u), which equals -P(u . grad u) on the
 retained modes to roundoff and takes d + 1 inverse transforms per stage in
 2D (2d in 3D) instead of d + d^2.  Each full step is re-projected, and a CFL
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .bank import default_bank
-from .errors import StabilityError
+from .errors import ResolutionError, StabilityError
 from .fields import (PHYSICAL, SPECTRAL, Grid, GridField, VectorField, _derivative_symbol,
                      _freeze, _from_half_spectrum, _leray_spectra, _plane_weights,
                      _require_divfree, _to_half_spectrum, as_physical, dealias_mask,
@@ -135,9 +135,8 @@ def _wrap(grid: Grid, half: np.ndarray, rep: str, div_free: bool = True) -> Vect
 
 
 class _RHS:
-    """Galerkin-truncated Euler right-hand sides acting on stacked half spectra
-    (d, *half): the 2/3-rule mask cuts every spectrum differentiated or made a
-    velocity, and the output, so a stage changes only the retained modes."""
+    """Galerkin-truncated Euler right-hand sides on stacked half spectra (d, *half)
+    that vanish outside the 2/3-rule modes; each output is cut to those modes too."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -146,23 +145,22 @@ class _RHS:
         self.negate = np.where(self.mask, -1.0, 0.0)
 
     def velocity(self, spectra: np.ndarray) -> np.ndarray:
-        """Dealiased physical velocity samples (d, *shape)."""
-        return _from_half_spectrum(spectra * self.mask, self.grid.d)
+        """Physical velocity samples (d, *shape)."""
+        return _from_half_spectrum(spectra, self.grid.d)
 
     def advection(self, halves, vel=None) -> np.ndarray:
         """Physical samples (c, *shape) of u . grad h for the c half spectra h in
         ``halves``, u given by its d physical components ``vel``; by default u
-        is the dealiased velocity of ``halves`` themselves.
+        is the velocity of ``halves`` themselves.
 
         The gradient of one h at a time is one batched transform: at 256^2 and
         32^3 that measured faster, and with a smaller resident set, than
         transforming all d^2 entries at once.
         """
         d = self.grid.d
-        kept = np.multiply(halves, self.mask)
-        vel = vel if vel is not None else _from_half_spectrum(kept, d)
+        vel = vel if vel is not None else _from_half_spectrum(halves, d)
         acc = np.empty((len(halves),) + self.grid.shape)
-        for l, h in enumerate(kept):
+        for l, h in enumerate(halves):
             grad = _from_half_spectrum(self.sym * h, d)   # [m] = d_m h
             acc[l] = vel[0] * grad[0]
             for m in range(1, d):
@@ -171,13 +169,12 @@ class _RHS:
 
     def lamb(self, spectra: np.ndarray, vel=None) -> np.ndarray:
         """Physical samples (d, *shape) of the Lamb vector omega x u =
-        u . grad u - grad |u|^2 / 2, u the dealiased velocity of ``spectra``
-        (samples ``vel`` where passed in).  omega takes 1 inverse component
+        u . grad u - grad |u|^2 / 2, u the velocity of ``spectra`` (samples
+        ``vel`` where passed in).  omega takes 1 inverse component
         transform in 2D and 3 in 3D, where grad u takes d^2."""
         d = self.grid.d
         vel = vel if vel is not None else self.velocity(spectra)
-        curl = _curl_spectra(self.sym, spectra)   # masked in place: no masked copy of the input
-        omega = _from_half_spectrum(np.multiply(curl, self.mask, out=curl), d)
+        omega = _from_half_spectrum(_curl_spectra(self.sym, spectra), d)
         if d == 2:   # omega x u = (-omega u_1, omega u_0)
             out = omega * vel[::-1]
             out[0] *= -1.0
@@ -230,7 +227,7 @@ def pressure_gradient(u: VectorField) -> VectorField:
     """grad of the pressure balancing u . grad u (zero-mean pressure)."""
     _require_divfree(u, "pressure_gradient")
     g = u.grid
-    adv = _to_half_spectrum(_RHS(g).advection(_spectra(u)), g.d)
+    adv = _to_half_spectrum(_RHS(g).advection(_spectra(u) * dealias_mask(g.n, g.d)), g.d)
     return _wrap(g, _leray_spectra(adv) - adv, u.rep, div_free=False)
 
 
@@ -238,7 +235,8 @@ def euler_rhs(u: VectorField) -> VectorField:
     """-P(omega x u), the solver's Galerkin-truncated right-hand side; on the
     2/3-rule modes it is -P(u . grad u), and it is zero elsewhere."""
     _require_divfree(u, "euler_rhs")
-    return _wrap(u.grid, _RHS(u.grid).rotational(_spectra(u)), u.rep)
+    g = u.grid
+    return _wrap(g, _RHS(g).rotational(_spectra(u) * dealias_mask(g.n, g.d)), u.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +299,18 @@ def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:
         raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
 
 
+def _initial_spectra(u0: VectorField, who: str) -> np.ndarray:
+    """u0's projected half spectra cut to the 2/3-rule modes, where solve and iterate start."""
+    _require_divfree(u0, who)
+    spectra = _leray_spectra(_spectra(u0))
+    size, mask = np.abs(spectra), dealias_mask(u0.grid.n, u0.grid.d)
+    if not np.isfinite(size).all():   # T = 0 and the frozen ladder member 1 take no guarded step
+        raise StabilityError(f"non-finite velocity in the {who} data at t=0", time=0.0)
+    if size.max(initial=0.0, where=~mask) > 1e-12 * size.max():
+        raise ResolutionError(f"{who} data reach past the 2/3-rule modes |k_a| <= {u0.grid.n // 3}")
+    return np.multiply(spectra, mask, out=spectra)
+
+
 def _rk4_step(rhs, w, dt: float, k1, velm=None, vel1=None) -> np.ndarray:
     """One projected RK4 step of half spectra w for the stage function
     ``rhs(state, vel)``, given its first stage k1; the later stages take the
@@ -318,10 +328,9 @@ def solve(u0: VectorField, cfg: SolverConfig,
     Raises :class:`StabilityError` the moment ``max|u| dt / dx`` exceeds
     ``CFL_GUARD`` or stops being finite, carrying the offending time.
     """
-    _require_divfree(u0, "solve")
     g = u0.grid
     rhs = _RHS(g)
-    state = _leray_spectra(_spectra(u0))
+    state = _initial_spectra(u0, "solve")
     dt = cfg.dt
 
     times, spectra = [0.0], [state]

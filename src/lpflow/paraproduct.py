@@ -88,7 +88,7 @@ def _commutator_blocks(bank: LPFilterBank, fd: VectorField, gs: GridField, js):
     """Real samples of f.grad(block_j g) - block_j(f.grad g), j in ``js``, one by one.
 
     ``fd`` and ``gs`` come from :func:`_dealiased_factors`; the advection is
-    the solver's, with the solver's mask, a no-op on factors already dealiased.
+    the solver's, which takes its factors on the 2/3-rule modes, as these are.
     Each block makes two real inverse calls: the d gradient entries of block_j g
     batched, then block_j of the inner advection f.grad g, which is formed once
     for every j.  The top block, psi_{j_max} = 0, is zeros and makes none.

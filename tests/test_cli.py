@@ -227,6 +227,19 @@ def test_solve_rejects_a_cfl_guard_setting(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_solve_rejects_data_past_the_retained_modes(tmp_path, capsys):
+    # the solver's state lives on |k_a| <= n//3 = 10, and the band reaches 12
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({
+        "solver": {"T": 0.002, "dt": 0.001},
+        "initial": {"kind": "random", "seed": 3, "band": [1, 12]},
+    }))
+    args = ["solve", "--n", "32", "--config", str(cfgf), "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert "2/3-rule modes |k_a| <= 10" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_solver_setting(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({"solver": {"T": 0.01, "dt": 0.001, "cfl": 0.1}}))
@@ -316,7 +329,7 @@ def test_lipschitz_command_honours_solver_block(tmp_path, capsys, monkeypatch):
         "grid": {"n": 32, "dim": 2},
         "solver": {"T": 0.07, "dt": 0.001, "record_stride": 7},
         "experiment": {"eps_list": [0.1, 0.01], "seed": 0},
-        "initial": {"kind": "random", "seed": 3, "band": [1, 12], "amplitude": 0.5},
+        "initial": {"kind": "random", "seed": 3, "band": [1, 10], "amplitude": 0.5},
     }))
     out = tmp_path / "lip"
     strides, real = [], experiments.solve
@@ -328,7 +341,7 @@ def test_lipschitz_command_honours_solver_block(tmp_path, capsys, monkeypatch):
     assert rep.pop("pass") is True
 
     grid = Grid(32, 2)
-    u0 = random_divergence_free(grid, SpectrumSpec(2.0, (1, 12), 3))
+    u0 = random_divergence_free(grid, SpectrumSpec(2.0, (1, 10), 3))
     u0 = u0 * (0.5 / max(float(np.abs(c.values).max()) for c in u0.components))
     w = divfree_sample(grid, 22, decay=2.0, band=(1, 8))
     dcfg = DependenceConfig(norm_spec=NormSpec(3, 1, 1), T=0.07, dt=1e-3, record_stride=7,

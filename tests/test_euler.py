@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import lpflow.euler
-from lpflow import (Grid, GridField, NormSpec, RepresentationError, SolverConfig,
-                    StabilityError, Trajectory, VectorField, derivative, energy, euler_rhs,
-                    default_bank, flow_map, iterate, jacobian_determinant, leray_project,
-                    pressure_gradient, read_field, solve, taylor_green, vorticity, write_field)
+from lpflow import (Grid, GridField, NormSpec, RepresentationError, ResolutionError,
+                    SolverConfig, StabilityError, Trajectory, VectorField, derivative, energy,
+                    euler_rhs, default_bank, flow_map, iterate, jacobian_determinant,
+                    leray_project, pressure_gradient, read_field, solve, taylor_green, vorticity,
+                    write_field)
 from lpflow.corpus import divfree_sample
 from lpflow.euler import _BLOCK, _RHS, _eval_velocity, _phase_table, _spectra, default_seed_grid
 from lpflow.fields import (SpectrumSpec, _derivative_symbol, _from_half_spectrum, _plane_weights,
@@ -125,6 +126,16 @@ def test_non_finite_data_raises(grid64):
     assert exc.value.time == 0.0
 
 
+def test_non_finite_data_raise_with_no_step(grid64):
+    # T = 0 takes no step, so only the check on the data can see the NaN.
+    comps = [c.values.copy() for c in vector_as_physical(taylor_green(grid64)).components]
+    comps[0][7, 2] = np.nan
+    u0 = VectorField(tuple(GridField(grid64, c, "physical") for c in comps), div_free=True)
+    with pytest.raises(StabilityError, match="non-finite velocity") as exc:
+        solve(u0, SolverConfig(dt=1e-3, T=0.0))
+    assert exc.value.time == 0.0
+
+
 def test_non_solenoidal_nan_data_rejected():
     # A NaN divergence fails every comparison, so "divergence > tol" lets it through.
     grid = Grid(16, 2)
@@ -189,7 +200,7 @@ def test_half_spectrum_rhs_matches_complex_path(n, d):
     u = random_divergence_free(grid, SpectrumSpec(1.0, (1, n // 2 - 1), 5))
     full = [np.fft.fftn(c.values) / n**d for c in u.components]
     want = _complex_path_rhs(full, grid)
-    got = _RHS(grid)(_spectra(u))
+    got = _RHS(grid)(_spectra(u) * dealias_mask(n, d))
     # Modes with a component at n/2 are dropped: there the complex path's
     # projection is not the spectrum of a real field.
     nyquist = (np.abs(np.stack(wavenumber_mesh(n, d))) == n // 2).any(axis=0)
@@ -211,10 +222,17 @@ def _white_divfree(grid, seed):
     return leray_project(_white(grid, seed))
 
 
+def _box(u):
+    """u's half spectra cut to the 2/3-rule modes, where the solver's state lives."""
+    return VectorField(tuple(dealias_field(c) for c in vector_as_spectral(u).components),
+                       div_free=u.div_free)
+
+
 def test_leray_drops_signless_nyquist_modes(tmp_path):
     """A mode with a component at n/2 has no sign, so k . u_hat = 0 there does not
     make the real field solenoidal: the projection drops those modes, and its
-    output measures divergence-free, also when read back from a file."""
+    output measures divergence-free, also when read back from a file, where the
+    solver then rejects it for its modes past the 2/3 rule, not its divergence."""
     grid = Grid(16, 2)
     u = leray_project(_white(grid, 0))
     assert u.div_free
@@ -222,8 +240,8 @@ def test_leray_drops_signless_nyquist_modes(tmp_path):
     write_field(u, tmp_path / "u.lpf")
     back = read_field(tmp_path / "u.lpf")
     assert back.div_free                          # re-derived from the samples
-    traj = solve(back, SolverConfig(dt=1e-3, T=2e-3))
-    assert len(traj.spectra) == 3
+    with pytest.raises(ResolutionError, match="2/3-rule modes"):
+        solve(back, SolverConfig(dt=1e-3, T=2e-3))
 
 
 @pytest.mark.parametrize("n,d", [(64, 2), (256, 2), (16, 3), (32, 3)])
@@ -231,31 +249,46 @@ def test_rotational_rhs_is_the_advective_rhs(n, d):
     """-P(omega x u) and -P(u . grad u) agree on the retained modes, and both are
     zero outside them."""
     grid = Grid(n, d)
-    spectra = _spectra(_white_divfree(grid, 40 + n + d))
+    mask = dealias_mask(n, d)
+    spectra = _spectra(_white_divfree(grid, 40 + n + d)) * mask
     rhs = _RHS(grid)
     rot, adv = rhs.rotational(spectra), rhs(spectra)
-    mask = dealias_mask(n, d)
     assert not rot[:, ~mask].any() and not adv[:, ~mask].any()
     err = np.abs(rot - adv).max() / np.abs(adv).max()
     print("rotational vs advective", err)
     assert err <= 1e-14
 
 
-def test_truncated_dynamics_keep_the_data_outside_the_mask():
-    """A stage changes only the 2/3-rule modes: every recorded solve and ladder
-    spectrum equals its t = 0 spectrum outside the mask (up to the
-    re-projection after each step), though the data fill every mode."""
+@pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
+def test_public_right_hand_sides_dealias_their_input(n, d):
+    """euler_rhs and pressure_gradient take any field: each cuts its input to the
+    2/3-rule modes, so white noise gives what its cut gives, bit for bit."""
+    u = vector_as_spectral(_white_divfree(Grid(n, d), 70 + n))
+    for op in (euler_rhs, pressure_gradient):
+        got, want = op(u), op(_box(u))
+        assert all(np.array_equal(a.values, b.values)
+                   for a, b in zip(got.components, want.components))
+
+
+def test_truncated_dynamics_stay_on_the_retained_modes():
+    """The solver's state lives on the 2/3-rule modes: data that fill every mode
+    are rejected where they enter, and every recorded solve and ladder spectrum
+    of data cut to those modes is exactly 0 outside them."""
     grid = Grid(32, 2)
     u0 = _white_divfree(grid, 50) * 0.3
     cfg = SolverConfig(dt=2e-3, T=1e-2, record_stride=1)
+    bank = default_bank(grid.n, grid.d)
+    with pytest.raises(ResolutionError, match="2/3-rule modes"):
+        solve(u0, cfg)
+    with pytest.raises(ResolutionError, match="2/3-rule modes"):
+        iterate(bank, u0, 3, cfg, NormSpec(3, 1, 1))
+    u0 = _box(u0)
     outside = ~dealias_mask(grid.n, grid.d)
-    ladder = iterate(default_bank(grid.n, grid.d), u0, 3, cfg, NormSpec(3, 1, 1))
+    ladder = iterate(bank, u0, 3, cfg, NormSpec(3, 1, 1))
     trajectories = [solve(u0, cfg)] + list(ladder.members)
     for traj in trajectories:
-        s0 = traj.spectra[0]
-        scale = np.abs(s0).max()
         for s in traj.spectra:
-            assert np.abs(s - s0)[:, outside].max() <= 1e-15 * scale
+            assert not s[:, outside].any()
     # while the retained modes of the solution move
     sol = trajectories[0].spectra
     assert np.abs(sol[-1] - sol[0])[:, ~outside].max() > 1e-3 * np.abs(sol[0]).max()
@@ -267,7 +300,7 @@ def test_solve_step_transform_budget(monkeypatch, d, inverse, forward):
     plus 1 (2D) or 3 (3D) vorticity components inverse-transformed, and d
     product components transformed forward."""
     grid = Grid(16 if d == 2 else 8, d)
-    u0 = vector_as_spectral(_white_divfree(grid, 60) * 0.1)
+    u0 = _box(_white_divfree(grid, 60) * 0.1)
     counts = {"inverse": 0, "forward": 0}
 
     def counted(name, fn):
@@ -310,7 +343,7 @@ def test_advection_is_the_sum_of_derivative_products(n, d):
     c = [dealias_field(comp) for comp in u.components]
     want = np.stack([sum(c[m].values * derivative(c[l], m).values for m in range(d))
                      for l in range(d)])
-    got = _RHS(u.grid).advection(_spectra(u))
+    got = _RHS(u.grid).advection(_spectra(u) * dealias_mask(n, d))
     err = np.abs(got - want).max() / np.abs(want).max()
     print("advection vs derivative products", err)
     assert err <= 1e-14

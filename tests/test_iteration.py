@@ -14,10 +14,11 @@ from lpflow.fields import vector_as_physical
 from oracles import member_norm_history
 
 # band-(1,4) data, amp 0.5, seed 11, dt 2e-3, T = 0.1, norms at (3,1,1)
-# DELTA_M6[5] re-pinned for float64 samples and the real forward transform of the
-# data; it weighs their roundoff in the empty high shells (CHANGES.md has the probes).
+# DELTA_M6[5] re-pinned for the state on the 2/3-rule modes, to its exact oracle:
+# the previous ladder's member spectra times the mask.  It had weighed the data's
+# roundoff in the empty high shells, which the ladder now cuts (CHANGES.md).
 DELTA_M6 = (10.70470515519962, 21.423948005273143, 17.49480022263453,
-            0.3653815264864083, 0.006587448801960327, 6.150821459546348e-05)
+            0.3653815264864083, 0.006587448801960327, 6.150821434969732e-05)
 # same data, M = 4, three steps of 2e-3: the ladder's arithmetic, bit for bit
 # (re-pinned for the half-spectrum ladder, the real-block norms, the float64
 # field format and the truncated right-hand side; CHANGES.md has the shifts and probes)
