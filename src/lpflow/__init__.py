@@ -11,9 +11,7 @@ from .bank import (DyadicDecomposition, LPFilterBank, build_filter_bank,
                    verify_low_freq_bound)
 from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound, lp_norm,
                     tl_norm, verify_embedding, verify_equivalence, verify_lifting)
-from .maximal import (RadialProfile, hl_maximal, verify_bandlimited_sup,
-                      verify_fefferman_stein, verify_pointwise_bound,
-                      verify_radial_majorant)
+from .maximal import hl_maximal, verify_fefferman_stein, verify_pointwise_bound
 from .paraproduct import (BonyPieces, CommutatorSequence, bony, commutator,
                           commutator_sequence, counterexample_scan,
                           verify_commutator_estimate, verify_moser,
@@ -23,9 +21,8 @@ from .euler import (FlowMapResult, SolverConfig, Trajectory, energy, euler_rhs,
                     pressure_gradient, solve, taylor_green, vorticity)
 from .iteration import IterationLadder, cauchy_report, iterate, ladder_vs_solve
 from .experiments import (DependenceConfig, bona_smith_experiment,
-                          continuity_assembly, interpolation_ratio,
-                          lipschitz_lowernorm_experiment)
-from .reports import ExperimentReport, dump_json, load_json
+                          continuity_assembly, lipschitz_lowernorm_experiment)
+from .reports import ExperimentReport, dump_json
 
 __version__ = "0.1.0"
 
@@ -40,9 +37,7 @@ __all__ = [
     "default_bank", "delta_j", "p_le", "recompose", "verify_low_freq_bound",
     "NormSpec", "besov_norm", "field_norm", "kernel_l1_bound", "lp_norm",
     "tl_norm", "verify_embedding", "verify_equivalence", "verify_lifting",
-    "RadialProfile", "hl_maximal",
-    "verify_bandlimited_sup", "verify_fefferman_stein",
-    "verify_pointwise_bound", "verify_radial_majorant",
+    "hl_maximal", "verify_fefferman_stein", "verify_pointwise_bound",
     "BonyPieces", "CommutatorSequence", "bony", "commutator",
     "commutator_sequence", "counterexample_scan", "verify_commutator_estimate",
     "verify_moser", "verify_moser_transport",
@@ -51,6 +46,6 @@ __all__ = [
     "solve", "taylor_green", "vorticity",
     "IterationLadder", "cauchy_report", "iterate", "ladder_vs_solve",
     "DependenceConfig", "bona_smith_experiment", "continuity_assembly",
-    "interpolation_ratio", "lipschitz_lowernorm_experiment",
-    "ExperimentReport", "dump_json", "load_json",
+    "lipschitz_lowernorm_experiment",
+    "ExperimentReport", "dump_json",
 ]

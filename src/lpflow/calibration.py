@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bank import decompose, default_bank
+from .bank import decompose, default_bank, verify_low_freq_bound
 from .corpus import (scalar_pairs, scalar_sample, scalar_samples, solution_map_datum,
                      transport_pair)
 from .fields import as_physical
@@ -76,6 +76,13 @@ def _fefferman_stein(bank, count, seed0, p, q):
 def _lifting(bank, count, seed0, s, p, q, order):
     return [verify_lifting(bank, f, s=s, p=p, q=q, k=order)
             for f in scalar_samples(bank.grid, count, seed0)]
+
+
+def _low_freq(bank, count, seed0, s, p, q, levels, l):
+    """Level-major: ``count`` ratios ||P_{<=m} f||_{s+l} / (2^{ml} ||f||_s) for each
+    level m of ``levels``."""
+    samples = scalar_samples(bank.grid, count, seed0)
+    return [verify_low_freq_bound(bank, f, s, p, q, m, l) for m in levels for f in samples]
 
 
 def _boundedness(bank, count, seed0, seed, T, dt, s, p, q, amplitude):
@@ -147,6 +154,8 @@ _TABLE = {
     "vector_maximal_p2_q2": _Entry(_fefferman_stein, 20, 600, dict(p=2, q=2),
                                    "fefferman-stein", _max_of_family),
     "lifting_s1_order1": _Entry(_lifting, 30, 700, dict(s=1, p=2, q=2, order=1), "lifting"),
+    "low_freq_gain_s3_p1_q1": _Entry(_low_freq, 20, 1000,
+                                     dict(s=3, p=1, q=1, levels=(3, 4, 5), l=1)),
     "solution_map_boundedness": _Entry(_boundedness, None, None,
                                        dict(seed=21, T=0.2, dt=1e-3, s=3, p=1, q=1,
                                             amplitude=0.5), summary=_max),

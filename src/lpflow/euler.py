@@ -53,10 +53,10 @@ class SolverConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.T < 0:
-            raise ValueError("T must be nonnegative")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError(f"T must be finite and nonnegative, got {self.T}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         steps = round(self.T / self.dt)

@@ -17,7 +17,7 @@ from .bank import default_bank, max_block_index, p_le
 from .errors import DegenerateInputError
 from .euler import SolverConfig, _sup_gap, solve
 from .fields import Grid, VectorField
-from .norms import NormSpec, _field_norms, _half_norms, field_norm
+from .norms import NormSpec, _half_norms, field_norm
 from .reports import ExperimentReport
 
 
@@ -38,8 +38,8 @@ class DependenceConfig(SolverConfig):
             raise ValueError("N_list must be strictly increasing")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ValueError("eps_list must be strictly decreasing")
-        if any(e <= 0 for e in self.eps_list):
-            raise ValueError("eps_list must be positive")
+        if not all(0.0 < e < math.inf for e in self.eps_list):
+            raise ValueError(f"eps_list must be finite and positive, got {self.eps_list}")
 
     def check_levels(self, grid: Grid) -> None:
         top = max_block_index(grid) - 1
@@ -143,15 +143,6 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
         tables={"sigma": [[N, s] for N, s in zip(cfg.N_list, sigma)]},
         meta={"rows_are": "mollification level N", "T": cfg.T, "dt": cfg.dt},
     )
-
-
-def interpolation_ratio(bank, f, spec: NormSpec) -> float:
-    """||f||_s over the geometric mean of the s-1 and s+1 norms."""
-    mid, lo, hi = _field_norms(bank, f, (spec, replace(spec, s=spec.s - 1.0),
-                                         replace(spec, s=spec.s + 1.0)))
-    if lo == 0.0 or hi == 0.0:
-        raise DegenerateInputError("zero field in interpolation ratio")
-    return mid / math.sqrt(lo * hi)
 
 
 def continuity_assembly(u0: VectorField, psi: VectorField,

@@ -37,10 +37,6 @@ def dump_json(payload: dict, path=None) -> str:
     return text
 
 
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def write_csv(path, header, rows) -> None:
     import csv
 

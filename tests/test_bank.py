@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpflow import (DegenerateInputError, Grid, GridField, SpectrumSpec, build_filter_bank,
-                    decompose, default_bank, delta_j, derivative, p_le, random_band_limited,
-                    recompose, verify_low_freq_bound)
+                    calibration, decompose, default_bank, delta_j, derivative, p_le,
+                    random_band_limited, recompose, verify_low_freq_bound)
 from lpflow.bank import low_pass_multiplier, max_block_index
 from lpflow.fields import apply_multiplier
 from lpflow.corpus import scalar_sample
@@ -138,6 +138,15 @@ def test_low_freq_bound_pure_mode(grid64, bank64, s, p, q, l):
             assert ratio == pytest.approx(2.0 ** ((2 - m) * l), rel=1e-12)
         else:
             assert ratio <= 1e-14
+
+
+def test_low_freq_gain_stays_within_its_calibrated_bound(calibrated_ratios):
+    """||P_N f||_{F^4_{1,1}} <= C 2^N ||f||_{F^3_{1,1}} for N = 3, 4, 5: the t = 0 form of
+    the sigma(N) bound of the mollified-data experiment, on the row's 20 fields."""
+    name = "low_freq_gain_s3_p1_q1"
+    ratios = calibrated_ratios(name)
+    assert len(ratios) == 3 * 20
+    assert max(ratios) <= calibration.regression_bound(name)
 
 
 def test_low_freq_bound_rejects_bad_input(grid64, bank64):

@@ -240,6 +240,15 @@ def test_solve_rejects_data_past_the_retained_modes(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["--dt", "--T"])
+def test_solve_refuses_an_infinite_step_or_horizon(tmp_path, flag, capsys):
+    args = ["solve", "--n", "16", "--T", "0.02", "--dt", "0.01", flag, "inf",
+            "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_solver_setting(tmp_path, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({"solver": {"T": 0.01, "dt": 0.001, "cfl": 0.1}}))

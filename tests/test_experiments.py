@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from lpflow import (DegenerateInputError, NormSpec, interpolation_ratio,
+from lpflow import (DegenerateInputError, NormSpec, SolverConfig,
                     lipschitz_lowernorm_experiment)
 from lpflow.corpus import scalar_sample, solution_map_datum
 from lpflow.experiments import DependenceConfig
+from lpflow.norms import _field_norms
 
 # BOUNDEDNESS_MAX, RHO_N345, SIGMA_N5 and CONTINUITY_RATIO re-pinned for the
 # Galerkin-truncated right-hand side, each to its exact oracle: the untruncated
@@ -45,8 +46,28 @@ def test_config_validation():
                          eps_list=(1e-3, 1e-2))
 
 
+_BASE = dict(norm_spec=NormSpec(3, 1, 1), T=0.2, dt=1e-3)
+
+
+@pytest.mark.parametrize("config, settings, name", [
+    (SolverConfig, dict(dt=math.inf, T=0.2), "dt"),
+    (SolverConfig, dict(dt=math.nan, T=0.2), "dt"),
+    (SolverConfig, dict(dt=-math.inf, T=0.2), "dt"),
+    (SolverConfig, dict(dt=1e-3, T=math.inf), "T"),
+    (SolverConfig, dict(dt=1e-3, T=math.nan), "T"),
+    (DependenceConfig, dict(_BASE, dt=math.inf), "dt"),
+    (DependenceConfig, dict(_BASE, eps_list=(math.nan,)), "eps_list"),
+    (DependenceConfig, dict(_BASE, eps_list=(math.inf, 1e-2)), "eps_list"),
+    (DependenceConfig, dict(_BASE, eps_list=(1e-1, math.nan)), "eps_list"),
+])
+def test_non_finite_settings_are_refused(config, settings, name):
+    """0 * inf and NaN slip past sign and integer-step checks, so each setting
+    must be finite; the error names it."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        config(**settings)
+
+
 def test_config_is_a_validated_solver_config():
-    from lpflow import SolverConfig
     cfg = _cfg()
     assert isinstance(cfg, SolverConfig)
     assert (cfg.record_stride, cfg.steps) == (20, 200)
@@ -58,7 +79,6 @@ def test_config_fields_are_the_settings_in_use():
     """The CFL guard is the constant euler.CFL_GUARD, the dependence seed is the
     CLI's and the solver is always the 2/3-rule Galerkin truncation, so none of
     them is a config field."""
-    from lpflow import SolverConfig
     from lpflow.euler import CFL_GUARD
     assert CFL_GUARD == 0.5
     assert [f.name for f in dataclasses.fields(SolverConfig)] == ["dt", "T", "record_stride"]
@@ -148,11 +168,19 @@ def test_continuity_chain_dominates(solution_map_reports):
                                + pieces["interpolated_diff"]) * (1 + 1e-12)
 
 
+def _interpolation_ratio(bank, f, spec):
+    """||f||_s over the geometric mean of the s-1 and s+1 norms, all from one pass."""
+    mid, lo, hi = _field_norms(bank, f, (spec, dataclasses.replace(spec, s=spec.s - 1.0),
+                                         dataclasses.replace(spec, s=spec.s + 1.0)))
+    return mid / math.sqrt(lo * hi)
+
+
 def test_interpolation_inequality(grid64, bank64):
+    """The continuity chain bounds its third piece by this geometric mean."""
     f = scalar_sample(grid64, 5)
-    r = interpolation_ratio(bank64, f, NormSpec(3, 1, 1))
+    r = _interpolation_ratio(bank64, f, NormSpec(3, 1, 1))
     assert r == pytest.approx(INTERP_SAMPLE5, rel=1e-12)
-    worst = max(interpolation_ratio(bank64, scalar_sample(grid64, 60 + i),
-                                    NormSpec(3, 1, 1)) for i in range(10))
+    worst = max(_interpolation_ratio(bank64, scalar_sample(grid64, 60 + i),
+                                     NormSpec(3, 1, 1)) for i in range(10))
     print("worst interpolation ratio", worst)
     assert worst <= 1.0 + 1e-12

@@ -8,22 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import gamma
 
 from lpflow import (DegenerateInputError, Grid, GridField, default_bank,
-                    hl_maximal, verify_bandlimited_sup, verify_fefferman_stein,
-                    verify_pointwise_bound, verify_radial_majorant)
+                    hl_maximal, verify_fefferman_stein, verify_pointwise_bound)
 from lpflow.bank import decompose
 from lpflow.corpus import scalar_sample
 from lpflow.fields import as_physical, as_spectral
-from lpflow.maximal import RadialProfile
 
 POINTWISE_J4K2 = 0.002627550053691202
 POINTWISE_J4K4_HALFTHETA = 0.18138091641844803
-BANDSUP_J3 = 1.0950977513009754
-GAUSS_RATIO = 1.0174483513847195
-POWER_RATIO = 1.3231591217647758
-POWER_MAJORANT_L1 = 1.6755160819145567
 FS_22 = 1.1362062475049897
 
 
@@ -125,41 +118,6 @@ def test_pointwise_bound_validation(grid64, bank64):
         verify_pointwise_bound(bank64, zero, j=4, k=2, theta=1.0, r=0.5)
 
 
-def test_bandlimited_shifted_sup(grid64):
-    x = grid64.meshes()
-    f = GridField(grid64, 2.0 * np.cos(8 * x[0] + 1.0), "physical")
-    r = verify_bandlimited_sup(f, 3, 0.5)
-    assert abs(r - BANDSUP_J3) < 1e-12
-
-
-def test_gaussian_profile(grid64):
-    rp = RadialProfile("gaussian", 1.0)
-    assert rp.majorant_l1(2) == 1.0
-    f = scalar_sample(grid64, 5)
-    r = verify_radial_majorant(rp, f, (0.1, 0.3))
-    assert abs(r - GAUSS_RATIO) < 1e-12
-    assert r < 1.1
-
-
-def test_power_profile(grid64):
-    beta = 3.5
-    rp = RadialProfile("power", beta)
-    # closed form: surface measure of S^1 times Beta(d, beta - d)
-    expected = 2 * math.pi * gamma(2.0) * gamma(beta - 2.0) / gamma(beta)
-    assert abs(rp.majorant_l1(2) - expected) < 1e-12
-    assert abs(rp.majorant_l1(2) - POWER_MAJORANT_L1) < 1e-12
-    f = scalar_sample(grid64, 5)
-    r = verify_radial_majorant(rp, f, (0.1, 0.3))
-    assert abs(r - POWER_RATIO) < 1e-12
-
-
-def test_power_profile_needs_integrability():
-    with pytest.raises(ValueError):
-        RadialProfile("power", 2.0).majorant_l1(2)
-    with pytest.raises(ValueError):
-        RadialProfile("power", 2.5).majorant_l1(3)
-
-
 def test_fefferman_stein(grid64, bank64):
     f = scalar_sample(grid64, 5)
     fam = [as_physical(b) for b in decompose(bank64, f).blocks[:8]]
@@ -176,33 +134,3 @@ def test_fefferman_stein_sup_aggregation(grid64, bank64):
     fam = [as_physical(b) for b in decompose(bank64, f).blocks[:6]]
     r = verify_fefferman_stein(fam, 2.0, math.inf)
     assert math.isfinite(r) and r > 0
-
-
-@pytest.fixture()
-def transform_spy(monkeypatch):
-    """Counts the real transforms made through lpflow.fields, under either import."""
-    import lpflow.fields
-    import lpflow.maximal
-    counts = {"forward": 0, "inverse": 0}
-    fwd, inv = lpflow.fields._to_half_spectrum, lpflow.fields._from_half_spectrum
-
-    def forward(*a):
-        counts["forward"] += 1
-        return fwd(*a)
-
-    def inverse(*a):
-        counts["inverse"] += 1
-        return inv(*a)
-
-    for mod in (lpflow.fields, lpflow.maximal):
-        monkeypatch.setattr(mod, "_to_half_spectrum", forward)
-        monkeypatch.setattr(mod, "_from_half_spectrum", inverse)
-    return counts
-
-
-@pytest.mark.parametrize("kind,forward", [("gaussian", 1), ("power", 2)])
-def test_profile_convolution_transforms(grid64, transform_spy, kind, forward):
-    f = scalar_sample(grid64, 5)
-    transform_spy.update(forward=0, inverse=0)
-    RadialProfile(kind, 3.5).convolve(f, 0.3)
-    assert transform_spy == {"forward": forward, "inverse": 1}

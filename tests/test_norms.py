@@ -14,7 +14,7 @@ import lpflow.norms
 from lpflow import (Grid, GridField, NormSpec, RepresentationError, VectorField, besov_norm,
                     kernel_l1_bound, lp_norm, tl_norm, verify_embedding, verify_equivalence,
                     verify_lifting)
-from lpflow import commutator_sequence, default_bank, interpolation_ratio
+from lpflow import commutator_sequence, default_bank
 from lpflow.bank import radial_cutoff
 from lpflow.corpus import divfree_sample, scalar_sample, transport_pair
 from lpflow.fields import as_physical, dft_forward, vector_as_physical
@@ -398,7 +398,8 @@ def test_a_field_measured_in_several_specs_is_decomposed_once(grid64, bank64,
     f, u = scalar_sample(grid64, 5), divfree_sample(grid64, 9)
     for run, inverses in [(lambda: verify_equivalence(bank64, f, 3, 1, 1), 8),
                           (lambda: verify_embedding(bank64, f, (3.0, 1.0, 1.0), (2.0, 2.0)), 7),
-                          (lambda: interpolation_ratio(bank64, u, NormSpec(3, 1, 1)), 2 * 8)]:
+                          (lambda: _field_norms(bank64, u, (NormSpec(3, 1, 1), NormSpec(2, 1, 1),
+                                                            NormSpec(4, 1, 1))), 2 * 8)]:
         inverse_transforms.clear()
         run()
         assert len(inverse_transforms) == inverses
