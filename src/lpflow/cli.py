@@ -199,6 +199,8 @@ def _verify_scan(args, bank, spec) -> tuple[dict, bool]:
 
 def _run_verify(args, suite) -> int:
     """Run ``suite`` with the bank and homogeneous norm of its flags, where it takes them."""
+    if getattr(args, "count", None) is not None and args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     bank = default_bank(args.n, args.dim) if "n" in args else None
     spec = NormSpec(args.s, args.p, args.q, homogeneous=True) if "s" in args else None
     report, ok = suite(args, bank, spec)

@@ -2,19 +2,20 @@
 
 Fixed-step RK4 on the Galerkin-truncated projected dynamics: the data are cut
 once to the 2/3-rule modes (Orszag's rule), and each right-hand side cuts its
-output to them, so every state lives on those modes.  The solver
-steps the rotational form -P(omega x u), which equals -P(u . grad u) on the
-retained modes to roundoff and takes d + 1 inverse transforms per stage in
-2D (2d in 3D) instead of d + d^2.  Each full step is re-projected, and a CFL
-guard aborts the run rather than integrate an under-resolved state.  The
-state is stepped as stacked half spectra (d, n, ..., n//2 + 1) through real
-FFTs, with one RK4 step and one CFL guard shared with the iteration ladder.
-The advective kernel u . grad h, which the ladder's linear term needs, stays
-the one shared with the pressure gradient and the commutator estimates.  A
-trajectory stores only the half spectra it stepped; its physical float64
-states are made on first read, one batched inverse transform each.
-Also provides the pressure-gradient recovery, flow-map particle integration
-with trigonometric velocity interpolation, and the standard 2D benchmark
+output to them, so every state lives on those modes.  The solver steps the
+rotational form -P(omega x u), which equals -P(u . grad u) on the retained
+modes to roundoff and takes d + 1 inverse transforms per stage in 2D (2d in
+3D) instead of d + d^2.  Every stage is projected and cut, so each step is
+too; a CFL guard aborts the run rather than integrate an under-resolved
+state.  The state is stepped as stacked half spectra (d, n, ..., n//2 + 1)
+through real FFTs, with one RK4 step and one CFL guard shared with the
+iteration ladder.  The advective kernel u . grad h, which the ladder's linear
+term needs, stays the one shared with the pressure gradient and the
+commutator estimates.  A trajectory stores only the half spectra it stepped;
+its physical float64 states are made on first read, one batched inverse
+transform each.  Also provides the pressure-gradient recovery, flow-map
+particle integration with trigonometric velocity interpolation over the
+retained modes, a spectral flow-map Jacobian, and the standard 2D benchmark
 data.
 """
 
@@ -57,8 +58,8 @@ class SolverConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 <= self.T < math.inf:
             raise ValueError(f"T must be finite and nonnegative, got {self.T}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        if not isinstance(self.record_stride, (int, np.integer)) or self.record_stride < 1:
+            raise ValueError(f"record_stride must be an integer >= 1, got {self.record_stride!r}")
         steps = round(self.T / self.dt)
         if abs(steps * self.dt - self.T) > 1e-9 * max(1.0, self.T):
             raise ValueError("T must be an integer number of steps")
@@ -299,26 +300,32 @@ def _check_cfl(vel, dt: float, grid: Grid, t: float, where: str = "") -> None:
         raise StabilityError(f"{what}{where} at t={t:.6g} (max|u| dt/dx = {cfl:.3g})", time=t)
 
 
+def _on_retained_modes(grid: Grid, spectra: np.ndarray, who: str, t: float = 0.0) -> np.ndarray:
+    """Half spectra at time t cut to the 2/3-rule modes; raises on non-finite data
+    and on content past them above 1e-12 of the largest coefficient."""
+    size, mask = np.abs(spectra), dealias_mask(grid.n, grid.d)
+    if not np.isfinite(size).all():   # no CFL guard saw it: T = 0, ladder member 1, built by hand
+        raise StabilityError(f"non-finite velocity in the {who} data at t={t:.6g}", time=t)
+    if size.max(initial=0.0, where=~mask) > 1e-12 * size.max():
+        raise ResolutionError(f"{who} data at t={t:.6g} reach past the 2/3-rule modes "
+                              f"|k_a| <= {grid.n // 3}")
+    return spectra * mask
+
+
 def _initial_spectra(u0: VectorField, who: str) -> np.ndarray:
     """u0's projected half spectra cut to the 2/3-rule modes, where solve and iterate start."""
     _require_divfree(u0, who)
-    spectra = _leray_spectra(_spectra(u0))
-    size, mask = np.abs(spectra), dealias_mask(u0.grid.n, u0.grid.d)
-    if not np.isfinite(size).all():   # T = 0 and the frozen ladder member 1 take no guarded step
-        raise StabilityError(f"non-finite velocity in the {who} data at t=0", time=0.0)
-    if size.max(initial=0.0, where=~mask) > 1e-12 * size.max():
-        raise ResolutionError(f"{who} data reach past the 2/3-rule modes |k_a| <= {u0.grid.n // 3}")
-    return np.multiply(spectra, mask, out=spectra)
+    return _on_retained_modes(u0.grid, _leray_spectra(_spectra(u0)), who)
 
 
 def _rk4_step(rhs, w, dt: float, k1, velm=None, vel1=None) -> np.ndarray:
-    """One projected RK4 step of half spectra w for the stage function
+    """One RK4 step of half spectra w for the projected, cut stage function
     ``rhs(state, vel)``, given its first stage k1; the later stages take the
     stage velocities velm, velm, vel1, and one not given is the stage state's own."""
     k2 = rhs(w + 0.5 * dt * k1, velm)
     k3 = rhs(w + 0.5 * dt * k2, velm)
     k4 = rhs(w + dt * k3, vel1)
-    return _leray_spectra(w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def solve(u0: VectorField, cfg: SolverConfig,
@@ -369,52 +376,48 @@ class FlowMapResult:
         return self.positions[i] - self.seeds
 
 
-def _phase_table(x: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
-    """e^{ikx} for k in FFT order, shape (n, P), by powers of z = e^{ix}.
+def _phase_table(x: np.ndarray, c: int, table: np.ndarray) -> np.ndarray:
+    """e^{ikx} for k = 0 .. c, -c .. -1 (the retained modes), by powers of z = e^{ix}.
 
     Row k = j is z^j, one complex multiply from row j-1; rows k = -j are the
-    conjugates of rows j (Grid keeps n even).  Roundoff grows linearly in |k|,
-    under |k| eps (about 0.4 |k| eps measured), whatever the size of the
-    unwrapped x; exp(1j * k * x) instead loses up to |k x| eps when it
-    rounds the product k * x.  ``table``, of shape (n, P), is refilled in place;
-    with n/2 + 1 rows it holds k = 0 .. n/2 - 1 and -n/2 only.
+    conjugates of rows j.  Roundoff grows linearly in |k|, under |k| eps (about
+    0.4 |k| eps measured), whatever the size of the unwrapped x; exp(1j * k * x)
+    instead loses up to |k x| eps when it rounds the product k * x.  ``table``,
+    of shape (2c + 1, P), or (c + 1, P) for k = 0 .. c only, is refilled in place.
     """
-    h = n // 2
     table[0] = 1.0
     table[1] = np.exp(1j * x)
-    for j in range(2, h + 1):
+    for j in range(2, c + 1):
         np.multiply(table[j - 1], table[1], out=table[j])
-    np.conjugate(table[h], out=table[h])                    # k = -n/2
-    np.conjugate(table[h - 1:n - len(table):-1], out=table[h + 1:])   # k = -(n/2 - 1) ... -1
+    np.conjugate(table[c:2 * c + 1 - len(table):-1], out=table[c + 1:])   # k = -c .. -1, if held
     return table
 
 
-def _eval_velocity(spectra, xs, grid: Grid, tables) -> np.ndarray:
+def _eval_velocity(box, xs, tables) -> np.ndarray:
     """Trigonometric interpolation of u at arbitrary points xs (d, P).
 
-    ``spectra`` are u's half spectra times :func:`_plane_weights` along the
-    last axis: the real part of the sum over k_last = 0 .. n/2 - 1 and -n/2,
-    each interior plane counted twice, is the sum over the full lattice.  The
-    dense sum runs over per-axis phase tables from :func:`_phase_table`: one
-    complex exponential per particle and axis, the other n - 1 phases by a
-    power recurrence whose roundoff stays under (n/2) eps per phase.
-    ``tables``, d complex arrays of shape (n, W), the last (n/2 + 1, W) for
-    k_last = 0 .. n/2 - 1 and -n/2, W >= min(P, _BLOCK + 1), are refilled in
-    place for each block of particles in turn.  A lone last particle joins the
-    block before it: BLAS rounds a one-column product differently.
+    ``box`` holds u's half spectra on the retained modes, k_a = 0 .. c, -c .. -1
+    and k_last = 0 .. c, times the plane weights 1 at k_last = 0 and 2 elsewhere:
+    the real part of that sum is the sum over the full lattice, where u has no
+    other modes.  It runs over per-axis phase tables from :func:`_phase_table`:
+    one complex exponential per particle and axis, the other 2c phases by a
+    power recurrence.  ``tables``, d complex arrays of shape (2c + 1, W), the
+    last (c + 1, W), W >= min(P, _BLOCK + 1), are refilled in place for each
+    block of particles in turn.  A lone last particle joins the block before
+    it: BLAS rounds a one-column product differently.
     """
-    n, d = grid.n, grid.d
+    d, c = len(box), box.shape[-1] - 1
     out = np.empty((d, xs.shape[1]))
     edges = [*range(0, max(xs.shape[1] - 1, 1), _BLOCK), xs.shape[1]]
     for lo, hi in zip(edges, edges[1:]):
-        phases = [_phase_table(xs[a, lo:hi], n, tables[a][:, :hi - lo]) for a in range(d)]
+        phases = [_phase_table(xs[a, lo:hi], c, tables[a][:, :hi - lo]) for a in range(d)]
         for l in range(d):
-            U = spectra[l]
+            U = box[l]
             if d == 2:
-                vals = np.einsum("kp,kp->p", phases[0], U @ phases[1])   # (n, B) product
+                vals = np.einsum("kp,kp->p", phases[0], U @ phases[1])   # (2c + 1, B) product
             else:
-                tmp = np.tensordot(U, phases[2], axes=([2], [0]))     # (n, n, B)
-                tmp = np.einsum("kp,kqp->qp", phases[0], tmp)          # (n, B) over k1
+                tmp = np.tensordot(U, phases[2], axes=([2], [0]))     # (2c + 1, 2c + 1, B)
+                tmp = np.einsum("kp,kqp->qp", phases[0], tmp)          # (2c + 1, B) over k1
                 vals = np.einsum("kp,kp->p", phases[1], tmp)
             out[l, lo:hi] = vals.real
     return out
@@ -431,7 +434,8 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
 
     The particle step is twice the trajectory cadence (RK4 midpoint stages
     fall on recorded states, so no temporal interpolation is needed); the
-    requested times must sit on that doubled lattice.
+    requested times must sit on that doubled lattice.  Each state used is cut
+    to its retained modes, raising as solver data would, and summed there.
     """
     grid = traj.grid
     cad = traj.cadence
@@ -454,58 +458,51 @@ def flow_map(traj: Trajectory, times, seeds: np.ndarray | None = None) -> FlowMa
         raise ValueError(f"seeds must be component-first, shape (d, ...); got {seeds.shape}")
     if not np.isfinite(seeds).all():
         raise ValueError("seeds must be finite")
-    seed_shape = seeds.shape[1:]
     xs = seeds.reshape(grid.d, -1).copy()
 
-    weights = _plane_weights(grid.n)
+    c = grid.n // 3
+    rows = np.r_[0:c + 1, grid.n - c:grid.n]   # the retained k in FFT order
+    box = (slice(None),) + np.ix_(*[rows] * (grid.d - 1), rows[:c + 1])
+    weights = np.r_[1.0, np.full(c, 2.0)]      # k_last = 0 once, +-k_last in between
+    boxes = [_on_retained_modes(grid, s, "flow_map", t)[box] * weights
+             for s, t in zip(traj.spectra[:2 * round(t_req[-1] / h) + 1], traj.times)]
     out_times, out_pos = [], []
     if abs(t_req[0]) <= 1e-12:
         out_times.append(0.0)
         out_pos.append(xs.reshape(seeds.shape).copy())
         t_req = t_req[1:]
 
-    pos = xs
-    step = 0
-    tables = [np.empty((grid.n if a < grid.d - 1 else grid.n // 2 + 1,
-                        min(xs.shape[1], _BLOCK + 1)), complex)
-              for a in range(grid.d)]
+    pos, step = xs, 0
+    tables = [np.empty((2 * c + 1 if a < grid.d - 1 else c + 1, min(xs.shape[1], _BLOCK + 1)),
+                       complex) for a in range(grid.d)]
     for t_target in t_req:
         target_steps = round(t_target / h)
         while step < target_steps:
-            s0, s1, s2 = (traj.spectra[2 * step + i] * weights for i in range(3))
-            k1 = _eval_velocity(s0, pos, grid, tables)
-            k2 = _eval_velocity(s1, pos + 0.5 * h * k1, grid, tables)
-            k3 = _eval_velocity(s1, pos + 0.5 * h * k2, grid, tables)
-            k4 = _eval_velocity(s2, pos + h * k3, grid, tables)
+            s0, s1, s2 = boxes[2 * step:2 * step + 3]
+            k1 = _eval_velocity(s0, pos, tables)
+            k2 = _eval_velocity(s1, pos + 0.5 * h * k1, tables)
+            k3 = _eval_velocity(s1, pos + 0.5 * h * k2, tables)
+            k4 = _eval_velocity(s2, pos + h * k3, tables)
             pos = pos + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             step += 1
         out_times.append(step * h)
         out_pos.append(pos.reshape(seeds.shape).copy())
-    return FlowMapResult(tuple(out_times), seeds.reshape(grid.d, *seed_shape),
-                         tuple(out_pos))
+    return FlowMapResult(tuple(out_times), seeds, tuple(out_pos))
 
 
 def jacobian_determinant(fmr: FlowMapResult, i: int) -> np.ndarray:
-    """det dX/dalpha at output time i via 6th-order differences on the seed grid.
+    """det dX/dalpha at output time i, the displacement differentiated spectrally.
 
-    Valid only when the seeds are the full collocation lattice (periodic in
-    alpha); uses the displacement field so the identity part is exact.
+    Valid only when the seeds are the full collocation lattice, where the
+    displacement is periodic in alpha; the identity part is added exactly.
     """
     disp = fmr.displacement(i)
-    d = disp.shape[0]
-    shape = disp.shape[1:]
-    if len(shape) != d or len(set(shape)) != 1:
+    d, shape = disp.shape[0], disp.shape[1:]
+    if len(shape) != d or len(set(shape)) != 1 or shape[0] % 2:
         raise ValueError("jacobian needs full-lattice seeds")
-    n = shape[0]
-    h = 2.0 * math.pi / n
-    jac = np.zeros((d, d) + shape)
-    for l in range(d):
-        for a in range(d):
-            f = disp[l]
-            deriv = (np.roll(f, -3, axis=a) - 9 * np.roll(f, -2, axis=a)
-                     + 45 * np.roll(f, -1, axis=a) - 45 * np.roll(f, 1, axis=a)
-                     + 9 * np.roll(f, 2, axis=a) - np.roll(f, 3, axis=a)) / (60 * h)
-            jac[l, a] = deriv + (1.0 if l == a else 0.0)
+    sym = _derivative_symbol(shape[0], d)
+    jac = _from_half_spectrum(sym * _to_half_spectrum(disp, d)[:, None], d)   # [l, a] = d_a disp_l
+    jac[range(d), range(d)] += 1.0
     if d == 2:
         return jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     return (jac[0, 0] * (jac[1, 1] * jac[2, 2] - jac[1, 2] * jac[2, 1])

@@ -124,8 +124,8 @@ def bona_smith_experiment(u0: VectorField, cfg: DependenceConfig) -> ExperimentR
         raise ValueError("N_list is empty")
     ns = cfg.norm_spec
     up = replace(ns, s=ns.s + 1.0)
-    base = solve(u0, cfg, record=(ns,))
-    u0_norm = base.diagnostics[ns.label][0]
+    base = solve(u0, cfg)
+    u0_norm = _half_norms(bank, base.spectra[0], (ns,))[0]
     rho, sigma = [], []
     for N in cfg.N_list:
         u0N = _mollify(bank, u0, N)

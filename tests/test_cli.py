@@ -119,6 +119,14 @@ def test_verify_seed_zero_is_a_seed(capsys):
     assert out["ratios"] != calibration.ratios(entry, count=2)
 
 
+@pytest.mark.parametrize("suite", ["moser", "commutator", "embedding", "lifting", "maximal",
+                                   "fefferman-stein"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_refuses_an_empty_corpus(suite, count, capsys):
+    assert main(["verify", suite, "--count", count]) == 2
+    assert "--count" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "sharpness"])

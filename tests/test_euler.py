@@ -15,7 +15,7 @@ from lpflow import (Grid, GridField, NormSpec, RepresentationError, ResolutionEr
                     write_field)
 from lpflow.corpus import divfree_sample
 from lpflow.euler import _BLOCK, _RHS, _eval_velocity, _phase_table, _spectra, default_seed_grid
-from lpflow.fields import (SpectrumSpec, _derivative_symbol, _from_half_spectrum, _plane_weights,
+from lpflow.fields import (SpectrumSpec, _derivative_symbol, _from_half_spectrum,
                            dealias_field, dealias_mask, max_spectral_divergence,
                            random_divergence_free, vector_as_physical, vector_as_spectral,
                            wavenumber_mesh)
@@ -27,7 +27,6 @@ TG_F311 = 74.8141745572753
 HALVING_COARSE = 3.852772267996571e-12
 HALVING_FINE = 2.4100166973732446e-13
 STREAM_DRIFT = 3.9420677833135187e-10
-JAC_DEV_T02 = 1.7519542361288387e-07
 
 
 def _sup_diff(u, v):
@@ -436,35 +435,49 @@ def _dense_velocity(spectra, xs, grid):
     return out
 
 
+def _weighted_box(grid, half):
+    """Half spectra on the retained modes (k_a = 0 .. c, -c .. -1, k_last = 0 .. c)
+    times the k_last plane weights 1 at k_last = 0 and 2 elsewhere."""
+    n, c = grid.n, grid.n // 3
+    for axis in range(1, grid.d):
+        half = np.concatenate([half.take(range(c + 1), axis), half.take(range(n - c, n), axis)],
+                              axis=axis)
+    box = half[..., :c + 1].copy()
+    box[..., 1:] *= 2.0
+    return box
+
+
+def _box_tables(grid, width):
+    c = grid.n // 3
+    return [np.empty((2 * c + 1 if a < grid.d - 1 else c + 1, width), complex)
+            for a in range(grid.d)]
+
+
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
 def test_velocity_evaluator_matches_dense_sum(n, d):
-    # Real white noise excites every mode.  Modes with k = -n/2 on an axis other
-    # than the last are removed: off the lattice their interpolant depends on the
-    # sign convention, which the half sum (k_last >= 0) and the full sum fold
-    # differently.  The k_last = -n/2 plane, which both sums read once, is kept.
+    # Real white noise on the retained box excites every mode the solver keeps;
+    # the oracle sums the full lattice, where the noise has no other modes.
     grid = Grid(n, d)
     rng = np.random.default_rng(3)
     full = np.fft.fftn(rng.uniform(-1.0, 1.0, (d,) + grid.shape), axes=range(1, d + 1)) / n**d
-    full *= np.all([m != -n // 2 for m in _full_mesh(n, d)[:-1]], axis=0)
+    full *= np.all([np.abs(m) <= n // 3 for m in _full_mesh(n, d)], axis=0)
     samples = np.fft.ifftn(full, axes=range(1, d + 1)).real * n**d
     half = _spectra(VectorField(tuple(GridField(grid, s, "physical") for s in samples)))
     xs = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (d, 2000))   # unwrapped particles
     assert (xs < 0).any() and (xs > 2.0 * math.pi).any()
-    tables = [np.empty((n if a < d - 1 else n // 2 + 1, xs.shape[1]), complex) for a in range(d)]
-    err = np.abs(_eval_velocity(half * _plane_weights(n), xs, grid, tables)
+    err = np.abs(_eval_velocity(_weighted_box(grid, half), xs, _box_tables(grid, xs.shape[1]))
                  - _dense_velocity(full, xs, grid)).max()
     print("evaluator vs dense sum", err / np.abs(samples).max())
     assert err <= 1e-13 * np.abs(samples).max()
 
 
-def _full_width_velocity(spectra, xs, grid):
-    """The evaluator before particle blocks: one (n, P) phase table per axis."""
-    n, d = grid.n, grid.d
-    phases = [_phase_table(xs[a], n, np.empty((n if a < d - 1 else n // 2 + 1, xs.shape[1]),
-                                                complex)) for a in range(d)]
+def _full_width_velocity(box, xs, grid):
+    """The evaluator before particle blocks: one (2c + 1, P) box phase table per axis."""
+    d, c = grid.d, grid.n // 3
+    phases = [_phase_table(xs[a], c, t) for a, t in enumerate(_box_tables(grid, xs.shape[1]))]
     out = np.empty((d, xs.shape[1]))
     for l in range(d):
-        U = spectra[l]
+        U = box[l]
         if d == 2:
             tmp = U @ phases[1]
             vals = np.einsum("kp,kp->p", phases[0], tmp)
@@ -482,14 +495,13 @@ def test_particle_blocks_match_the_full_width_sum(n, d):
     a multiple of the block, leaves a lone particle over, or fits in one block."""
     grid, width = Grid(n, d), _BLOCK
     rng = np.random.default_rng(5)
-    shape = (d,) + grid.shape[:-1] + (n // 2 + 1,)
-    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = n // 3
+    shape = (d,) + (2 * c + 1,) * (d - 1) + (c + 1,)
+    box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for count in (2 * width, 2 * width + 1, width + 77, width // 3, 1):
         xs = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (d, count))
-        tables = [np.empty((n if a < d - 1 else n // 2 + 1, min(count, width + 1)), complex)
-                  for a in range(d)]
-        assert np.array_equal(_eval_velocity(half, xs, grid, tables),
-                              _full_width_velocity(half, xs, grid)), count
+        assert np.array_equal(_eval_velocity(box, xs, _box_tables(grid, min(count, width + 1))),
+                              _full_width_velocity(box, xs, grid)), count
 
 
 @pytest.mark.parametrize("n,d", [(64, 2), (16, 3)])
@@ -501,7 +513,7 @@ def test_flow_map_equals_the_full_width_evaluator(n, d, monkeypatch):
     traj = solve(u0, SolverConfig(dt=5e-3, T=0.02, record_stride=1))
     fm = flow_map(traj, times=(0.0, 0.02))
     monkeypatch.setattr(lpflow.euler, "_eval_velocity",
-                        lambda spectra, xs, grid, tables: _full_width_velocity(spectra, xs, grid))
+                        lambda box, xs, tables: _full_width_velocity(box, xs, grid))
     ref = flow_map(traj, times=(0.0, 0.02))
     assert all(np.array_equal(a, b) for a, b in zip(fm.positions, ref.positions))
     assert np.array_equal(jacobian_determinant(fm, 1), jacobian_determinant(ref, 1))
@@ -553,10 +565,31 @@ def test_jacobian_of_volume_preserving_flow(grid64):
     det = jacobian_determinant(fm, 1)
     dev = float(np.abs(det - 1.0).max())
     print("volume deviation", dev)
-    assert abs(dev - JAC_DEV_T02) / JAC_DEV_T02 < 1e-3
-    with pytest.raises(ValueError):
-        jacobian_determinant(flow_map(traj, times=(0.1,),
-                                      seeds=np.zeros((2, 3)) + 1.0), 0)
+    assert dev <= 1e-11   # spectral in alpha: 1.9e-13 measured
+    for seeds in (np.zeros((2, 3)) + 1.0, np.ones((2, 5, 5))):   # not a lattice; odd lattice
+        with pytest.raises(ValueError):
+            jacobian_determinant(flow_map(traj, times=(0.1,), seeds=seeds), 0)
+
+
+def test_jacobian_of_volume_preserving_flow_in_3d(grid16_3d):
+    u0 = divfree_sample(grid16_3d, 42, decay=2.0, band=(1, 4))
+    u0 = u0 * (0.4 / max(float(np.abs(c.values).max()) for c in u0.components))
+    traj = solve(u0, SolverConfig(dt=5e-3, T=0.1, record_stride=1))
+    dev = float(np.abs(jacobian_determinant(flow_map(traj, times=(0.1,)), 0) - 1.0).max())
+    print("volume deviation", dev)
+    assert dev <= 1e-5   # 2.2e-6 measured
+
+
+@pytest.mark.parametrize("value, error", [(1e-3, ResolutionError), (math.nan, StabilityError)])
+def test_flow_map_refuses_states_it_cannot_sum(value, error):
+    """A recorded state with content past the retained modes, or a non-finite one,
+    raises: the velocity sum would drop the one and spread the other."""
+    st = steady_trajectory(taylor_green(Grid(16, 2)), T=0.1, cadence=0.0125)
+    bad = st.spectra[2].copy()
+    bad[0, 1, 16 // 3 + 1] = value
+    traj = Trajectory(st.times, st.spectra[:2] + (bad,) + st.spectra[3:])
+    with pytest.raises(error, match="flow_map data at t=0.025"):
+        flow_map(traj, times=(0.05,))
 
 
 def test_default_seed_grid_shape(grid64):

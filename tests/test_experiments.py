@@ -67,6 +67,18 @@ def test_non_finite_settings_are_refused(config, settings, name):
         config(**settings)
 
 
+@pytest.mark.parametrize("config, settings", [
+    (SolverConfig, dict(dt=1e-3, T=0.01, record_stride=2.5)),
+    (SolverConfig, dict(dt=1e-3, T=0.01, record_stride=0)),
+    (DependenceConfig, dict(_BASE, record_stride=2.5)),
+    (DependenceConfig, dict(_BASE, record_stride=-1)),
+])
+def test_fractional_record_stride_is_refused(config, settings):
+    """A stride of 2.5 recorded every fifth step; the error names the field."""
+    with pytest.raises(ValueError, match="^record_stride must be an integer >= 1"):
+        config(**settings)
+
+
 def test_config_is_a_validated_solver_config():
     cfg = _cfg()
     assert isinstance(cfg, SolverConfig)

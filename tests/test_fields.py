@@ -340,6 +340,18 @@ def test_derivative_symbol_lives_in_fields():
     assert outside == {"euler._phase_table"}
 
 
+def test_only_the_lattice_reflection_rolls():
+    """A derivative built from np.roll shifts would be a second differentiation
+    scheme beside the symbol; the one roll in lpflow reflects the lattice."""
+    def rolls(node):
+        return isinstance(node, ast.Attribute) and node.attr == "roll"
+
+    found = {f"{path.stem}.{name}"
+             for path in sorted(Path(lpflow.__file__).parent.glob("*.py"))
+             for name in _scopes_where(path, rolls)}
+    assert found == {"fields._hermitian_symmetrize"}
+
+
 def test_public_names_are_exported_once_and_resolve():
     names = lpflow.__all__
     assert len(names) == len(set(names))

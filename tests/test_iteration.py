@@ -21,9 +21,10 @@ DELTA_M6 = (10.70470515519962, 21.423948005273143, 17.49480022263453,
             0.3653815264864083, 0.006587448801960327, 6.150821434969732e-05)
 # same data, M = 4, three steps of 2e-3: the ladder's arithmetic, bit for bit
 # (re-pinned for the half-spectrum ladder, the real-block norms, the float64
-# field format and the truncated right-hand side; CHANGES.md has the shifts and probes)
+# field format, the truncated right-hand side and the RK4 step without a final
+# projection; CHANGES.md has the shifts and probes)
 DELTA_M4_3STEPS = (10.704705155199619, 21.376961691291015, 17.302490890619197,
-                   0.021857214193137287)
+                   0.02185721419313726)
 # Two gaps that sit at roundoff, and the largest relative shift that roundoff
 # probes (data x (1 + k 2^-52) for k = -2..3, scipy.fft) gave each of them.
 # A gap passes below its level times 1 + twice that spread, with no absolute slack.
