@@ -22,8 +22,8 @@ from .errors import StabilityError
 from .euler import SolverConfig, _wrap, solve, taylor_green
 from .fields import (PHYSICAL, Grid, GridField, SpectrumSpec, VectorField, as_physical,
                      random_divergence_free, read_field, write_field)
-from .norms import (NormSpec, besov_norm, field_norm, kernel_l1_bound,
-                    kernel_l1_terms, sup_norm, verify_embedding, verify_lifting)
+from .norms import (NormSpec, _embedding_norms, field_norm, kernel_l1_bound, kernel_l1_terms,
+                    sup_norm, verify_lifting)
 from .reports import dump_json, write_csv, write_svg_polyline
 
 # ---------------------------------------------------------------------------
@@ -148,9 +148,12 @@ def _verify_embedding(args, bank, spec) -> tuple[dict, bool]:
     target = (spec.s - d / spec.p + d / p1, p1)
     samples = scalar_samples(grid, 10 if args.count is None else args.count,
                              800 if args.seed is None else args.seed)
-    ratios = [verify_embedding(bank, f, source, target) for f in samples]
     besov_sup = NormSpec(0.0, math.inf, 1.0, flavor="besov")
-    violations = sum(sup_norm(f) > besov_norm(bank, f, besov_sup) * (1 + 1e-12) for f in samples)
+    ratios, violations = [], 0
+    for f in samples:   # the sup chain is measured in the ratio's block pass
+        ratio, (chain,) = _embedding_norms(bank, f, source, target, besov_sup)
+        ratios.append(ratio)
+        violations += sup_norm(f) > chain * (1 + 1e-12)
     report = {"suite": "embedding", "source": list(source), "target": list(target),
               "ratios": ratios, "max": float(np.max(ratios)), "sup_chain_violations": violations}
     return report, violations == 0 and all(math.isfinite(r) for r in ratios)

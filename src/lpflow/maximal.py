@@ -3,30 +3,60 @@
 The maximal function is approximated by the maximum of |f| and its periodic
 means over axis-aligned cubes of half-width 1, 2, 4, ..., n/2 cells: one fixed
 dyadic ladder, with no settings.  Taking |f| itself in the maximum keeps
-Mf >= |f| pointwise.  The bounds measured with it are the pointwise bound of
-one dyadic block by maximal functions of a band-limited field and the
-Fefferman-Stein vector-valued bound.
+Mf >= |f| pointwise.  A periodic cube mean is a circulant convolution, so each
+one is a Fourier multiplier applied on the package's one transform pair: one
+forward transform of |f|, then one inverse per half-width.  The bounds measured
+with it are the pointwise bound of one dyadic block by maximal functions of a
+band-limited field and the Fefferman-Stein vector-valued bound.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .bank import LPFilterBank, delta_j
 from .errors import DegenerateInputError, RepresentationError
-from .fields import PHYSICAL, Grid, GridField, as_physical, as_spectral, wavenumber_norm
+from .fields import (PHYSICAL, Grid, GridField, _freeze, _from_half_spectrum, _to_half_spectrum,
+                     as_physical, as_spectral, wavenumber_norm)
 from .norms import NormSpec, _ladder_norms
+
+
+@lru_cache(maxsize=None)
+def _cube_mean_symbols(n: int, d: int) -> np.ndarray:
+    """Symbols of the periodic cube means of half-width h = 1, 2, 4, ..., n/2 cells,
+    stacked (log2 n, *half): each the product over axes of the 1-D window symbol
+    (1/(2h+1)) sum_{m=-h..h} cos(2 pi k m / n).  The sum runs over the window
+    offsets, so at h = n/2 the wrapped cell -n/2 = n/2 is counted twice, as it is
+    in the window itself."""
+    k = np.arange(n)
+    rows = []
+    for j in range(n.bit_length() - 1):
+        m = np.arange(-2**j, 2**j + 1)
+        line = np.cos((2.0 * np.pi / n) * (np.outer(k, m) % n)).sum(axis=1) / m.size
+        rows.append(reduce(np.multiply.outer, [line] * (d - 1) + [line[:n // 2 + 1]]))
+    return _freeze(np.stack(rows))
+
+
+def _require_finite(absvals: np.ndarray) -> np.ndarray:
+    """``absvals`` itself; raises ValueError if a sample is NaN or infinite, which
+    the cube means would spread over the whole lattice."""
+    bad = ~np.isfinite(absvals)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"maximal function of non-finite samples: {int(bad.sum())} of "
+                         f"{absvals.size}, the first at index {first}")
+    return absvals
 
 
 def _maximal_array(absvals: np.ndarray, grid: Grid) -> np.ndarray:
     """Pointwise max of |f| and its periodic cube means of half-width 1, 2, 4, ..., n/2 cells."""
-    from scipy.ndimage import uniform_filter  # here, so only a maximal ladder loads scipy
-
+    half = _to_half_spectrum(_require_finite(absvals), grid.d)
     out = absvals.copy()
-    for j in range(grid.n.bit_length() - 1):
-        np.maximum(out, uniform_filter(absvals, size=2 * 2**j + 1, mode="wrap"), out=out)
+    for symbol in _cube_mean_symbols(grid.n, grid.d):
+        np.maximum(out, _from_half_spectrum(symbol * half, grid.d), out=out)
     return out
 
 
@@ -65,10 +95,10 @@ def verify_pointwise_bound(bank: LPFilterBank, f: GridField, j: int, k: int,
         raise ValueError(f"r must lie in (0, 1], got {r}")
     if j <= k - 5:
         raise ValueError(f"scale gap too large: j={j} <= k - 5")
+    absf = _require_finite(np.abs(as_physical(f).values))   # before band_edge transforms it
     if band_edge(f) > 2.0**j + 1e-9:
         raise ValueError(f"field has content beyond |k| = 2^{j}")
     g = f.grid
-    absf = np.abs(as_physical(f).values)
     if absf.max() == 0.0:
         raise DegenerateInputError("zero field in pointwise maximal bound")
     lhs = np.abs(as_physical(delta_j(bank, f, k)).values)

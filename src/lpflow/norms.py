@@ -224,6 +224,12 @@ def verify_embedding(bank: LPFilterBank, f: GridField, source: tuple[float, floa
     (s1, p1) the Besov side with secondary index q = p0.  The scaling balance
     s0 - d/p0 == s1 - d/p1 with p0 < p1 is required.
     """
+    return _embedding_norms(bank, f, source, target)[0]
+
+
+def _embedding_norms(bank: LPFilterBank, f: GridField, source: tuple[float, float, float],
+                     target: tuple[float, float], *extra: NormSpec) -> tuple[float, list[float]]:
+    """The :func:`verify_embedding` ratio, and the norms ``extra`` of f from the same block pass."""
     s0, p0, q0 = source
     s1, p1 = target
     d = f.grid.d
@@ -234,11 +240,12 @@ def verify_embedding(bank: LPFilterBank, f: GridField, source: tuple[float, floa
     if abs(lhs_scale - rhs_scale) > 1e-12:
         raise ValueError(
             f"scaling mismatch: s0 - d/p0 = {lhs_scale} but s1 - d/p1 = {rhs_scale}")
-    den, num = _field_norms(bank, f, (NormSpec(s0, p0, q0, homogeneous=True),
-                                      NormSpec(s1, p1, p0, homogeneous=True, flavor="besov")))
+    den, num, *rest = _field_norms(bank, f, (NormSpec(s0, p0, q0, homogeneous=True),
+                                             NormSpec(s1, p1, p0, homogeneous=True,
+                                                      flavor="besov"), *extra))
     if den == 0.0:
         raise DegenerateInputError("zero field in embedding ratio")
-    return num / den
+    return num / den, rest
 
 
 def fractional_laplacian_half(f: GridField, order: float) -> GridField:

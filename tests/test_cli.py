@@ -197,6 +197,13 @@ def test_iterate_manifest(tmp_path, capsys):
     assert (out / "plots" / "decay.svg").exists()
 
 
+def test_verify_embedding_decomposes_each_sample_once(tmp_path, inverse_transforms, capsys):
+    """At 64^2: one synthesis per sample, then one pass of 8 blocks (the low block
+    for the sup chain, 7 for the ratio's homogeneous specs), not 7 + 8."""
+    assert main(["verify", "embedding", "--count", "2", "--out", str(tmp_path / "e")]) == 0
+    assert len(inverse_transforms) == 2 + 2 * 8
+
+
 def test_iterate_writes_each_final_state_from_its_spectrum(tmp_path, inverse_transforms, capsys):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({

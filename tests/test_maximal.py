@@ -20,24 +20,33 @@ POINTWISE_J4K4_HALFTHETA = 0.18138091641844803
 FS_22 = 1.1362062475049897
 
 
-def test_only_a_maximal_ladder_imports_scipy():
-    """``import lpflow``, ``import lpflow.cli`` and a 16^2 solve load no scipy
-    module; the first maximal ladder loads scipy.ndimage.  It runs in a fresh
-    interpreter, because this module has imported scipy already."""
+def test_no_path_loads_scipy():
+    """``import lpflow``, ``import lpflow.cli``, a 16^2 solve, every maximal
+    harness at 16^2 and 8^3, and the sublinearity corpus load no scipy module.
+    It runs in a fresh interpreter, so no other test's imports count."""
     script = (
         "import sys\n"
         "import lpflow, lpflow.cli\n"
-        "from lpflow import Grid, SolverConfig, hl_maximal, solve, taylor_green\n"
-        "u0 = taylor_green(Grid(16, 2))\n"
-        "solve(u0, SolverConfig(dt=1e-2, T=2e-2))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "hl_maximal(u0.components[0])\n"
-        "print('scipy.ndimage' in sys.modules)\n")
+        "from lpflow import (Grid, SolverConfig, calibration, default_bank, hl_maximal, solve,\n"
+        "                    taylor_green, verify_fefferman_stein, verify_pointwise_bound)\n"
+        "from lpflow.bank import decompose\n"
+        "from lpflow.corpus import scalar_sample\n"
+        "from lpflow.fields import as_physical\n"
+        "solve(taylor_green(Grid(16, 2)), SolverConfig(dt=1e-2, T=2e-2))\n"
+        "for n, d, j in ((16, 2, 3), (8, 3, 2)):\n"
+        "    grid, bank = Grid(n, d), default_bank(n, d)\n"
+        "    f = scalar_sample(grid, 500, band=(1, 2))\n"
+        "    hl_maximal(f)\n"
+        "    verify_pointwise_bound(bank, f, j=j, k=1, theta=0.5, r=0.5)\n"
+        "    fam = [as_physical(b) for b in decompose(bank, f).blocks[:3]]\n"
+        "    verify_fefferman_stein(fam, 2.0, 2.0)\n"
+        "calibration.sublinearity(Grid(16, 2), 2)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]", "True"]
+    assert run.stdout.splitlines() == ["[]"]
 
 
 @pytest.mark.parametrize("n,d", [(8, 2), (16, 2), (8, 3), (16, 3)])
@@ -57,6 +66,56 @@ def test_maximal_is_the_cube_window_ladder(n, d):
         w *= 2
     got = hl_maximal(f).values
     assert np.abs(got - want).max() <= 1e-14 * a.max()
+
+
+def _prefix_sum_ladder(a: np.ndarray) -> np.ndarray:
+    """Oracle off the spectral path: each periodic cube sum is separable, one
+    wrapped window sum per axis in turn, each the difference of two entries of an
+    np.cumsum over the axis padded by the half-width on both sides."""
+    n, d = a.shape[0], a.ndim
+    want = a.copy()
+    w = 1
+    while w <= n // 2:
+        total = a
+        for axis in range(d):
+            padded = np.take(total, np.arange(-w - 1, n + w) % n, axis=axis)
+            c = np.cumsum(padded, axis=axis)
+            total = (np.take(c, np.arange(2 * w + 1, n + 2 * w + 1), axis=axis)
+                     - np.take(c, np.arange(n), axis=axis))
+        np.maximum(want, total / (2 * w + 1) ** d, out=want)
+        w *= 2
+    return want
+
+
+@pytest.mark.parametrize("n,d", [(64, 2), (256, 2), (32, 3)])
+def test_maximal_matches_the_prefix_sum_ladder(n, d):
+    f = scalar_sample(Grid(n, d), 5)
+    a = np.abs(f.values)
+    assert np.abs(hl_maximal(f).values - _prefix_sum_ladder(a)).max() <= 1e-14 * a.max()
+
+
+def _with_one(grid, value) -> GridField:
+    vals = scalar_sample(grid, 500, band=(1, 4)).values.copy()
+    vals[3, 5] = value
+    return GridField(grid, vals, "physical")
+
+
+_HARNESSES = {
+    "hl_maximal": hl_maximal,
+    "verify_pointwise_bound": lambda f: verify_pointwise_bound(default_bank(16, 2), f, j=3, k=1,
+                                                               theta=0.5, r=0.5),
+    "verify_fefferman_stein": lambda f: verify_fefferman_stein([_with_one(f.grid, 1.0), f],
+                                                               2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("harness", sorted(_HARNESSES))
+def test_non_finite_samples_fail_loudly(harness, value):
+    """The cube means would spread one bad sample over the whole lattice."""
+    f = _with_one(Grid(16, 2), value)
+    with pytest.raises(ValueError, match=r"non-finite samples: 1 of 256, the first at index \(3, 5\)"):
+        _HARNESSES[harness](f)
 
 
 def test_dominates_pointwise(grid64):
